@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import DEFAULT_SYNTH_START
 
 TIMESTAMP_FEATURE_WIDTH = 5
 
@@ -93,8 +94,6 @@ def timestamp_features(
     timestamp the calendar features fall back to a fixed epoch so the
     encoding stays total.
     """
-    from .data import DEFAULT_SYNTH_START
-
     anchor = start if start is not None else DEFAULT_SYNTH_START
     out = np.empty((horizon, TIMESTAMP_FEATURE_WIDTH))
     for k in range(horizon):

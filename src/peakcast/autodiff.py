@@ -13,6 +13,7 @@ tensor, nothing else. Row-vector bias addition is its own named op
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -28,14 +29,23 @@ class ContractError(ValueError):
     """Raised when an operation is called outside its contract."""
 
 
-class Tape:
-    """Ordered record of backward closures, parents always before children."""
+_TAPE_SERIALS = itertools.count(1)
 
-    __slots__ = ("nodes", "visits")
+
+class Tape:
+    """Ordered record of backward closures, parents always before children.
+
+    Tensors name the tape that produced them by its ``serial``, not by a
+    reference: the closures hold their outputs, so a back-reference would
+    make every tape a cycle that only the cyclic garbage collector frees.
+    """
+
+    __slots__ = ("nodes", "visits", "serial")
 
     def __init__(self) -> None:
         self.nodes: list[Callable[[], None]] = []
         self.visits = 0
+        self.serial = next(_TAPE_SERIALS)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -59,18 +69,19 @@ def record(tape: Tape):
 class Tensor:
     """Dense n-dimensional float64 array, optionally grad-enabled.
 
-    ``grad`` is lazily allocated by the backward pass; ``tape`` is the tape
-    that produced this tensor (None for leaves and constants).
+    ``grad`` is lazily allocated by the backward pass; ``tape_id`` is the
+    serial of the tape that produced this tensor (None for leaves and
+    constants).
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "tape")
+    __slots__ = ("values", "grad", "requires_grad", "tape_id")
 
     def __init__(self, values, requires_grad: bool = False) -> None:
         v = np.asarray(values, dtype=np.float64)
         self.values = v
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.tape: Tape | None = None
+        self.tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,25 +100,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.values.shape}{flag})"
-
-    # Operator sugar; the named functions below do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(values) -> Tensor:
@@ -136,7 +128,7 @@ def _emit(out: Tensor, bw: Callable[[], None]) -> Tensor:
     """Register a node for ``out`` on the active tape."""
     tape = _ACTIVE
     out.requires_grad = True
-    out.tape = tape
+    out.tape_id = tape.serial
     tape.nodes.append(bw)
     return out
 
@@ -254,15 +246,6 @@ def mul(a, b) -> Tensor:
             _accum(b, _reduce_to(g * av, b.values.shape))
 
     return _emit(out, bw)
-
-
-def elementwise(op: str, a, b) -> Tensor:
-    """Dispatch on ``op`` in {add, sub, mul}."""
-    try:
-        f = {"add": add, "sub": sub, "mul": mul}[op]
-    except KeyError:
-        raise ContractError(f"unknown elementwise op {op!r}") from None
-    return f(a, b)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -525,26 +508,6 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
     return _emit(out, bw)
 
 
-def select_row(x: Tensor, i: int) -> Tensor:
-    """Select index ``i`` along the first axis."""
-    x = _as_tensor(x)
-    if not 0 <= i < x.values.shape[0]:
-        raise ContractError(f"select_row: index {i} out of range for shape {x.values.shape}")
-    out = Tensor(x.values[i])
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        full = np.zeros_like(x.values)
-        full[i] = g
-        _accum(x, full)
-
-    return _emit(out, bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions and losses
 
@@ -620,7 +583,7 @@ def backward(tape: Tape, root: Tensor) -> None:
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-    if root.tape is not tape:
+    if root.tape_id != tape.serial:
         raise ContractError("backward root was not recorded on this tape")
     root.grad = np.ones_like(root.values)
     for node in reversed(tape.nodes):
@@ -628,7 +591,7 @@ def backward(tape: Tape, root: Tensor) -> None:
         tape.visits += 1
 
 
-def grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
+def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
     """Analytic gradient of scalar-valued ``f`` at ``x`` via a fresh tape."""
     was = x.requires_grad
     x.requires_grad = True
@@ -651,7 +614,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ContractError(f"finite_diff_check: eps {eps} outside [1e-7, 1e-3]")
-    analytic = grad_of(f, x)
+    analytic = _grad_of(f, x)
     flat = x.values.reshape(-1)
     numeric = np.empty_like(analytic).reshape(-1)
     for i in range(flat.size):

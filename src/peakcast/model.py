@@ -8,6 +8,14 @@ the autoencoder's short-term head by element-wise addition.
 
 Two ablation embedding modes replace the learned embeddings with a plain
 token embedding, optionally plus the classic sinusoidal positional term.
+Only the embedding step differs between modes; encoder, decoder and head
+are shared.
+
+Parameter layout: every attention block ``{prefix}`` holds ``.wq``,
+``.wk``, ``.wv`` and ``.wo``, each (d_model, d_model), and ``.bo``. Head
+i owns column block [i * d_head, (i + 1) * d_head) of ``wq``, ``wk`` and
+``wv``, and the same row block of ``wo``. Checkpoints are format version 2;
+version 1 files (one q/k/v matrix per head) are rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .efe import EfeConfig
 EMBEDDING_MODES = ("efe_aee", "position_token", "token_only")
 
 CHECKPOINT_FORMAT = "peakcast-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -55,6 +63,9 @@ class PfConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("d_model", "n_heads", "ffn_width", "t", "h", "m"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.embedding_mode not in EMBEDDING_MODES:
@@ -110,15 +121,11 @@ class PfConfig:
 def _param_shapes(cfg: PfConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map; insertion order fixes the init RNG stream."""
     d, ffn = cfg.d_model, cfg.ffn_width
-    d_head = d // cfg.n_heads
     shapes: dict[str, tuple[int, ...]] = {}
 
     def attn(prefix: str) -> None:
-        for i in range(cfg.n_heads):
-            shapes[f"{prefix}.q{i}"] = (d, d_head)
-            shapes[f"{prefix}.k{i}"] = (d, d_head)
-            shapes[f"{prefix}.v{i}"] = (d, d_head)
-        shapes[f"{prefix}.wo"] = (d, d)
+        for key in ("wq", "wk", "wv", "wo"):
+            shapes[f"{prefix}.{key}"] = (d, d)
         shapes[f"{prefix}.bo"] = (d,)
 
     def block(prefix: str, sublayers: int) -> None:
@@ -197,52 +204,53 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     pos = np.arange(length)[:, None]
     div = np.exp(np.arange(0, d_model, 2) * (-math.log(10000.0) / d_model))
     pe[:, 0::2] = np.sin(pos * div)
-    pe[:, 1::2] = np.cos(pos * div[: (d_model + 1) // 2])
+    pe[:, 1::2] = np.cos(pos * div[: d_model // 2])
     return pe
 
 
 def multi_head_attention(
-    q_in: Tensor,
-    k_in: Tensor,
-    v_in: Tensor,
+    x: Tensor,
+    source: Tensor,
     params: dict[str, Tensor],
     prefix: str,
-    n_heads: int,
+    cfg: PfConfig,
     rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.0,
     trace: list | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention over the full, unmasked field.
+    """Scaled dot-product attention of ``x`` over all rows of ``source``.
 
-    Per head softmax(Q K^T / sqrt(d_head)) V; heads are concatenated and
-    output-projected. When ``trace`` is given, every head's attention
+    Self-attention passes the same tensor twice. Q = x wq / sqrt(d_head),
+    K = source wk and V = source wv are projected once; head i is
+    softmax(Q_i K_i^T) V_i on column block i of each. Heads are concatenated
+    and output-projected. No mask. Attention weights are dropped out when
+    ``rng`` is given. When ``trace`` is given, every head's attention
     matrix (numpy) is appended to it.
     """
-    d = q_in.shape[-1]
-    if k_in.shape[-1] != d or v_in.shape[-1] != d:
-        raise ad.DimensionError(f"attention inputs disagree on width: {q_in.shape}, {k_in.shape}, {v_in.shape}")
-    d_head = d // n_heads
-    inv_scale = 1.0 / math.sqrt(d_head)
+    d = cfg.d_model
+    if x.shape[-1] != d or source.shape[-1] != d:
+        raise ad.DimensionError(f"attention inputs {x.shape} and {source.shape} do not have width d_model = {d}")
+    d_head = d // cfg.n_heads
+    q = ad.mul(ad.matmul(x, params[f"{prefix}.wq"]), 1.0 / math.sqrt(d_head))
+    k = ad.matmul(source, params[f"{prefix}.wk"])
+    v = ad.matmul(source, params[f"{prefix}.wv"])
     heads = []
-    for i in range(n_heads):
-        q = ad.matmul(q_in, params[f"{prefix}.q{i}"])
-        k = ad.matmul(k_in, params[f"{prefix}.k{i}"])
-        v = ad.matmul(v_in, params[f"{prefix}.v{i}"])
-        probs = ad.softmax_rows(ad.mul(ad.matmul(q, ad.transpose(k)), inv_scale))
+    for lo in range(0, d, d_head):
+        hi = lo + d_head
+        probs = ad.softmax_rows(ad.matmul(ad.slice_last(q, lo, hi), ad.transpose(ad.slice_last(k, lo, hi))))
         if trace is not None:
             trace.append(probs.values)
-        if rng is not None and dropout_rate > 0.0:
-            probs = ad.dropout(probs, dropout_rate, rng)
-        heads.append(ad.matmul(probs, v))
+        if rng is not None:
+            probs = ad.dropout(probs, cfg.dropout_rate, rng)
+        heads.append(ad.matmul(probs, ad.slice_last(v, lo, hi)))
     cat = heads[0] if len(heads) == 1 else ad.concat_last(heads)
     return ad.add_bias(ad.matmul(cat, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
-def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str,
-         rng: np.random.Generator | None, dropout_rate: float) -> Tensor:
+def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: PfConfig,
+         rng: np.random.Generator | None) -> Tensor:
     hidden = ad.relu(ad.add_bias(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    if rng is not None and dropout_rate > 0.0:
-        hidden = ad.dropout(hidden, dropout_rate, rng)
+    if rng is not None:
+        hidden = ad.dropout(hidden, cfg.dropout_rate, rng)
     return ad.add_bias(ad.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
@@ -255,16 +263,14 @@ def encoder_forward(
     params: dict[str, Tensor],
     cfg: PfConfig,
     rng: np.random.Generator | None = None,
-    training: bool = False,
     trace: list | None = None,
 ) -> Tensor:
-    """Standard post-norm encoder stack; shape-preserving (..., t, d_model)."""
-    drop = cfg.dropout_rate if training else 0.0
-    gen = rng if training else None
+    """Standard post-norm encoder stack; shape-preserving (..., t, d_model).
+    Dropout runs when ``rng`` is given."""
     for i in range(cfg.n_enc_layers):
-        attn = multi_head_attention(x, x, x, params, f"enc.{i}.attn", cfg.n_heads, gen, drop, trace)
+        attn = multi_head_attention(x, x, params, f"enc.{i}.attn", cfg, rng, trace)
         x = _add_norm(x, attn, params, f"enc.{i}.ln1")
-        x = _add_norm(x, _ffn(x, params, f"enc.{i}.ffn", gen, drop), params, f"enc.{i}.ln2")
+        x = _add_norm(x, _ffn(x, params, f"enc.{i}.ffn", cfg, rng), params, f"enc.{i}.ln2")
     return x
 
 
@@ -274,24 +280,50 @@ def decoder_forward(
     params: dict[str, Tensor],
     cfg: PfConfig,
     rng: np.random.Generator | None = None,
-    training: bool = False,
     trace: list | None = None,
 ) -> Tensor:
-    """Unmasked self-attention, cross-attention to memory, then FFN."""
-    drop = cfg.dropout_rate if training else 0.0
-    gen = rng if training else None
+    """Unmasked self-attention, cross-attention to memory, then FFN.
+    Dropout runs when ``rng`` is given."""
     for i in range(cfg.n_dec_layers):
-        sa = multi_head_attention(y, y, y, params, f"dec.{i}.self", cfg.n_heads, gen, drop, trace)
+        sa = multi_head_attention(y, y, params, f"dec.{i}.self", cfg, rng, trace)
         y = _add_norm(y, sa, params, f"dec.{i}.ln1")
-        ca = multi_head_attention(y, memory, memory, params, f"dec.{i}.cross", cfg.n_heads, gen, drop, trace)
+        ca = multi_head_attention(y, memory, params, f"dec.{i}.cross", cfg, rng, trace)
         y = _add_norm(y, ca, params, f"dec.{i}.ln2")
-        y = _add_norm(y, _ffn(y, params, f"dec.{i}.ffn", gen, drop), params, f"dec.{i}.ln3")
+        y = _add_norm(y, _ffn(y, params, f"dec.{i}.ffn", cfg, rng), params, f"dec.{i}.ln3")
     return y
 
 
-def _per_step_head(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    out = ad.add_bias(ad.matmul(x, params["head.w"]), params["head.b"])
-    return ad.reshape(out, out.shape[:-1])
+def _embed(windows: np.ndarray, ts_features: np.ndarray, params: dict[str, Tensor],
+           cfg: PfConfig) -> tuple[Tensor, Tensor, Tensor | None]:
+    """Encoder input, decoder input and the auxiliary forecast of one batch.
+
+    efe_aee: lag-feature embedding for the encoder; the autoencoder's
+    hidden sequence (projected to d_model if needed) for the decoder, and
+    its short-term head as the auxiliary forecast. Ablation modes: a
+    per-step linear map of the m-vector for the encoder and learned start
+    tokens for the decoder, plus the sinusoidal table in position_token
+    mode; there is no auxiliary forecast (None).
+    """
+    if cfg.embedding_mode == "efe_aee":
+        enc_in = efe_mod.embed_sequence(windows, params["efe.w"], params["efe.b"], cfg.efe)
+        latents = aee_mod.encode(windows, params, cfg.aee)
+        emb = aee_mod.decode(latents, ts_features, params, cfg.aee)
+        yaux = aee_mod.aux_head(emb, params["aee.head.w"], params["aee.head.b"])
+        dec_in = emb
+        if cfg.aee.hidden != cfg.d_model:
+            dec_in = ad.add_bias(ad.matmul(emb, params["aee.proj.w"]), params["aee.proj.b"])
+        return enc_in, dec_in, yaux
+
+    B = windows.shape[0]
+    cols = np.swapaxes(windows, 1, 2)  # (B, t, m)
+    enc_in = ad.add_bias(ad.matmul(ad.tensor(cols), params["tok.w"]), params["tok.b"])
+    dec_in = ad.tile_leading(params["dec.start"], B)
+    if cfg.embedding_mode == "position_token":
+        pe_t = sinusoidal_positions(cfg.t, cfg.d_model)
+        pe_h = sinusoidal_positions(cfg.h, cfg.d_model)
+        enc_in = ad.add(enc_in, ad.tensor(np.broadcast_to(pe_t, (B, cfg.t, cfg.d_model))))
+        dec_in = ad.add(dec_in, ad.tensor(np.broadcast_to(pe_h, (B, cfg.h, cfg.d_model))))
+    return enc_in, dec_in, None
 
 
 def forward(
@@ -303,62 +335,32 @@ def forward(
     training: bool = False,
     trace: list | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Full forward pass on a (B, m, t) batch.
+    """Full forward pass on a (B, m, t) batch and its (B, h, 5) time-stamp
+    features; a single (m, t) window and (h, 5) features are batched.
 
     Returns (yhat, yaux), both (B, h). In the ablation modes yaux is a
     constant zero tensor and the fused output is the decoder head alone.
+    Dropout runs only when ``training`` and ``rng`` are both given.
+    Non-finite inputs raise ContractError.
     """
     if windows.ndim == 2:
         windows = windows[None, ...]
-    B = windows.shape[0]
-    if windows.shape[1] != cfg.m or windows.shape[2] != cfg.t:
+    if ts_features.ndim == 2:
+        ts_features = ts_features[None, ...]
+    if windows.ndim != 3 or windows.shape[1:] != (cfg.m, cfg.t):
         raise ad.DimensionError(f"window batch {windows.shape} does not match (m, t) = ({cfg.m}, {cfg.t})")
+    if not (np.isfinite(windows).all() and np.isfinite(ts_features).all()):
+        raise ad.ContractError("forward: windows and time-stamp features must be finite")
+    rng = rng if training else None
 
-    if cfg.embedding_mode == "efe_aee":
-        enc_in = efe_mod.embed_sequence(windows, params["efe.w"], params["efe.b"], cfg.efe)
-        memory = encoder_forward(enc_in, params, cfg, rng, training, trace)
-
-        if ts_features.ndim == 2:
-            ts_features = ts_features[None, ...]
-        latents = aee_mod.encode(windows, params, cfg.aee)
-        emb = aee_mod.decode(latents, ts_features, params, cfg.aee)
-        yaux = aee_mod.aux_head(emb, params["aee.head.w"], params["aee.head.b"])
-
-        dec_in = emb
-        if cfg.aee.hidden != cfg.d_model:
-            dec_in = ad.add_bias(ad.matmul(emb, params["aee.proj.w"]), params["aee.proj.b"])
-        dec_out = decoder_forward(dec_in, memory, params, cfg, rng, training, trace)
-        yhat = ad.add(_per_step_head(dec_out, params), yaux)
-        return yhat, yaux
-
-    return forward_ablation(windows, params, cfg, rng, training, trace), ad.tensor(np.zeros((B, cfg.h)))
-
-
-def forward_ablation(
-    windows: np.ndarray,
-    params: dict[str, Tensor],
-    cfg: PfConfig,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-    trace: list | None = None,
-) -> Tensor:
-    """Token-embedding variants: per-step linear map of the m-vector, plus
-    the sinusoidal positional table in position_token mode. The decoder
-    runs on learned start tokens; there is no autoencoder head."""
-    if cfg.embedding_mode not in ("position_token", "token_only"):
-        raise ValueError(f"forward_ablation called with mode {cfg.embedding_mode!r}")
-    B = windows.shape[0]
-    cols = np.swapaxes(windows, 1, 2)  # (B, t, m)
-    enc_in = ad.add_bias(ad.matmul(ad.tensor(cols), params["tok.w"]), params["tok.b"])
-    dec_in = ad.tile_leading(params["dec.start"], B)
-    if cfg.embedding_mode == "position_token":
-        pe_t = sinusoidal_positions(cfg.t, cfg.d_model)
-        pe_h = sinusoidal_positions(cfg.h, cfg.d_model)
-        enc_in = ad.add(enc_in, ad.tensor(np.broadcast_to(pe_t, (B, cfg.t, cfg.d_model))))
-        dec_in = ad.add(dec_in, ad.tensor(np.broadcast_to(pe_h, (B, cfg.h, cfg.d_model))))
-    memory = encoder_forward(enc_in, params, cfg, rng, training, trace)
-    dec_out = decoder_forward(dec_in, memory, params, cfg, rng, training, trace)
-    return _per_step_head(dec_out, params)
+    enc_in, dec_in, yaux = _embed(windows, ts_features, params, cfg)
+    memory = encoder_forward(enc_in, params, cfg, rng, trace)
+    dec_out = decoder_forward(dec_in, memory, params, cfg, rng, trace)
+    out = ad.add_bias(ad.matmul(dec_out, params["head.w"]), params["head.b"])
+    yhat = ad.reshape(out, out.shape[:-1])
+    if yaux is None:
+        return yhat, ad.tensor(np.zeros(yhat.shape))
+    return ad.add(yhat, yaux), yaux
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +399,44 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
         json.dump(doc, fh)
 
 
+def _is_entry(e) -> bool:
+    return (isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("data"), str)
+            and isinstance(e.get("shape"), list) and all(isinstance(n, int) for n in e["shape"]))
+
+
 def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
-    """Load and verify a checkpoint; corruption raises CheckpointError."""
+    """Load and verify a checkpoint; a corrupted, malformed or mismatched
+    file raises CheckpointError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a checkpoint file")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
-    cfg = PfConfig.from_dict(doc["config"])
+    try:
+        cfg = PfConfig.from_dict(doc["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed config in {path}: {exc!r}") from None
+    entries = doc.get("params")
+    if not isinstance(entries, list) or not all(_is_entry(e) for e in entries):
+        raise CheckpointError(f"malformed parameter list in {path}")
     config_blob = json.dumps(cfg.to_dict(), sort_keys=True)
-    if _checksum(config_blob, doc["params"]) != doc.get("checksum"):
+    if _checksum(config_blob, entries) != doc.get("checksum"):
         raise CheckpointError(f"checksum mismatch in {path}: file is corrupted")
-    params: dict[str, Tensor] = {}
-    for e in doc["params"]:
-        buf = np.frombuffer(base64.b64decode(e["data"]), dtype="<f8").reshape(e["shape"]).copy()
-        params[e["name"]] = ad.parameter(buf)
-    expected = set(_param_shapes(cfg))
-    if set(params) != expected:
+    shapes = _param_shapes(cfg)
+    if sorted(e["name"] for e in entries) != sorted(shapes):
         raise CheckpointError("checkpoint parameters do not match its config")
+    params: dict[str, Tensor] = {}
+    for e in entries:
+        name, shape = e["name"], tuple(e["shape"])
+        if shape != shapes[name]:
+            raise CheckpointError(f"parameter {name} has shape {shape}, its config gives {shapes[name]}")
+        try:
+            buf = np.frombuffer(base64.b64decode(e["data"], validate=True), dtype="<f8").reshape(shape)
+        except ValueError as exc:
+            raise CheckpointError(f"parameter {name} data does not decode to shape {shape}: {exc}") from None
+        params[name] = ad.parameter(buf.copy())
     return cfg, params

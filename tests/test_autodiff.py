@@ -53,21 +53,6 @@ def test_matmul_batched_matches_loop():
         assert np.allclose(out[i], a[i] @ b[i])
 
 
-def test_elementwise_add_identity():
-    out = ad.elementwise("add", ad.tensor([1.0, 2.0]), ad.tensor([0.0, 0.0]))
-    assert np.array_equal(out.values, [1.0, 2.0])
-
-
-def test_elementwise_mul_hand():
-    out = ad.elementwise("mul", ad.tensor([2.0, 3.0]), ad.tensor([4.0, 5.0]))
-    assert np.array_equal(out.values, [8.0, 15.0])
-
-
-def test_elementwise_sub_self_cancels():
-    x = ad.tensor([3.0, -1.0, 7.5])
-    assert np.array_equal(ad.elementwise("sub", x, x).values, np.zeros(3))
-
-
 def test_elementwise_rejects_nonscalar_broadcast():
     with pytest.raises(DimensionError):
         ad.add(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones(3)))
@@ -76,7 +61,6 @@ def test_elementwise_rejects_nonscalar_broadcast():
 def test_scalar_broadcast_allowed():
     x = ad.tensor([1.0, 2.0])
     assert np.array_equal(ad.mul(x, 3.0).values, [3.0, 6.0])
-    assert np.array_equal((2.0 * x).values, [2.0, 4.0])
 
 
 @given(arrays(np.float64, (4,), elements=finite_floats), arrays(np.float64, (4,), elements=finite_floats))
@@ -191,6 +175,16 @@ def test_backward_visits_each_node_once():
     assert tape.visits == 4
 
 
+def test_backward_rejects_root_of_another_tape():
+    x = ad.parameter([1.0, 2.0])
+    tape, other = Tape(), Tape()
+    with record(tape):
+        out = ad.sum_all(ad.mul(x, x))
+    for wrong_tape, root in ((other, out), (tape, ad.sum_all(x))):
+        with pytest.raises(ContractError, match="^backward root was not recorded on this tape$"):
+            backward(wrong_tape, root)
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 5))
@@ -235,7 +229,7 @@ def _op_cases():
         "add": wrap(lambda x: ad.sum_all(ad.add(x, ad.mul(x, 0.5)))),
         "sub": wrap(lambda x: ad.sum_all(ad.sub(ad.mul(x, 2.0), x))),
         "mul": wrap(lambda x: ad.sum_all(ad.mul(x, x))),
-        "add_bias": wrap(lambda x: ad.sum_all(ad.tanh(ad.add_bias(x, ad.slice_last(ad.select_row(x, 0), 0, 4))))),
+        "add_bias": wrap(lambda x: ad.sum_all(ad.tanh(ad.add_bias(x, ad.slice_last(ad.reshape(x, (16,)), 0, 4))))),
         "relu": wrap(lambda x: ad.sum_all(ad.relu(x))),
         "tanh": wrap(lambda x: ad.sum_all(ad.tanh(x))),
         "sigmoid": wrap(lambda x: ad.sum_all(ad.sigmoid(x))),
@@ -246,9 +240,8 @@ def _op_cases():
         "transpose": wrap(lambda x: ad.sum_all(ad.mul(ad.transpose(x), ad.transpose(x)))),
         "reshape": wrap(lambda x: ad.sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
         "concat": wrap(lambda x: ad.sum_all(ad.tanh(ad.concat_last([x, x])))),
-        "stack": wrap(lambda x: ad.sum_all(ad.tanh(ad.stack_steps([ad.select_row(x, 0), ad.select_row(x, 1)])))),
+        "stack": wrap(lambda x: ad.sum_all(ad.tanh(ad.stack_steps([ad.slice_last(x, 0, 2), ad.slice_last(x, 1, 3)])))),
         "slice": wrap(lambda x: ad.sum_all(ad.sigmoid(ad.slice_last(x, 1, 3)))),
-        "select_row": wrap(lambda x: ad.sum_all(ad.mul(ad.select_row(x, 2), 3.0))),
         "mean": wrap(lambda x: ad.mean_all(ad.mul(x, x))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
     }
@@ -288,4 +281,4 @@ def test_dropout_identity_at_zero_rate_and_scales_expectation():
 def test_no_tape_means_no_graph():
     x = ad.parameter(np.ones(3))
     out = ad.mul(x, x)
-    assert out.tape is None and not out.requires_grad
+    assert out.tape_id is None and not out.requires_grad
