@@ -11,7 +11,6 @@ not recursive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -90,20 +89,22 @@ def timestamp_features(
 
     Row k describes forecast step k: normalized index k/h, then sine and
     cosine of the fractional time-of-day and day-of-year of the step's
-    absolute timestamp (grid index issue_index + 1 + k). Without a start
+    absolute timestamp (grid index issue_index + 1 + k), read on the start
+    timestamp's wall clock and truncated to whole seconds. Without a start
     timestamp the calendar features fall back to a fixed epoch so the
     encoding stays total.
     """
     anchor = start if start is not None else DEFAULT_SYNTH_START
-    out = np.empty((horizon, TIMESTAMP_FEATURE_WIDTH))
-    for k in range(horizon):
-        ts = anchor + (issue_index + 1 + k) * step
-        tod = (ts.hour * 3600 + ts.minute * 60 + ts.second) / 86400.0
-        doy = (ts.timetuple().tm_yday - 1 + tod) / 366.0
-        out[k] = (k / horizon,
-                  math.sin(2 * math.pi * tod), math.cos(2 * math.pi * tod),
-                  math.sin(2 * math.pi * doy), math.cos(2 * math.pi * doy))
-    return out
+    us = timedelta(microseconds=1)
+    k = np.arange(horizon)
+    wall = np.datetime64(anchor.replace(tzinfo=None), "us")
+    ts = wall + (issue_index + 1 + k) * np.timedelta64(step // us, "us")
+    day = ts.astype("datetime64[D]")
+    tod = (ts - day).astype("timedelta64[s]").astype(np.int64) / 86400.0
+    doy = ((day - day.astype("datetime64[Y]")).astype(np.int64) + tod) / 366.0
+    return np.stack([k / horizon,
+                     np.sin(2 * np.pi * tod), np.cos(2 * np.pi * tod),
+                     np.sin(2 * np.pi * doy), np.cos(2 * np.pi * doy)], axis=-1)
 
 
 def decode(

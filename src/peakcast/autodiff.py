@@ -525,20 +525,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit(out, bw)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    n = x.values.size
-    out = Tensor(x.values.mean())
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, np.full_like(x.values, float(out.grad) / n))
-
-    return _emit(out, bw)
-
-
 def rmse(pred: Tensor, truth: Tensor) -> Tensor:
     """Root mean square error as a scalar tensor.
 

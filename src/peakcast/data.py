@@ -1,8 +1,11 @@
 """Series ingestion, alignment, windowing, scaling, and synthetic data.
 
-All series live on a uniform 15-minute UTC grid after :func:`align`. The
-target series is always row 0 of every window matrix; auxiliary series
-(rain gauges and the like) fill the remaining rows.
+All series live on a uniform 15-minute UTC grid after :func:`align`. An
+:class:`AlignedSeries` stores its values once, as one read-only (m, L)
+float64 matrix with the target in row 0 and the auxiliary series (rain
+gauges and the like) in the remaining rows; ``matrix()`` returns it
+without copying. Every window's input and target are views into that
+matrix, so no window copies the series.
 """
 
 from __future__ import annotations
@@ -50,13 +53,19 @@ class RawSeries:
 
 @dataclass
 class AlignedSeries:
-    """Target plus auxiliaries on one uniform grid, no missing values."""
+    """Target plus auxiliaries on one uniform grid, no missing values.
+
+    The constructor copies the rows into one read-only (m, L) float64
+    matrix, target in row 0; ``target`` and ``auxiliaries`` become row
+    views of it, and ``matrix()`` returns it without copying.
+    """
 
     start: datetime
     step: timedelta
     target: np.ndarray
     auxiliaries: list[np.ndarray]
     names: list[str]
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.target)
@@ -65,6 +74,9 @@ class AlignedSeries:
                 raise DataError(f"auxiliary length {len(aux)} != target length {n}")
         if len(self.names) != 1 + len(self.auxiliaries):
             raise DataError("names must cover target and every auxiliary")
+        self._matrix = np.vstack([self.target, *self.auxiliaries], dtype=np.float64)
+        self._matrix.flags.writeable = False
+        self.target, *self.auxiliaries = self._matrix
 
     def __len__(self) -> int:
         return len(self.target)
@@ -74,8 +86,8 @@ class AlignedSeries:
         return 1 + len(self.auxiliaries)
 
     def matrix(self) -> np.ndarray:
-        """(m, L) value matrix, target in row 0."""
-        return np.vstack([self.target, *self.auxiliaries])
+        """The read-only (m, L) value matrix, target in row 0; not a copy."""
+        return self._matrix
 
     def timestamp_at(self, i: int) -> datetime:
         return self.start + i * self.step
@@ -111,8 +123,6 @@ class DatasetStats:
 
 def _parse_timestamp(text: str, line: int) -> datetime:
     text = text.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
@@ -144,6 +154,8 @@ def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = 
                 value = float(raw)
             except (TypeError, ValueError):
                 raise ParseError(f"invalid numeric value {raw!r}", line) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {raw!r}", line)
             records.append((ts, value))
     records.sort(key=lambda r: r[0])
     for (a, _), (b, _) in zip(records, records[1:]):
@@ -169,15 +181,10 @@ def write_csv(path, start: datetime, step: timedelta, values: np.ndarray) -> Non
 def _grid_fill(series: RawSeries, start: datetime, step: timedelta, n: int) -> np.ndarray:
     """Sample a raw series onto the grid: last observation at or before each
     grid point, zeros before the first observation (leading-gap policy)."""
-    out = np.zeros(n, dtype=np.float64)
-    ts, vals = series.timestamps, series.values
-    j = -1
-    for i in range(n):
-        point = start + i * step
-        while j + 1 < len(ts) and ts[j + 1] <= point:
-            j += 1
-        out[i] = vals[j] if j >= 0 else 0.0
-    return out
+    us = timedelta(microseconds=1)
+    offsets = np.array([(ts - start) // us for ts in series.timestamps], dtype=np.int64)
+    last = np.searchsorted(offsets, np.arange(n, dtype=np.int64) * (step // us), side="right") - 1
+    return np.where(last >= 0, series.values[np.maximum(last, 0)], 0.0)
 
 
 def align(
@@ -194,6 +201,9 @@ def align(
     """
     if not series_list:
         raise AlignmentError("no series to align")
+    for s in series_list:
+        if not s.timestamps:
+            raise AlignmentError(f"series {s.name!r} has no observations")
     lo = start if start is not None else max(s.timestamps[0] for s in series_list)
     hi = end if end is not None else min(s.timestamps[-1] for s in series_list)
     if hi < lo:
@@ -220,16 +230,7 @@ def make_windows(series: AlignedSeries, t: int, h: int, stride: int = 1) -> list
     if stride < 1:
         raise WindowError(f"stride must be >= 1, got {stride}")
     mat = series.matrix()
-    target = series.target
-    windows = []
-    for origin in range(0, L - t - h + 1, stride):
-        windows.append(
-            WindowSample(
-                input=mat[:, origin:origin + t],
-                target=target[origin + t:origin + t + h],
-                issue_index=origin + t - 1,
-            ))
-    return windows
+    return [_window(mat, origin, t, h) for origin in range(0, L - t - h + 1, stride)]
 
 
 def window_at_origin(series: AlignedSeries, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
@@ -237,10 +238,14 @@ def window_at_origin(series: AlignedSeries, origin: int, t: int, h: int, oversam
     L = len(series)
     if not 0 <= origin <= L - t - h:
         raise WindowError(f"origin {origin} outside [0, {L - t - h}]")
-    mat = series.matrix()
+    return _window(series.matrix(), origin, t, h, oversampled)
+
+
+def _window(mat: np.ndarray, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
+    """The window at ``origin``, as views into the series matrix."""
     return WindowSample(
         input=mat[:, origin:origin + t],
-        target=series.target[origin + t:origin + t + h],
+        target=mat[0, origin + t:origin + t + h],
         issue_index=origin + t - 1,
         is_oversampled=oversampled,
     )

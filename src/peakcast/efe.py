@@ -36,27 +36,13 @@ class EfeConfig:
         return w
 
 
-def build_subsequence(window: np.ndarray, j: int, s_efe: int, include_target_lags: bool = False) -> np.ndarray:
-    """Feature vector for one time point of one (m, t) window.
-
-    Layout: [x1_j, x2_j .. xm_j, lags of x2, lags of x3, ...] where each
-    lag block is [x_i(j-s) .. x_i(j-1)]. Indices before the window start
-    repeat that series' earliest in-window value.
-    """
-    m, t = window.shape
-    if not 0 <= j < t:
-        raise IndexError(f"time index {j} outside [0, {t})")
-    lag_idx = np.maximum(np.arange(j - s_efe, j), 0)
-    parts = [window[0, j:j + 1], window[1:, j]]
-    for i in range(1, m):
-        parts.append(window[i, lag_idx])
-    if include_target_lags:
-        parts.append(window[0, lag_idx])
-    return np.concatenate(parts)
-
-
 def subsequence_matrix(windows: np.ndarray, s_efe: int, include_target_lags: bool = False) -> np.ndarray:
-    """All-j feature matrix, vectorized: (..., m, t) -> (..., t, width)."""
+    """All-j feature matrix, vectorized: (..., m, t) -> (..., t, width).
+
+    Row j is [x1_j, x2_j .. xm_j, lags of x2, lags of x3, ...] where each
+    lag block is [x_i(j-s) .. x_i(j-1)]; target lags come last when asked
+    for. Indices before the window start repeat the earliest value.
+    """
     batched = windows.ndim == 3
     w = windows if batched else windows[None, ...]
     B, m, t = w.shape

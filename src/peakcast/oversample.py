@@ -91,6 +91,8 @@ def fit_gmm(
         raise GmmFitError("n_components must be >= 1")
     if x.size < M:
         raise GmmFitError(f"need at least {M} values, got {x.size}")
+    if not np.isfinite(x).all():
+        raise GmmFitError("values must be finite")
     distinct = len(np.unique(x))
     if M > distinct:
         raise GmmFitError(f"n_components {M} exceeds distinct value count {distinct}")

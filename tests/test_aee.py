@@ -6,8 +6,23 @@ import pytest
 
 from peakcast import aee
 from peakcast import autodiff as ad
+from peakcast.data import DEFAULT_SYNTH_START
 
 STEP = timedelta(minutes=15)
+
+
+def timestamp_features_loop(issue_index, horizon, step=STEP, start=None):
+    """Per-step oracle for ``timestamp_features``, on Python datetimes."""
+    anchor = start if start is not None else DEFAULT_SYNTH_START
+    out = np.empty((horizon, aee.TIMESTAMP_FEATURE_WIDTH))
+    for k in range(horizon):
+        ts = anchor + (issue_index + 1 + k) * step
+        tod = (ts.hour * 3600 + ts.minute * 60 + ts.second) / 86400.0
+        doy = (ts.timetuple().tm_yday - 1 + tod) / 366.0
+        out[k] = (k / horizon,
+                  math.sin(2 * math.pi * tod), math.cos(2 * math.pi * tod),
+                  math.sin(2 * math.pi * doy), math.cos(2 * math.pi * doy))
+    return out
 
 
 def zero_params(cfg, m, feat=aee.TIMESTAMP_FEATURE_WIDTH):
@@ -92,6 +107,21 @@ class TestTimestampFeatures:
 
     def test_width(self):
         assert aee.timestamp_features(0, 4).shape == (4, aee.TIMESTAMP_FEATURE_WIDTH)
+
+    @pytest.mark.parametrize("issue_index, horizon, step, start", [
+        (0, 288, STEP, None),
+        (-5000, 300, STEP, None),  # negative issue index, back across a year boundary
+        (0, 120, STEP, datetime(2020, 12, 31, 23, 0, tzinfo=timezone.utc)),  # year boundary
+        (3, 60, timedelta(hours=1), datetime(2024, 2, 28, 2, 30, tzinfo=timezone.utc)),  # leap day
+        (10, 96, STEP, datetime(2021, 3, 1, 12, 34, 56)),  # naive anchor
+        (7, 200, STEP, datetime(2021, 12, 31, 22, 0, tzinfo=timezone(timedelta(hours=5)))),  # non-UTC anchor
+        (-3, 500, timedelta(seconds=7.5), datetime(2021, 12, 31, 23, 59, 30, 250_000, tzinfo=timezone.utc)),
+        (120_000, 48, timedelta(milliseconds=333), datetime(2023, 12, 31, 23, 59, tzinfo=timezone.utc)),
+        (-3, 200, timedelta(seconds=7.5), datetime(1969, 12, 31, 23, 59, 59, 500_000)),  # before the epoch
+    ])
+    def test_matches_per_step_loop(self, issue_index, horizon, step, start):
+        got = aee.timestamp_features(issue_index, horizon, step=step, start=start)
+        assert np.array_equal(got, timestamp_features_loop(issue_index, horizon, step, start))
 
 
 class TestDecode:

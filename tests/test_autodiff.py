@@ -242,7 +242,6 @@ def _op_cases():
         "concat": wrap(lambda x: ad.sum_all(ad.tanh(ad.concat_last([x, x])))),
         "stack": wrap(lambda x: ad.sum_all(ad.tanh(ad.stack_steps([ad.slice_last(x, 0, 2), ad.slice_last(x, 1, 3)])))),
         "slice": wrap(lambda x: ad.sum_all(ad.sigmoid(ad.slice_last(x, 1, 3)))),
-        "mean": wrap(lambda x: ad.mean_all(ad.mul(x, x))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
     }
 

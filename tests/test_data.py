@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -21,6 +22,20 @@ def write(tmp_path, name, rows):
 
 def grid_series(name, start, values, step=STEP):
     return d.RawSeries(name, [start + i * step for i in range(len(values))], np.asarray(values, dtype=float))
+
+
+def grid_fill_loop(series, start, step, n):
+    """Per-grid-point oracle for ``_grid_fill``: the last observation at or
+    before each grid point, zero before the first observation."""
+    out = np.zeros(n, dtype=np.float64)
+    ts, vals = series.timestamps, series.values
+    j = -1
+    for i in range(n):
+        point = start + i * step
+        while j + 1 < len(ts) and ts[j + 1] <= point:
+            j += 1
+        out[i] = vals[j] if j >= 0 else 0.0
+    return out
 
 
 def brute_force_stats(x):
@@ -62,6 +77,14 @@ class TestLoadCsv:
         p.write_text("time,flow\n2021-09-01T00:00:00Z,4.5\n")
         s = d.load_csv(p, column_map={"timestamp": "time", "value": "flow"})
         assert s.values[0] == 4.5
+        assert s.timestamps[0] == T0
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, raw):
+        p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", f"2021-09-01T00:15,{raw}", "2021-09-01T00:30,3.0"])
+        with pytest.raises(d.ParseError) as exc:
+            d.load_csv(p)
+        assert exc.value.line == 3
 
 
 class TestAlign:
@@ -97,6 +120,29 @@ class TestAlign:
         with pytest.raises(d.AlignmentError):
             d.align([a, b])
 
+    def test_series_without_observations_raises(self, tmp_path):
+        empty = d.load_csv(write(tmp_path, "empty.csv", []))
+        a = grid_series("t", T0, [1, 2, 3, 4])
+        with pytest.raises(d.AlignmentError):
+            d.align([a, empty])
+        with pytest.raises(d.AlignmentError):
+            d.align([a, empty], start=T0, end=T0 + 3 * STEP)
+
+    @given(st.lists(st.integers(-3_600_000, 20_000_000), min_size=1, max_size=40, unique=True),
+           st.integers(-2_000, 15_000), st.sampled_from([timedelta(seconds=7.5), timedelta(minutes=1), STEP]),
+           st.integers(1, 300), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_fill_matches_loop(self, offsets_ms, start_s, step, n, shifted_zone):
+        # off-grid millisecond stamps with random gaps; the grid may start
+        # before the first observation, after the last, or anywhere between
+        offsets_ms.sort()
+        raw = d.RawSeries("x", [T0 + timedelta(milliseconds=o) for o in offsets_ms],
+                          np.arange(1.0, len(offsets_ms) + 1.0))
+        start = T0 + timedelta(seconds=start_s)
+        if shifted_zone:
+            start = start.astimezone(timezone(timedelta(hours=5)))
+        assert np.array_equal(d._grid_fill(raw, start, step, n), grid_fill_loop(raw, start, step, n))
+
 
 class TestWindows:
     def make_series(self, L):
@@ -123,6 +169,41 @@ class TestWindows:
         assert np.array_equal(w.input[0], np.arange(4, 10, dtype=float))
         assert np.array_equal(w.input[1], np.arange(4, 10, dtype=float) * 2)
         assert np.array_equal(w.target, [10.0, 11.0])
+
+    def test_window_at_origin_equals_make_windows(self):
+        series = self.make_series(40)
+        windows = d.make_windows(series, t=6, h=3)
+        for origin in (0, 7, len(windows) - 1):
+            w = d.window_at_origin(series, origin, 6, 3)
+            for f in fields(d.WindowSample):
+                assert np.array_equal(getattr(w, f.name), getattr(windows[origin], f.name)), f.name
+        assert d.window_at_origin(series, 5, 6, 3, oversampled=True).is_oversampled
+
+    def test_windows_are_views_of_the_matrix(self):
+        series = self.make_series(40)
+        mat = series.matrix()
+        w = d.window_at_origin(series, 3, 6, 3, oversampled=True)
+        assert np.shares_memory(w.input, mat) and np.shares_memory(w.target, mat)
+        assert all(np.shares_memory(v.input, mat) and np.shares_memory(v.target, mat)
+                   for v in d.make_windows(series, 6, 3, stride=5))
+
+    @pytest.mark.parametrize("origin", [-1, 32, 100])
+    def test_window_at_origin_out_of_range(self, origin):
+        with pytest.raises(d.WindowError):
+            d.window_at_origin(self.make_series(40), origin, 6, 3)  # origins 0..31
+
+    def test_matrix_is_read_only_and_never_copied(self):
+        series = self.make_series(10)
+        mat = series.matrix()
+        assert mat is series.matrix()
+        assert mat.shape == (2, 10) and mat.dtype == np.float64
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        assert np.shares_memory(series.target, mat) and np.shares_memory(series.auxiliaries[0], mat)
+        scaled = d.transform_series(series, [d.Transform(mode="standardize", mean=1.0, std=2.0)] * 2)
+        assert not scaled.matrix().flags.writeable
+        assert np.array_equal(scaled.matrix(), (mat - 1.0) / 2.0)
 
     @given(st.integers(1, 400), st.integers(1, 50), st.integers(1, 50), st.integers(1, 40))
     @settings(max_examples=100)

@@ -5,6 +5,26 @@ from peakcast import autodiff as ad
 from peakcast import efe
 
 
+def build_subsequence(window, j, s_efe, include_target_lags=False):
+    """Per-point oracle for ``efe.subsequence_matrix``: the feature vector of
+    time point j of one (m, t) window.
+
+    Layout: [x1_j, x2_j .. xm_j, lags of x2, lags of x3, ...] where each
+    lag block is [x_i(j-s) .. x_i(j-1)]. Indices before the window start
+    repeat that series' earliest in-window value.
+    """
+    m, t = window.shape
+    if not 0 <= j < t:
+        raise IndexError(f"time index {j} outside [0, {t})")
+    lag_idx = np.maximum(np.arange(j - s_efe, j), 0)
+    parts = [window[0, j:j + 1], window[1:, j]]
+    for i in range(1, m):
+        parts.append(window[i, lag_idx])
+    if include_target_lags:
+        parts.append(window[0, lag_idx])
+    return np.concatenate(parts)
+
+
 def demo_window(m=2, t=10, seed=0):
     return np.random.default_rng(seed).normal(size=(m, t))
 
@@ -12,34 +32,34 @@ def demo_window(m=2, t=10, seed=0):
 class TestBuildSubsequence:
     def test_layout_m2_s3(self):
         w = np.arange(20, dtype=float).reshape(2, 10)  # row0: 0..9, row1: 10..19
-        vec = efe.build_subsequence(w, j=5, s_efe=3)
+        vec = build_subsequence(w, j=5, s_efe=3)
         assert len(vec) == 1 + 1 * (3 + 1)
         assert list(vec) == [w[0, 5], w[1, 5], w[1, 2], w[1, 3], w[1, 4]]
 
     def test_boundary_padding_at_zero(self):
         w = demo_window()
-        vec = efe.build_subsequence(w, j=0, s_efe=4)
+        vec = build_subsequence(w, j=0, s_efe=4)
         assert np.all(vec[2:] == w[1, 0])
 
     def test_partial_padding(self):
         w = np.arange(20, dtype=float).reshape(2, 10)
-        vec = efe.build_subsequence(w, j=2, s_efe=3)
+        vec = build_subsequence(w, j=2, s_efe=3)
         # lags for j=2 with s=3: indices [-1, 0, 1] -> [0, 0, 1]
         assert list(vec[2:]) == [w[1, 0], w[1, 0], w[1, 1]]
 
     def test_degenerate_single_series(self):
         w = demo_window(m=1)
-        vec = efe.build_subsequence(w, j=4, s_efe=3)
+        vec = build_subsequence(w, j=4, s_efe=3)
         assert vec.shape == (1,)
         assert vec[0] == w[0, 4]
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
-            efe.build_subsequence(demo_window(), j=10, s_efe=2)
+            build_subsequence(demo_window(), j=10, s_efe=2)
 
     def test_target_lags_flag_appends(self):
         w = np.arange(20, dtype=float).reshape(2, 10)
-        vec = efe.build_subsequence(w, j=5, s_efe=2, include_target_lags=True)
+        vec = build_subsequence(w, j=5, s_efe=2, include_target_lags=True)
         assert len(vec) == 1 + 1 * 3 + 2
         assert list(vec[-2:]) == [w[0, 3], w[0, 4]]
 
@@ -47,7 +67,7 @@ class TestBuildSubsequence:
         w = demo_window(m=3, t=12)
         mat = efe.subsequence_matrix(w, s_efe=4)
         for j in range(12):
-            assert np.array_equal(mat[j], efe.build_subsequence(w, j, 4))
+            assert np.array_equal(mat[j], build_subsequence(w, j, 4))
 
     def test_matrix_batched(self):
         batch = np.stack([demo_window(seed=1), demo_window(seed=2)])

@@ -57,6 +57,13 @@ class TestFitGmm:
         with pytest.raises(ov.GmmFitError):
             ov.fit_gmm(np.full(100, 2.0), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        x = two_component_sample(4)
+        x[10] = bad
+        with pytest.raises(ov.GmmFitError):
+            ov.fit_gmm(x, 2)
+
     def test_variance_floor_holds(self):
         x = np.concatenate([np.zeros(500) + 1e-9, np.ones(500), np.full(3, 100.0)])
         g = ov.fit_gmm(x, 3)
