@@ -40,21 +40,8 @@ def lstm_param_shapes(input_width: int, hidden: int) -> dict[str, tuple[int, ...
     return {"w": (input_width, 4 * hidden), "u": (hidden, 4 * hidden), "b": (4 * hidden,)}
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, u: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One recurrence step on a (B, input) slice; returns (h', c')."""
-    hidden = h.shape[-1]
-    gates = ad.add_bias(ad.add(ad.matmul(x, w), ad.matmul(h, u)), b)
-    i = ad.sigmoid(ad.slice_last(gates, 0, hidden))
-    f = ad.sigmoid(ad.slice_last(gates, hidden, 2 * hidden))
-    g = ad.tanh(ad.slice_last(gates, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(ad.slice_last(gates, 3 * hidden, 4 * hidden))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
-def _zeros(batch: int, hidden: int) -> Tensor:
-    return ad.tensor(np.zeros((batch, hidden)))
+def _layer(params: dict[str, Tensor], branch: str, layer: int) -> tuple[Tensor, Tensor, Tensor]:
+    return tuple(params[f"aee.{branch}.{layer}.{key}"] for key in ("w", "u", "b"))
 
 
 def encode(windows: np.ndarray, params: dict[str, Tensor], cfg: AeeConfig) -> list[tuple[Tensor, Tensor]]:
@@ -64,18 +51,12 @@ def encode(windows: np.ndarray, params: dict[str, Tensor], cfg: AeeConfig) -> li
     """
     if windows.ndim == 2:
         windows = windows[None, ...]
-    B, m, t = windows.shape
-    states = [( _zeros(B, cfg.hidden), _zeros(B, cfg.hidden)) for _ in range(cfg.layers)]
-    for j in range(t):
-        inp: Tensor = ad.tensor(windows[:, :, j])
-        for layer in range(cfg.layers):
-            h, c = states[layer]
-            h, c = lstm_cell(inp, h, c,
-                             params[f"aee.enc.{layer}.w"],
-                             params[f"aee.enc.{layer}.u"],
-                             params[f"aee.enc.{layer}.b"])
-            states[layer] = (h, c)
-            inp = h
+    zeros = ad.tensor(np.zeros((windows.shape[0], cfg.hidden)))
+    inp = ad.tensor(np.swapaxes(windows, 1, 2))  # (B, t, m)
+    states = []
+    for layer in range(cfg.layers):
+        inp, c = ad.lstm_sequence(inp, zeros, zeros, *_layer(params, "enc", layer))
+        states.append((ad.last_step(inp), c))
     return states
 
 
@@ -118,23 +99,14 @@ def decode(
     Latents map layer-to-layer from the encoder. The result is the
     top layer's hidden-state sequence, (B, h, hidden).
     """
+    if len(latents) != cfg.layers:
+        raise ad.DimensionError(f"decode: {len(latents)} latent states for {cfg.layers} layers")
     if ts_features.ndim == 2:
         ts_features = ts_features[None, ...]
-    B, horizon, _ = ts_features.shape
-    states = list(latents)
-    outputs: list[Tensor] = []
-    for k in range(horizon):
-        inp: Tensor = ad.tensor(ts_features[:, k, :])
-        for layer in range(cfg.layers):
-            h, c = states[layer]
-            h, c = lstm_cell(inp, h, c,
-                             params[f"aee.dec.{layer}.w"],
-                             params[f"aee.dec.{layer}.u"],
-                             params[f"aee.dec.{layer}.b"])
-            states[layer] = (h, c)
-            inp = h
-        outputs.append(inp)
-    return ad.stack_steps(outputs)
+    inp = ad.tensor(ts_features)
+    for layer, (h, c) in enumerate(latents):
+        inp, _ = ad.lstm_sequence(inp, h, c, *_layer(params, "dec", layer))
+    return inp
 
 
 def aux_head(embedding: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -5,6 +5,12 @@ operation involving a grad-enabled tensor appends one backward closure to the
 tape. :func:`backward` replays the tape in reverse, visiting each node exactly
 once, and accumulates ``d root / d leaf`` into ``Tensor.grad``.
 
+A fused op records one node for a whole computation and may produce
+several output tensors from it (:func:`lstm_sequence` returns the hidden
+sequence and the last cell state). Every output is recorded before any
+of its consumers, so when the node runs, all their gradients are final;
+an output nothing used keeps ``grad`` None and contributes zero.
+
 Shapes follow numpy row-major conventions. Broadcasting is deliberately
 restricted: elementwise ops accept equal shapes or a scalar paired with a
 tensor, nothing else. Row-vector bias addition is its own named op
@@ -120,15 +126,19 @@ def _as_tensor(x) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # A copy, never ``g`` itself: several backward closures hand on views
+        # of their output's gradient, which other tensors may also receive.
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
-def _emit(out: Tensor, bw: Callable[[], None]) -> Tensor:
-    """Register a node for ``out`` on the active tape."""
+def _emit(out: Tensor, bw: Callable[[], None], *also: Tensor) -> Tensor:
+    """Register one node that produces ``out`` and any ``also`` outputs."""
     tape = _ACTIVE
-    out.requires_grad = True
-    out.tape_id = tape.serial
+    for t in (out, *also):
+        t.requires_grad = True
+        t.tape_id = tape.serial
     tape.nodes.append(bw)
     return out
 
@@ -301,10 +311,15 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(out, bw)
 
 
+def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|v|)."""
+    e = np.exp(-np.abs(v))
+    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    v = x.values
-    y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    y = _sigmoid(x.values)
     out = Tensor(y)
     if not _tracing(x):
         return out
@@ -458,24 +473,6 @@ def concat_last(parts: Iterable[Tensor]) -> Tensor:
     return _emit(out, bw)
 
 
-def stack_steps(steps: Sequence[Tensor]) -> Tensor:
-    """Stack n tensors of shape (..., d) into (..., n, d)."""
-    steps = [_as_tensor(s) for s in steps]
-    out = Tensor(np.stack([s.values for s in steps], axis=-2))
-    if not _tracing(*steps):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
-        for k, s in enumerate(steps):
-            if s.requires_grad:
-                _accum(s, g[..., k, :])
-
-    return _emit(out, bw)
-
-
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     """x[..., start:stop] with zero-padded gradient."""
     x = _as_tensor(x)
@@ -506,6 +503,136 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
             _accum(x, out.grad.sum(axis=0))
 
     return _emit(out, bw)
+
+
+def last_step(x: Tensor) -> Tensor:
+    """x[..., -1, :], the last step of a (..., T, d) sequence."""
+    x = _as_tensor(x)
+    if x.values.ndim < 2:
+        raise DimensionError(f"last_step needs >=2-D, got {x.values.shape}")
+    out = Tensor(x.values[..., -1, :])
+    if not _tracing(x):
+        return out
+
+    def bw() -> None:
+        g = out.grad
+        if g is None or not x.requires_grad:
+            return
+        full = np.zeros_like(x.values)
+        full[..., -1, :] = g
+        _accum(x, full)
+
+    return _emit(out, bw)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """An LSTM layer over a (B, T, n_in) sequence; returns (h_seq, c_T).
+
+    Gates are stacked i, f, g, o along the last axis of w (n_in, 4H), u
+    (H, 4H) and b (4H,); h0 and c0 are (B, H). Per step
+        z = x_s w + b + h u,  c = f * c + i * g,  h = o * tanh(c),
+    with sigmoid i, f, o and tanh g. h_seq is (B, T, H) and c_T is (B, H).
+
+    The input projection of all T steps is one matmul; the loop over steps
+    runs on plain arrays and keeps the gate activations and cell states.
+    One tape node serves both outputs, and its backward runs backprop
+    through time by hand.
+    """
+    x_seq, h0, c0, w, u, b = (_as_tensor(t) for t in (x_seq, h0, c0, w, u, b))
+    xv, uv = x_seq.values, u.values
+    if xv.ndim != 3 or xv.shape[1] < 1:
+        raise DimensionError(f"lstm_sequence: input {xv.shape} is not a (B, T, n_in) sequence with T >= 1")
+    B, T, n_in = xv.shape
+    hidden = uv.shape[0] if uv.ndim == 2 else 0
+    H4 = 4 * hidden
+    if uv.shape != (hidden, H4) or w.shape != (n_in, H4) or b.shape != (H4,):
+        raise DimensionError(
+            f"lstm_sequence: w {w.shape}, u {uv.shape}, b {b.shape} do not fit input width {n_in} "
+            f"and 4 * hidden gates")
+    if h0.shape != (B, hidden) or c0.shape != (B, hidden):
+        raise DimensionError(f"lstm_sequence: h0 {h0.shape} and c0 {c0.shape} must be (B, hidden) = {(B, hidden)}")
+
+    x2d = xv.reshape(B * T, n_in)
+    acts = np.matmul(x2d, w.values).reshape(B, T, H4)
+    acts += b.values
+    hs = np.empty((B, T, hidden))
+    cs = np.empty((B, T, hidden))
+    h, c = h0.values, c0.values
+    for s in range(T):
+        z = acts[:, s]
+        z += h @ uv
+        g = np.tanh(z[:, 2 * hidden:3 * hidden])
+        _sigmoid(z, out=z)
+        z[:, 2 * hidden:3 * hidden] = g
+        c = z[:, hidden:2 * hidden] * c + z[:, :hidden] * g
+        h = z[:, 3 * hidden:] * np.tanh(c)
+        cs[:, s] = c
+        hs[:, s] = h
+    h_seq, c_last = Tensor(hs), Tensor(c)
+    if not _tracing(x_seq, h0, c0, w, u, b):
+        return h_seq, c_last
+
+    def bw() -> None:
+        gh, gc = h_seq.grad, c_last.grad
+        if gh is None and gc is None:
+            return
+        i, f, g, o = (acts[..., k * hidden:(k + 1) * hidden] for k in range(4))
+        # dz starts as the local factors of the four gate pre-activations and
+        # is scaled in place, step by step, by the cell-state gradient (i, f
+        # and g) or the hidden-state gradient (o). Built with ``out=`` so the
+        # factors need no temporary beyond dz and tanh(c).
+        dz = np.empty_like(acts)
+        di, df, dg, do = (dz[..., k * hidden:(k + 1) * hidden] for k in range(4))
+        np.subtract(1.0, i, out=di)
+        di *= i
+        di *= g
+        np.subtract(1.0, f, out=df)
+        df *= f
+        df[:, 0] *= c0.values
+        df[:, 1:] *= cs[:, :-1]
+        np.square(g, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        dg *= i
+        tc = np.tanh(cs)
+        np.subtract(1.0, o, out=do)
+        do *= o
+        do *= tc
+        dc_dh = tc  # turned in place into o * (1 - tanh(c)^2)
+        np.square(dc_dh, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        dz_gates = dz.reshape(B, T, 4, hidden)
+        ut = np.ascontiguousarray(uv.T)
+        dh = np.zeros((B, hidden))
+        dc = np.zeros((B, hidden)) if gc is None else gc.copy()
+        for s in range(T - 1, -1, -1):
+            if gh is not None:
+                dh += gh[:, s]
+            dc += dh * dc_dh[:, s]
+            dz_gates[:, s, :3] *= dc[:, None, :]
+            dz_gates[:, s, 3] *= dh
+            dh = dz[:, s] @ ut
+            dc = dc * f[:, s]
+        dz2d = dz.reshape(B * T, H4)
+        if x_seq.requires_grad:
+            _accum(x_seq, (dz2d @ w.values.T).reshape(B, T, n_in))
+        if w.requires_grad:
+            _accum(w, x2d.T @ dz2d)
+        if u.requires_grad:
+            h_prev = np.concatenate([h0.values[:, None], hs[:, :-1]], axis=1)
+            _accum(u, h_prev.reshape(B * T, hidden).T @ dz2d)
+        if b.requires_grad:
+            _accum(b, dz2d.sum(axis=0))
+        if h0.requires_grad:
+            _accum(h0, dh)
+        if c0.requires_grad:
+            _accum(c0, dc)
+
+    return _emit(h_seq, bw, c_last), c_last
 
 
 # ---------------------------------------------------------------------------

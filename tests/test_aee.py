@@ -25,6 +25,38 @@ def timestamp_features_loop(issue_index, horizon, step=STEP, start=None):
     return out
 
 
+def lstm_cell(x, h, c, w, u, b):
+    """One recurrence step on a (B, input) slice; returns (h', c'). The
+    composed-op oracle for ``ad.lstm_sequence``."""
+    hidden = h.shape[-1]
+    gates = ad.add_bias(ad.add(ad.matmul(x, w), ad.matmul(h, u)), b)
+    i = ad.sigmoid(ad.slice_last(gates, 0, hidden))
+    f = ad.sigmoid(ad.slice_last(gates, hidden, 2 * hidden))
+    g = ad.tanh(ad.slice_last(gates, 2 * hidden, 3 * hidden))
+    o = ad.sigmoid(ad.slice_last(gates, 3 * hidden, 4 * hidden))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def unrolled(x_seq, layers, states):
+    """Run a stack of ``lstm_cell`` layers step by step over (B, T, n) values.
+
+    ``layers`` holds (w, u, b) per layer and ``states`` the initial (h, c)
+    per layer. Returns the top layer's per-step hidden states and the final
+    (h, c) of every layer.
+    """
+    states = list(states)
+    tops = []
+    for k in range(x_seq.shape[1]):
+        inp = ad.tensor(x_seq[:, k, :])
+        for layer, (w, u, b) in enumerate(layers):
+            states[layer] = lstm_cell(inp, *states[layer], w, u, b)
+            inp = states[layer][0]
+        tops.append(inp)
+    return tops, states
+
+
 def zero_params(cfg, m, feat=aee.TIMESTAMP_FEATURE_WIDTH):
     params = {}
     for layer in range(cfg.layers):
@@ -166,6 +198,80 @@ class TestDecode:
         a = aee.decode(latents, ts, params, cfg).values
         b = aee.decode(latents, ts, params, cfg).values
         assert np.array_equal(a, b)
+
+    def test_latent_count_must_match_layers(self):
+        cfg = aee.AeeConfig(hidden=3, layers=2)
+        params = random_params(cfg, 2)
+        latents = aee.encode(np.zeros((1, 2, 6)), params, cfg)
+        ts = aee.timestamp_features(0, 4)[None, ...]
+        for wrong in (latents[:1], latents + latents[:1]):
+            with pytest.raises(ad.DimensionError, match="latent"):
+                aee.decode(wrong, ts, params, cfg)
+
+
+def _layers(params, branch, cfg):
+    return [tuple(params[f"aee.{branch}.{layer}.{k}"] for k in ("w", "u", "b")) for layer in range(cfg.layers)]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_fused_recurrence_matches_unrolled_cells(layers):
+    # B=3, t=7 encoder steps, h=4 decoder steps; the loss reads the decoder
+    # output and every encoder latent, so h_seq and c_T both carry gradient
+    cfg = aee.AeeConfig(hidden=5, layers=layers)
+    params = random_params(cfg, 2, seed=11)
+    rng = np.random.default_rng(12)
+    win = rng.normal(size=(3, 2, 7))
+    ts = np.stack([aee.timestamp_features(40 + 9 * i, 4) for i in range(3)])
+    w_out = rng.normal(size=(3, 4, cfg.hidden))
+    w_lat = rng.normal(size=(layers, 2, 3, cfg.hidden))
+
+    def run(fused):
+        for p in params.values():
+            p.zero_grad()
+        tape = ad.Tape()
+        with ad.record(tape):
+            if fused:
+                latents = aee.encode(win, params, cfg)
+                out = aee.decode(latents, ts, params, cfg)
+                terms = [ad.mul(out, ad.tensor(w_out))]
+                out_values = out.values
+            else:
+                zeros = ad.tensor(np.zeros((3, cfg.hidden)))
+                _, latents = unrolled(np.swapaxes(win, 1, 2), _layers(params, "enc", cfg), [(zeros, zeros)] * layers)
+                tops, _ = unrolled(ts, _layers(params, "dec", cfg), latents)
+                terms = [ad.mul(h, ad.tensor(w_out[:, k])) for k, h in enumerate(tops)]
+                out_values = np.stack([h.values for h in tops], axis=1)
+            terms += [ad.mul(t, ad.tensor(w_lat[layer, j]))
+                      for layer, state in enumerate(latents) for j, t in enumerate(state)]
+            loss = ad.sum_all(terms[0])
+            for t in terms[1:]:
+                loss = ad.add(loss, ad.sum_all(t))
+        ad.backward(tape, loss)
+        lat_values = [t.values for state in latents for t in state]
+        return loss.item(), out_values, lat_values, {k: p.grad.copy() for k, p in params.items()}
+
+    loss_f, out_f, lat_f, grads_f = run(True)
+    loss_u, out_u, lat_u, grads_u = run(False)
+    assert abs(loss_f - loss_u) <= 1e-10
+    assert np.abs(out_f - out_u).max() <= 1e-10
+    for a, b in zip(lat_f, lat_u):
+        assert np.abs(a - b).max() <= 1e-10
+    assert grads_f.keys() == grads_u.keys()
+    for key in grads_f:
+        assert np.abs(grads_f[key] - grads_u[key]).max() <= 1e-10, key
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_encode_and_decode_record_at_most_two_nodes_per_layer(layers):
+    cfg = aee.AeeConfig(hidden=4, layers=layers)
+    params = random_params(cfg, 2)
+    tape = ad.Tape()
+    with ad.record(tape):
+        latents = aee.encode(np.ones((2, 2, 50)), params, cfg)
+        n_encode = len(tape)
+        aee.decode(latents, np.stack([aee.timestamp_features(0, 20)] * 2), params, cfg)
+    assert n_encode <= 2 * layers
+    assert len(tape) - n_encode <= 2 * layers
 
 
 class TestAuxHead:

@@ -240,7 +240,7 @@ def _op_cases():
         "transpose": wrap(lambda x: ad.sum_all(ad.mul(ad.transpose(x), ad.transpose(x)))),
         "reshape": wrap(lambda x: ad.sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
         "concat": wrap(lambda x: ad.sum_all(ad.tanh(ad.concat_last([x, x])))),
-        "stack": wrap(lambda x: ad.sum_all(ad.tanh(ad.stack_steps([ad.slice_last(x, 0, 2), ad.slice_last(x, 1, 3)])))),
+        "last_step": wrap(lambda x: ad.sum_all(ad.tanh(ad.last_step(ad.reshape(x, (2, 2, 4)))))),
         "slice": wrap(lambda x: ad.sum_all(ad.sigmoid(ad.slice_last(x, 1, 3)))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
     }
@@ -256,6 +256,79 @@ def test_every_op_gradient_vs_finite_difference(name):
         x = ad.parameter(rng.uniform(-1.0, 1.0, size=(4, 4)) + 0.1)
         worst = max(worst, finite_diff_check(build, x, eps=1e-5))
     assert worst < 1e-4, f"{name}: max rel err {worst}"
+
+
+def test_first_gradient_is_a_copy():
+    # add hands the same upstream array to a and b; a later accumulation
+    # into a must leave b (and the upstream gradient) unchanged
+    a, b = ad.parameter(np.zeros(3)), ad.parameter(np.zeros(3))
+    tape = Tape()
+    with record(tape):
+        p = ad.mul(a, 3.0)  # recorded first, so its gradient reaches a last
+        s = ad.add(a, b)
+        out = ad.sum_all(ad.add(s, p))
+    backward(tape, out)
+    assert np.array_equal(a.grad, np.full(3, 4.0))
+    assert np.array_equal(b.grad, np.ones(3))
+    assert np.array_equal(s.grad, np.ones(3))
+
+
+def test_sigmoid_matches_three_exp_formula_bitwise():
+    v = np.concatenate([np.linspace(-800.0, 800.0, 2001), [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan]])
+    e = np.exp(-np.abs(v))
+    with np.errstate(invalid="ignore"):
+        expect = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = ad.sigmoid(ad.tensor(v)).values
+    assert np.array_equal(got, expect, equal_nan=True)
+
+
+def _lstm_operands(seed=0, B=2, T=3, n_in=2, hidden=2):
+    rng = np.random.default_rng(seed)
+    return {
+        "x_seq": rng.normal(size=(B, T, n_in)),
+        "h0": rng.normal(0.0, 0.5, size=(B, hidden)),
+        "c0": rng.normal(0.0, 0.5, size=(B, hidden)),
+        "w": rng.normal(0.0, 0.6, size=(n_in, 4 * hidden)),
+        "u": rng.normal(0.0, 0.6, size=(hidden, 4 * hidden)),
+        "b": rng.normal(0.0, 0.3, size=(4 * hidden,)),
+    }
+
+
+@pytest.mark.parametrize("outputs", ["h_seq", "c_T", "both"])
+@pytest.mark.parametrize("operand", ["x_seq", "h0", "c0", "w", "u", "b"])
+def test_lstm_sequence_gradient_vs_finite_difference(operand, outputs):
+    ops = {k: ad.tensor(v) for k, v in _lstm_operands().items()}
+    rng = np.random.default_rng(1)
+    wh = ad.tensor(rng.normal(size=ops["x_seq"].shape[:2] + (2,)))
+    wc = ad.tensor(rng.normal(size=ops["h0"].shape))
+
+    def loss(x: Tensor) -> Tensor:
+        h_seq, c_T = ad.lstm_sequence(**{**ops, operand: x})
+        terms = {"h_seq": [ad.mul(h_seq, wh)], "c_T": [ad.mul(c_T, wc)]}
+        terms["both"] = terms["h_seq"] + terms["c_T"]
+        parts = [ad.sum_all(t) for t in terms[outputs]]
+        return parts[0] if len(parts) == 1 else ad.add(parts[0], parts[1])
+
+    x = ad.parameter(ops[operand].values.copy())
+    assert finite_diff_check(loss, x, eps=1e-6) < 1e-6
+
+
+@pytest.mark.parametrize("operand, shape", [
+    ("x_seq", (2, 3, 3)),  # input width differs from w's rows
+    ("x_seq", (2, 2)),  # not a (B, T, n_in) sequence
+    ("x_seq", (2, 0, 2)),  # no steps
+    ("w", (2, 6)),
+    ("u", (2, 6)),
+    ("u", (3, 8)),
+    ("b", (6,)),
+    ("h0", (3, 2)),
+    ("c0", (2, 3)),
+])
+def test_lstm_sequence_rejects_bad_shapes(operand, shape):
+    ops = _lstm_operands()
+    ops[operand] = np.zeros(shape)
+    with pytest.raises(DimensionError, match="lstm_sequence"):
+        ad.lstm_sequence(*(ad.tensor(v) for v in ops.values()))
 
 
 def test_gradients_accumulate_across_shared_use():
