@@ -5,11 +5,13 @@ operation involving a grad-enabled tensor appends one backward closure to the
 tape. :func:`backward` replays the tape in reverse, visiting each node exactly
 once, and accumulates ``d root / d leaf`` into ``Tensor.grad``.
 
-A fused op records one node for a whole computation and may produce
-several output tensors from it (:func:`lstm_sequence` returns the hidden
-sequence and the last cell state). Every output is recorded before any
-of its consumers, so when the node runs, all their gradients are final;
-an output nothing used keeps ``grad`` None and contributes zero.
+A fused op records one node for a whole computation: :func:`attention`
+runs every head of a multi-head attention block, and :func:`lstm_sequence`
+a whole LSTM layer. A fused op may produce several output tensors from its
+node (:func:`lstm_sequence` returns the hidden sequence and the last cell
+state). Every output is recorded before any of its consumers, so when
+the node runs, all their gradients are final; an output nothing used
+keeps ``grad`` None and contributes zero.
 
 Shapes follow numpy row-major conventions. Broadcasting is deliberately
 restricted: elementwise ops accept equal shapes or a scalar paired with a
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,25 +221,6 @@ def add(a, b) -> Tensor:
     return _emit(out, bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_pair(a, b, "sub")
-    out = Tensor(a.values - b.values)
-    if not _tracing(a, b):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            _accum(a, _reduce_to(g, a.values.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(-g, b.values.shape))
-
-    return _emit(out, bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _scalar_pair(a, b, "mul")
@@ -341,26 +324,6 @@ def activation(kind: str, x: Tensor) -> Tensor:
         raise ContractError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}") from None
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    x = _as_tensor(x)
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
-
-    return _emit(out, bw)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -423,22 +386,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # structure ops
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    x = _as_tensor(x)
-    if x.values.ndim < 2:
-        raise DimensionError(f"transpose needs >=2-D, got {x.values.shape}")
-    out = Tensor(np.swapaxes(x.values, -1, -2))
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, np.swapaxes(out.grad, -1, -2))
-
-    return _emit(out, bw)
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.values.reshape(shape))
@@ -448,45 +395,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     def bw() -> None:
         if out.grad is not None and x.requires_grad:
             _accum(x, out.grad.reshape(x.values.shape))
-
-    return _emit(out, bw)
-
-
-def concat_last(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
-    parts = [_as_tensor(p) for p in parts]
-    widths = [p.values.shape[-1] for p in parts]
-    out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
-    if not _tracing(*parts):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
-        lo = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                _accum(p, g[..., lo:lo + w])
-            lo += w
-
-    return _emit(out, bw)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """x[..., start:stop] with zero-padded gradient."""
-    x = _as_tensor(x)
-    out = Tensor(x.values[..., start:stop])
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        full = np.zeros_like(x.values)
-        full[..., start:stop] = g
-        _accum(x, full)
 
     return _emit(out, bw)
 
@@ -521,6 +429,89 @@ def last_step(x: Tensor) -> Tensor:
         full = np.zeros_like(x.values)
         full[..., -1, :] = g
         _accum(x, full)
+
+    return _emit(out, bw)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
+              rng: np.random.Generator | None = None, trace: list | None = None) -> Tensor:
+    """Unmasked multi-head scaled dot-product attention; returns (B, t_q, d).
+
+    q is (B, t_q, d); k and v are (B, t_k, d). Head i owns column block i,
+    of width d_head = d / n_heads, of all three and computes
+        P_i = softmax(Q_i K_i^T / sqrt(d_head)),  out_i = P_i V_i
+    into column block i of the output. When ``rng`` is given and ``rate`` >
+    0, each P_i goes through inverted dropout before the product with V_i,
+    its mask drawn per head, in head order. When ``trace`` is given, every
+    head's P_i (before dropout) is appended to it.
+
+    The loop over heads runs on plain arrays. One tape node serves the
+    output, and its backward keeps only each head's P_i and keep mask.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} are not (B, t_q, d), (B, t_k, d) x 2")
+    d = q.shape[2]
+    if n_heads < 1 or d % n_heads:
+        raise DimensionError(f"attention: width {d} is not divisible by n_heads = {n_heads}")
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"attention: dropout rate must be in [0, 1), got {rate}")
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+    drop = rng is not None and rate > 0.0
+    keep_scale = 1.0 / (1.0 - rate)
+    qs, kv, vv = q.values * scale, k.values, v.values
+    blocks = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]
+    y = np.empty(q.shape)
+    probs, keeps = [], []
+    for cols in blocks:
+        p = np.matmul(qs[..., cols], np.swapaxes(kv[..., cols], -1, -2))
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        probs.append(p)
+        if trace is not None:
+            trace.append(p)
+        if drop:
+            keep = rng.random(p.shape) >= rate
+            keeps.append(keep)
+            p = p * keep
+            p *= keep_scale
+        y[..., cols] = np.matmul(p, vv[..., cols])
+    out = Tensor(y)
+    if not _tracing(q, k, v):
+        return out
+
+    def bw() -> None:
+        g = out.grad
+        if g is None:
+            return
+        dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
+        for i, cols in enumerate(blocks):
+            p, gi = probs[i], g[..., cols]
+            if dv is not None:
+                p_kept = p * keeps[i] * keep_scale if drop else p
+                dv[..., cols] = np.matmul(np.swapaxes(p_kept, -1, -2), gi)
+            # dp: gradient of P_i, turned in place into that of the scores
+            dp = np.matmul(gi, np.swapaxes(vv[..., cols], -1, -2))
+            if drop:
+                dp *= keeps[i]
+                dp *= keep_scale
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
+            if dq is not None:
+                dq[..., cols] = np.matmul(dp, kv[..., cols])
+            if dk is not None:
+                dk[..., cols] = np.matmul(np.swapaxes(dp, -1, -2), qs[..., cols])
+        if dq is not None:
+            dq *= scale
+        for t, grad in ((q, dq), (k, dk), (v, dv)):
+            if grad is not None:
+                _accum(t, grad)
 
     return _emit(out, bw)
 

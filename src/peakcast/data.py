@@ -148,8 +148,10 @@ def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = 
             raise ParseError(f"header must include {cmap['timestamp']!r} and {cmap['value']!r}", 1)
         for row in reader:
             line = reader.line_num
-            ts = _parse_timestamp(row[cmap["timestamp"]], line)
-            raw = row[cmap["value"]]
+            stamp, raw = row[cmap["timestamp"]], row[cmap["value"]]
+            if stamp is None:
+                raise ParseError(f"row has no {cmap['timestamp']!r} field", line)
+            ts = _parse_timestamp(stamp, line)
             try:
                 value = float(raw)
             except (TypeError, ValueError):
@@ -297,11 +299,15 @@ class Transform:
 
     @classmethod
     def fit(cls, train_values: np.ndarray, mode: str = "log1p_standardize") -> "Transform":
+        """Fit on training values; an empty slice, or in log1p_standardize
+        mode a value <= -1, raises DataError."""
         if mode not in TRANSFORM_MODES:
             raise ValueError(f"unknown transform mode {mode!r}; expected one of {TRANSFORM_MODES}")
         if mode == "none":
             return cls(mode=mode)
-        x = np.log1p(train_values) if mode == "log1p_standardize" else np.asarray(train_values, dtype=np.float64)
+        x = cls(mode=mode).apply(train_values)  # mean 0 and std 1: only the log1p step, if any
+        if x.size == 0:
+            raise DataError(f"cannot fit a {mode} transform on no values")
         std = float(x.std())
         return cls(mode=mode, mean=float(x.mean()), std=std if std > 0 else 1.0)
 
@@ -310,6 +316,8 @@ class Transform:
         if self.mode == "none":
             return v.copy()
         if self.mode == "log1p_standardize":
+            if (v <= -1.0).any():
+                raise DataError(f"log1p transform needs values > -1, got minimum {v.min()}")
             v = np.log1p(v)
         return (v - self.mean) / self.std
 

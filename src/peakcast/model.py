@@ -219,31 +219,19 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product attention of ``x`` over all rows of ``source``.
 
-    Self-attention passes the same tensor twice. Q = x wq / sqrt(d_head),
-    K = source wk and V = source wv are projected once; head i is
-    softmax(Q_i K_i^T) V_i on column block i of each. Heads are concatenated
-    and output-projected. No mask. Attention weights are dropped out when
-    ``rng`` is given. When ``trace`` is given, every head's attention
-    matrix (numpy) is appended to it.
+    Self-attention passes the same tensor twice. Q = x wq, K = source wk and
+    V = source wv are projected with one matmul each; :func:`ad.attention`
+    runs every head (head i on column block i, scaled by 1/sqrt(d_head)),
+    and the heads' outputs are output-projected with ``wo`` and ``bo``. No
+    mask. Attention weights are dropped out when ``rng`` is given. When
+    ``trace`` is given, every head's attention matrix (numpy) is appended
+    to it.
     """
-    d = cfg.d_model
-    if x.shape[-1] != d or source.shape[-1] != d:
-        raise ad.DimensionError(f"attention inputs {x.shape} and {source.shape} do not have width d_model = {d}")
-    d_head = d // cfg.n_heads
-    q = ad.mul(ad.matmul(x, params[f"{prefix}.wq"]), 1.0 / math.sqrt(d_head))
+    q = ad.matmul(x, params[f"{prefix}.wq"])
     k = ad.matmul(source, params[f"{prefix}.wk"])
     v = ad.matmul(source, params[f"{prefix}.wv"])
-    heads = []
-    for lo in range(0, d, d_head):
-        hi = lo + d_head
-        probs = ad.softmax_rows(ad.matmul(ad.slice_last(q, lo, hi), ad.transpose(ad.slice_last(k, lo, hi))))
-        if trace is not None:
-            trace.append(probs.values)
-        if rng is not None:
-            probs = ad.dropout(probs, cfg.dropout_rate, rng)
-        heads.append(ad.matmul(probs, ad.slice_last(v, lo, hi)))
-    cat = heads[0] if len(heads) == 1 else ad.concat_last(heads)
-    return ad.add_bias(ad.matmul(cat, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    heads = ad.attention(q, k, v, cfg.n_heads, cfg.dropout_rate, rng, trace)
+    return ad.add_bias(ad.matmul(heads, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: PfConfig,
@@ -341,7 +329,8 @@ def forward(
     Returns (yhat, yaux), both (B, h). In the ablation modes yaux is a
     constant zero tensor and the fused output is the decoder head alone.
     Dropout runs only when ``training`` and ``rng`` are both given.
-    Non-finite inputs raise ContractError.
+    Inputs of another shape raise DimensionError, in every embedding mode;
+    non-finite inputs raise ContractError.
     """
     if windows.ndim == 2:
         windows = windows[None, ...]
@@ -349,6 +338,9 @@ def forward(
         ts_features = ts_features[None, ...]
     if windows.ndim != 3 or windows.shape[1:] != (cfg.m, cfg.t):
         raise ad.DimensionError(f"window batch {windows.shape} does not match (m, t) = ({cfg.m}, {cfg.t})")
+    want = (windows.shape[0], cfg.h, aee_mod.TIMESTAMP_FEATURE_WIDTH)
+    if ts_features.shape != want:
+        raise ad.DimensionError(f"time-stamp features {ts_features.shape} do not match (B, h, width) = {want}")
     if not (np.isfinite(windows).all() and np.isfinite(ts_features).all()):
         raise ad.ContractError("forward: windows and time-stamp features must be finite")
     rng = rng if training else None

@@ -25,15 +25,21 @@ def timestamp_features_loop(issue_index, horizon, step=STEP, start=None):
     return out
 
 
+def columns(x, lo, hi):
+    """x[..., lo:hi] as a product with a 0/1 selection matrix, so the
+    gradient flows back through ``ad.matmul``."""
+    return ad.matmul(x, ad.tensor(np.eye(x.shape[-1])[:, lo:hi]))
+
+
 def lstm_cell(x, h, c, w, u, b):
     """One recurrence step on a (B, input) slice; returns (h', c'). The
     composed-op oracle for ``ad.lstm_sequence``."""
     hidden = h.shape[-1]
     gates = ad.add_bias(ad.add(ad.matmul(x, w), ad.matmul(h, u)), b)
-    i = ad.sigmoid(ad.slice_last(gates, 0, hidden))
-    f = ad.sigmoid(ad.slice_last(gates, hidden, 2 * hidden))
-    g = ad.tanh(ad.slice_last(gates, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(ad.slice_last(gates, 3 * hidden, 4 * hidden))
+    i = ad.sigmoid(columns(gates, 0, hidden))
+    f = ad.sigmoid(columns(gates, hidden, 2 * hidden))
+    g = ad.tanh(columns(gates, 2 * hidden, 3 * hidden))
+    o = ad.sigmoid(columns(gates, 3 * hidden, 4 * hidden))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_new = ad.mul(o, ad.tanh(c_new))
     return h_new, c_new

@@ -85,24 +85,35 @@ def test_activation_dispatch_unknown():
         ad.activation("gelu", ad.tensor([1.0]))
 
 
+def attention_map(scores):
+    """Single-head attention map of a (rows, cols) score matrix: q is the
+    scores scaled by sqrt(cols), k the identity."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[-1]
+    trace = []
+    ad.attention(ad.tensor(scores[None] * math.sqrt(n)), ad.tensor(np.eye(n)[None]), ad.tensor(np.ones((1, n, n))), 1,
+                 trace=trace)
+    return trace[0][0]
+
+
 def test_softmax_uniform():
-    assert np.allclose(ad.softmax_rows(ad.tensor([[0.0, 0.0]])).values, [[0.5, 0.5]])
+    assert np.allclose(attention_map([[0.0, 0.0]]), [[0.5, 0.5]])
 
 
 def test_softmax_stabilized():
-    out = ad.softmax_rows(ad.tensor([[1000.0, 1000.0]])).values
+    out = attention_map([[1000.0, 1000.0]])
     assert np.allclose(out, [[0.5, 0.5]])
     assert np.isfinite(out).all()
 
 
 def test_softmax_closed_form():
-    out = ad.softmax_rows(ad.tensor([[0.0, math.log(3.0)]])).values
+    out = attention_map([[0.0, math.log(3.0)]])
     assert np.allclose(out, [[0.25, 0.75]], atol=1e-12)
 
 
 @given(arrays(np.float64, (3, 5), elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)))
 def test_softmax_rows_sum_to_one(x):
-    out = ad.softmax_rows(ad.tensor(x)).values
+    out = attention_map(x)
     assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-9)
     assert np.all(out >= 0)
 
@@ -187,14 +198,17 @@ def test_backward_rejects_root_of_another_tape():
 
 def test_forward_determinism():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(5, 5))
+    x = rng.normal(size=(2, 5, 4))
 
     def run():
         t = ad.tensor(x)
-        return ad.softmax_rows(ad.matmul(ad.tanh(t), t)).values
+        trace = []
+        out = ad.attention(ad.tanh(t), t, t, 2, 0.3, np.random.default_rng(4), trace)
+        return out.values, trace
 
-    a, b = run(), run()
+    (a, trace_a), (b, trace_b) = run(), run()
     assert np.array_equal(a, b)
+    assert all(np.array_equal(p, r) for p, r in zip(trace_a, trace_b, strict=True))
 
 
 def test_finite_diff_exact_for_linear():
@@ -227,21 +241,16 @@ def _op_cases():
         "matmul": wrap(lambda x: ad.sum_all(ad.matmul(x, w))),
         "matmul_batched": wrap(lambda x: ad.sum_all(ad.matmul(ad.reshape(x, (2, 2, 4)), w))),
         "add": wrap(lambda x: ad.sum_all(ad.add(x, ad.mul(x, 0.5)))),
-        "sub": wrap(lambda x: ad.sum_all(ad.sub(ad.mul(x, 2.0), x))),
         "mul": wrap(lambda x: ad.sum_all(ad.mul(x, x))),
-        "add_bias": wrap(lambda x: ad.sum_all(ad.tanh(ad.add_bias(x, ad.slice_last(ad.reshape(x, (16,)), 0, 4))))),
+        "add_bias": wrap(lambda x: ad.sum_all(ad.tanh(ad.add_bias(x, ad.last_step(x))))),
         "relu": wrap(lambda x: ad.sum_all(ad.relu(x))),
         "tanh": wrap(lambda x: ad.sum_all(ad.tanh(x))),
         "sigmoid": wrap(lambda x: ad.sum_all(ad.sigmoid(x))),
-        "softmax": wrap(lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), x))),
         "layer_norm": wrap(
             lambda x: ad.sum_all(
                 ad.mul(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)), eps=1e-3), x))),
-        "transpose": wrap(lambda x: ad.sum_all(ad.mul(ad.transpose(x), ad.transpose(x)))),
         "reshape": wrap(lambda x: ad.sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
-        "concat": wrap(lambda x: ad.sum_all(ad.tanh(ad.concat_last([x, x])))),
         "last_step": wrap(lambda x: ad.sum_all(ad.tanh(ad.last_step(ad.reshape(x, (2, 2, 4)))))),
-        "slice": wrap(lambda x: ad.sum_all(ad.sigmoid(ad.slice_last(x, 1, 3)))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
     }
 
@@ -329,6 +338,62 @@ def test_lstm_sequence_rejects_bad_shapes(operand, shape):
     ops[operand] = np.zeros(shape)
     with pytest.raises(DimensionError, match="lstm_sequence"):
         ad.lstm_sequence(*(ad.tensor(v) for v in ops.values()))
+
+
+def _attention_operands(t_k, seed=0, B=2, t_q=3, d=4):
+    rng = np.random.default_rng(seed)
+    return {"q": rng.normal(size=(B, t_q, d)), "k": rng.normal(size=(B, t_k, d)), "v": rng.normal(size=(B, t_k, d))}
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("t_k", [3, 5], ids=["self", "cross"])
+@pytest.mark.parametrize("operand", ["q", "k", "v"])
+def test_attention_gradient_vs_finite_difference(operand, t_k, rate):
+    ops = {name: ad.tensor(v) for name, v in _attention_operands(t_k).items()}
+    wy = ad.tensor(np.random.default_rng(1).normal(size=ops["q"].shape))
+
+    def loss(x: Tensor) -> Tensor:
+        # a fresh generator per evaluation, so every evaluation drops the same weights
+        out = ad.attention(**{**ops, operand: x}, n_heads=2, rate=rate, rng=np.random.default_rng(2))
+        return ad.sum_all(ad.mul(out, wy))
+
+    x = ad.parameter(ops[operand].values.copy())
+    assert finite_diff_check(loss, x, eps=1e-6) < 1e-6
+
+
+def test_attention_gradient_through_one_shared_operand():
+    # self-attention on one tensor: the q, k and v gradients accumulate
+    x0 = _attention_operands(3)["q"]
+    wy = ad.tensor(np.random.default_rng(1).normal(size=x0.shape))
+
+    def loss(x: Tensor) -> Tensor:
+        return ad.sum_all(ad.mul(ad.attention(x, x, x, 4, 0.4, np.random.default_rng(2)), wy))
+
+    assert finite_diff_check(loss, ad.parameter(x0), eps=1e-6) < 1e-6
+
+
+@pytest.mark.parametrize("operand, shape, n_heads", [
+    ("q", (3, 4), 2),  # not (B, t_q, d)
+    ("q", (2, 3, 6), 2),  # width differs from k's
+    ("q", (1, 3, 4), 2),  # batch differs from k's
+    ("k", (2, 5, 4, 1), 2),
+    ("v", (2, 4, 4), 2),  # rows differ from k's
+    ("v", (2, 5, 2), 2),
+    (None, None, 3),  # width 4 not divisible by 3 heads
+    (None, None, 0),
+])
+def test_attention_rejects_bad_shapes(operand, shape, n_heads):
+    ops = _attention_operands(5)
+    if operand is not None:
+        ops[operand] = np.zeros(shape)
+    with pytest.raises(DimensionError, match="attention"):
+        ad.attention(*(ad.tensor(v) for v in ops.values()), n_heads)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0])
+def test_attention_rejects_rate_outside_unit_interval(rate):
+    with pytest.raises(ContractError, match="dropout rate"):
+        ad.attention(*(ad.tensor(v) for v in _attention_operands(5).values()), 2, rate, np.random.default_rng(0))
 
 
 def test_gradients_accumulate_across_shared_use():

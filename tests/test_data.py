@@ -79,6 +79,13 @@ class TestLoadCsv:
         assert s.values[0] == 4.5
         assert s.timestamps[0] == T0
 
+    def test_missing_timestamp_field_reports_line(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("value,time\n1.0,2021-09-01T00:00\n2.0\n")
+        with pytest.raises(d.ParseError, match="'time'") as exc:
+            d.load_csv(p, column_map={"timestamp": "time"})
+        assert exc.value.line == 3
+
     @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, raw):
         p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", f"2021-09-01T00:15,{raw}", "2021-09-01T00:30,3.0"])
@@ -285,6 +292,20 @@ class TestTransform:
         x = np.array([0.0, 1e-9, 5.0, 1e6])
         tr = d.Transform.fit(x, "log1p_standardize")
         assert np.isfinite(tr.apply(x)).all()
+
+    @pytest.mark.parametrize("bad", [-1.0, -2.0])
+    def test_log1p_rejects_values_at_or_below_minus_one(self, bad):
+        with pytest.raises(d.DataError, match="> -1"):
+            d.Transform.fit(np.array([bad, 1.0, 3.0]), "log1p_standardize")
+        tr = d.Transform.fit(np.array([0.0, 1.0, 3.0]), "log1p_standardize")
+        with pytest.raises(d.DataError, match="> -1"):
+            tr.apply(np.array([2.0, bad]))
+
+    @pytest.mark.parametrize("mode", ["log1p_standardize", "standardize"])
+    def test_fit_rejects_empty_slice(self, mode):
+        series = d.AlignedSeries(T0, STEP, np.array([1.0, 2.0, 3.0]), [], ["t"])
+        with pytest.raises(d.DataError, match="no values"):
+            d.fit_transforms(series, train_end_index=0, mode=mode)
 
     def test_fit_uses_training_slice_only(self):
         series = d.AlignedSeries(T0, STEP, np.array([1.0, 1.0, 1.0, 100.0]), [], ["t"])

@@ -35,8 +35,10 @@ def loss_of(params, cfg, batch, rng=None, training=False):
     return ad.add(ad.rmse(yhat, truth), ad.rmse(yaux, truth))
 
 
-def reference_attention(q_in, kv_in, params, prefix, n_heads, trace):
-    """Textbook per-head attention in numpy; head i owns column block i of wq/wk/wv."""
+def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, rng=None):
+    """Textbook per-head attention in numpy; head i owns column block i of wq/wk/wv.
+    With ``rng``, each head's weights go through inverted dropout, one mask per
+    head drawn in head order."""
     d = q_in.shape[-1]
     d_head = d // n_heads
     heads = []
@@ -49,30 +51,53 @@ def reference_attention(q_in, kv_in, params, prefix, n_heads, trace):
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         trace.append(probs)
+        if rng is not None:
+            probs = probs * ((rng.random(probs.shape) >= rate) / (1.0 - rate))
         heads.append(probs @ v)
     return np.concatenate(heads, axis=-1) @ params[f"{prefix}.wo"].values + params[f"{prefix}.bo"].values
 
 
 class TestAttention:
-    @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    @pytest.mark.parametrize("kind", ["self", "cross"])
-    def test_matches_per_head_reference(self, n_heads, kind):
-        cfg = PfConfig(d_model=8, n_heads=n_heads, t=7, h=5)
+    @staticmethod
+    def compare(n_heads, kind, rate):
+        cfg = PfConfig(d_model=8, n_heads=n_heads, t=7, h=5, dropout_rate=rate)
         params = model.init_params(cfg, 1)
         prefix = "dec.0.self" if kind == "self" else "dec.0.cross"
         rng = np.random.default_rng(2)
         params[f"{prefix}.bo"].values[:] = rng.normal(size=8)
         x = rng.normal(size=(3, cfg.h, 8))
         kv = x if kind == "self" else rng.normal(size=(3, cfg.t, 8))
+        got_rng, want_rng = (np.random.default_rng(3), np.random.default_rng(3)) if rate > 0 else (None, None)
         got_trace, want_trace = [], []
-        got = model.multi_head_attention(ad.tensor(x), ad.tensor(kv), params, prefix, cfg, trace=got_trace)
-        want = reference_attention(x, kv, params, prefix, n_heads, want_trace)
+        got = model.multi_head_attention(ad.tensor(x), ad.tensor(kv), params, prefix, cfg, got_rng, got_trace)
+        want = reference_attention(x, kv, params, prefix, n_heads, want_trace, rate, want_rng)
         assert got.shape == (3, cfg.h, 8)
         assert np.max(np.abs(got.values - want)) <= 1e-10
         assert len(got_trace) == n_heads
         for g, w in zip(got_trace, want_trace):
             assert g.shape == (3, cfg.h, kv.shape[1])
             assert np.max(np.abs(g - w)) <= 1e-10
+        return got.values
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_matches_per_head_reference(self, n_heads, kind):
+        self.compare(n_heads, kind, 0.0)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_dropout_matches_per_head_reference(self, n_heads, kind):
+        dropped = self.compare(n_heads, kind, 0.3)
+        assert not np.allclose(dropped, self.compare(n_heads, kind, 0.0))
+
+    def test_records_at_most_six_tape_nodes(self):
+        cfg = PfConfig(d_model=8, n_heads=4, t=7, h=5, dropout_rate=0.3)
+        params = model.init_params(cfg, 1)
+        x = ad.tensor(np.random.default_rng(2).normal(size=(2, cfg.h, 8)))
+        tape = ad.Tape()
+        with ad.record(tape):
+            model.multi_head_attention(x, x, params, "dec.0.self", cfg, np.random.default_rng(3))
+        assert len(tape) <= 6
 
     def test_width_mismatch_rejected(self):
         cfg = PfConfig(d_model=8, n_heads=2, t=7, h=5)
@@ -152,6 +177,14 @@ class TestForward:
         cfg = toy_cfg()
         with pytest.raises(ad.DimensionError):
             model.forward(np.zeros((1, cfg.m, cfg.t + 1)), np.zeros((1, cfg.h, 5)), model.init_params(cfg, 0), cfg)
+
+    @pytest.mark.parametrize("mode", model.EMBEDDING_MODES)
+    @pytest.mark.parametrize("shape", [(2, 5, 5), (2, 3, 4), (1, 3, 5), (3, 5)], ids=["horizon", "width", "batch", "2d"])
+    def test_timestamp_feature_shape_checked(self, mode, shape):
+        cfg = toy_cfg(mode)
+        windows, _, _ = toy_batch(cfg)
+        with pytest.raises(ad.DimensionError, match="time-stamp features"):
+            model.forward(windows, np.zeros(shape), model.init_params(cfg, 0), cfg)
 
     def test_nan_window_rejected(self):
         cfg = toy_cfg()
