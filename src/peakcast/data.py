@@ -138,23 +138,25 @@ def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = 
     ``column_map`` maps the roles "timestamp" and "value" to actual column
     names when the file does not use the default header.
     """
-    cmap = {"timestamp": "timestamp", "value": "value"}
-    if column_map:
-        cmap.update(column_map)
+    cmap = {"timestamp": "timestamp", "value": "value", **(column_map or {})}
     records: list[tuple[datetime, float]] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {cmap["timestamp"], cmap["value"]} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        columns = {col: i for i, col in enumerate(next(reader, []))}
+        if not {cmap["timestamp"], cmap["value"]} <= columns.keys():
             raise ParseError(f"header must include {cmap['timestamp']!r} and {cmap['value']!r}", 1)
-        for row in reader:
+        ts_col, value_col = columns[cmap["timestamp"]], columns[cmap["value"]]
+        for row in filter(None, reader):  # blank lines read as []
             line = reader.line_num
-            stamp, raw = row[cmap["timestamp"]], row[cmap["value"]]
-            if stamp is None:
-                raise ParseError(f"row has no {cmap['timestamp']!r} field", line)
+            try:
+                stamp, raw = row[ts_col], row[value_col]
+            except IndexError:
+                missing = cmap["timestamp"] if len(row) <= ts_col else cmap["value"]
+                raise ParseError(f"row has no {missing!r} field", line) from None
             ts = _parse_timestamp(stamp, line)
             try:
                 value = float(raw)
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ParseError(f"invalid numeric value {raw!r}", line) from None
             if not math.isfinite(value):
                 raise ParseError(f"non-finite value {raw!r}", line)
@@ -163,9 +165,8 @@ def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = 
     for (a, _), (b, _) in zip(records, records[1:]):
         if a == b:
             raise DataError(f"duplicate timestamp {a.isoformat()} in {path}")
-    stem = name if name is not None else str(path)
     return RawSeries(
-        name=stem,
+        name=name if name is not None else str(path),
         timestamps=[r[0] for r in records],
         values=np.array([r[1] for r in records], dtype=np.float64),
     )

@@ -61,12 +61,6 @@ class OversamplePolicy:
             raise PolicyError("n_components must be >= 1")
 
 
-def _log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(n, M) matrix of log N(x_i | mu_k, var_k)."""
-    diff = x[:, None] - means[None, :]
-    return -0.5 * (np.log(2.0 * np.pi * variances)[None, :] + diff * diff / variances[None, :])
-
-
 def fit_gmm(
     values: np.ndarray,
     n_components: int,
@@ -83,12 +77,15 @@ def fit_gmm(
     duplicate means (heavily discrete data).
 
     The per-iteration log-likelihood trace is kept in ``ll_history``; EM
-    guarantees it is non-decreasing.
+    guarantees it is non-decreasing. Each iteration runs in place on two
+    component-major (M, n) buffers allocated once, row by contiguous row.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     M = int(n_components)
     if M < 1:
         raise GmmFitError("n_components must be >= 1")
+    if max_iter < 1:
+        raise GmmFitError(f"max_iter must be >= 1, got {max_iter}")
     if x.size < M:
         raise GmmFitError(f"need at least {M} values, got {x.size}")
     if not np.isfinite(x).all():
@@ -109,25 +106,27 @@ def fit_gmm(
     variances = np.full(M, pooled_var)
 
     ll_history = []
-    prev_ll = -np.inf
+    logp = np.empty((M, x.size))  # log w_k N(x | mu_k, var_k), then responsibilities
+    work = np.empty((M, x.size))  # exp(logp - max), then (x - mu_new)^2
+    lse, total = np.empty(x.size), np.empty(x.size)
     for _ in range(max_iter):
-        logp = _log_densities(x, means, variances) + np.log(weights)[None, :]
-        mx = logp.max(axis=1, keepdims=True)
-        lse = mx + np.log(np.exp(logp - mx).sum(axis=1, keepdims=True))
-        ll = float(lse.sum())
-        ll_history.append(ll)
-        resp = np.exp(logp - lse)
+        np.square(np.subtract(x, means[:, None], out=logp), out=logp)
+        logp *= (-0.5 / variances)[:, None]
+        logp += (np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
+        np.max(logp, axis=0, out=lse)
+        np.exp(np.subtract(logp, lse, out=work), out=work)
+        resp = np.divide(work, np.sum(work, axis=0, out=total), out=logp)
+        lse += np.log(total, out=total)
+        ll_history.append(float(lse.sum()))
 
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
+        nk = np.maximum(resp.sum(axis=1), 1e-12)
         weights = nk / nk.sum()
-        means = (resp * x[:, None]).sum(axis=0) / nk
-        diff = x[:, None] - means[None, :]
-        variances = np.maximum((resp * diff * diff).sum(axis=0) / nk, var_floor)
+        means = (resp @ x) / nk
+        np.square(np.subtract(x, means[:, None], out=work), out=work)
+        variances = np.maximum(np.einsum("kn,kn->k", resp, work) / nk, var_floor)
 
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if len(ll_history) > 1 and ll_history[-1] - ll_history[-2] < tol:
             break
-        prev_ll = ll
 
     return GmmParams(
         weights=weights,

@@ -86,6 +86,29 @@ class TestLoadCsv:
             d.load_csv(p, column_map={"timestamp": "time"})
         assert exc.value.line == 3
 
+    def test_blank_line_skipped(self, tmp_path):
+        p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", "", "2021-09-01T00:15,2.0", "2021-09-01T00:30,x"])
+        with pytest.raises(d.ParseError) as exc:
+            d.load_csv(p)
+        assert exc.value.line == 5  # the blank line still counts
+        p = write(tmp_path, "b.csv", ["2021-09-01T00:00,1.0", "", "2021-09-01T00:15,2.0"])
+        s = d.load_csv(p)
+        assert list(s.values) == [1.0, 2.0]
+        assert s.timestamps == [T0, T0 + STEP]
+
+    def test_reordered_header_and_extra_columns(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("value,station,timestamp,note\n2.5,n1,2021-09-01T00:15,late\n1.5,n1,2021-09-01T00:00,\n")
+        s = d.load_csv(p)
+        assert list(s.values) == [1.5, 2.5]
+        assert s.timestamps == [T0, T0 + STEP]
+
+    def test_row_without_value_reports_line(self, tmp_path):
+        p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", "2021-09-01T00:15"])
+        with pytest.raises(d.ParseError) as exc:
+            d.load_csv(p)
+        assert exc.value.line == 3
+
     @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, raw):
         p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", f"2021-09-01T00:15,{raw}", "2021-09-01T00:30,3.0"])

@@ -1,16 +1,96 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakcast import oversample as ov
-from peakcast.data import WindowSample
+from peakcast.data import WindowSample, gen_synthetic
 
 
 def two_component_sample(seed, n=5000, mu0=0.0, mu1=10.0):
     rng = np.random.default_rng(seed)
     pick = rng.random(n) < 0.5
     return np.where(pick, rng.normal(mu0, 1.0, n), rng.normal(mu1, 1.0, n))
+
+
+def fit_gmm_reference(values, n_components, max_iter=200, tol=1e-6, seed=None):
+    """Sample-major (n, M) EM oracle for ``fit_gmm``: the same initialization,
+    variance floor and stopping rule, with fresh temporaries each iteration."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    M = n_components
+    pooled_var = float(x.var())
+    var_floor = 1e-6 * pooled_var
+    means = np.quantile(x, (np.arange(M) + 0.5) / M)
+    if len(np.unique(means)) < M:
+        means = means + np.random.default_rng(seed).normal(0.0, math.sqrt(pooled_var) * 1e-3, size=M)
+    weights = np.full(M, 1.0 / M)
+    variances = np.full(M, pooled_var)
+
+    ll_history = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        diff = x[:, None] - means[None, :]
+        logp = -0.5 * (np.log(2.0 * np.pi * variances)[None, :] + diff * diff / variances[None, :])
+        logp = logp + np.log(weights)[None, :]
+        mx = logp.max(axis=1, keepdims=True)
+        lse = mx + np.log(np.exp(logp - mx).sum(axis=1, keepdims=True))
+        ll = float(lse.sum())
+        ll_history.append(ll)
+        resp = np.exp(logp - lse)
+
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = nk / nk.sum()
+        means = (resp * x[:, None]).sum(axis=0) / nk
+        diff = x[:, None] - means[None, :]
+        variances = np.maximum((resp * diff * diff).sum(axis=0) / nk, var_floor)
+
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    return ov.GmmParams(weights, means, variances, ll_history[-1], np.array(ll_history))
+
+
+def lognormal_sample(seed, n=4000):
+    return np.random.default_rng(seed).lognormal(1.0, 1.2, size=n)
+
+
+def discrete_sample(seed, n=3000):
+    """Mostly zeros, so the quantile initialization yields duplicate means."""
+    return np.random.default_rng(seed).choice([0.0, 1.0, 2.0, 5.0, 20.0], size=n, p=[0.85, 0.06, 0.04, 0.03, 0.02])
+
+
+def floor_sample(seed):
+    """Clusters of identical values whose component variances hit the floor."""
+    return np.concatenate([np.zeros(400), np.random.default_rng(seed).normal(5.0, 1.0, 600), np.full(3, 100.0)])
+
+
+class TestFitGmmMatchesReference:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sample", [two_component_sample, lognormal_sample, discrete_sample, floor_sample])
+    def test_same_fit(self, sample, M):
+        x = sample(5)
+        got, want = ov.fit_gmm(x, M, seed=3), fit_gmm_reference(x, M, seed=3)
+        assert len(got.ll_history) == len(want.ll_history)
+        for field in ("weights", "means", "variances", "ll_history"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-10, atol=0, err_msg=field)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-10, abs=0)
+
+    def test_cases_reach_jitter_and_floor(self):
+        x = discrete_sample(5)
+        assert len(np.unique(np.quantile(x, (np.arange(3) + 0.5) / 3))) < 3
+        x = floor_sample(5)
+        assert np.any(ov.fit_gmm(x, 3).variances == 1e-6 * x.var())
+
+    def test_same_peaks_on_one_year_series(self):
+        policy = ov.OversamplePolicy()
+        y = gen_synthetic(7, 35040).target
+        got, want = ov.fit_gmm(y, policy.n_components), fit_gmm_reference(y, policy.n_components)
+        assert len(got.ll_history) == len(want.ll_history)
+        peaks = [ov.mark_important(y, policy.eta, ov.highest_mean(g), policy.nu) for g in (got, want)]
+        assert peaks[0].size > 0
+        assert np.array_equal(peaks[0], peaks[1])
 
 
 class TestFitGmm:
@@ -21,6 +101,11 @@ class TestFitGmm:
         assert g.means[0] == pytest.approx(x.mean(), rel=1e-9)
         assert g.variances[0] == pytest.approx(x.var(), rel=1e-9)
         assert g.weights[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_stops_at_second_iteration_when_initialization_is_optimal(self):
+        y = np.random.default_rng(0).lognormal(size=500)
+        g = ov.fit_gmm(np.concatenate([-y, y]), 1)  # median == mean: EM has nothing to move
+        assert len(g.ll_history) == 2
 
     def test_two_component_recovery(self):
         x = two_component_sample(1)
@@ -52,6 +137,11 @@ class TestFitGmm:
     def test_more_components_than_distinct_values(self):
         with pytest.raises(ov.GmmFitError):
             ov.fit_gmm(np.array([1.0, 1.0, 2.0, 2.0]), 3)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ov.GmmFitError, match="max_iter"):
+            ov.fit_gmm(two_component_sample(0, n=200), 2, max_iter=max_iter)
 
     def test_constant_data_rejected(self):
         with pytest.raises(ov.GmmFitError):
