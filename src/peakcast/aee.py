@@ -111,5 +111,5 @@ def decode(
 
 def aux_head(embedding: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Per-step linear map hidden -> 1, squeezed to (B, h)."""
-    out = ad.add_bias(ad.matmul(embedding, weight), bias)
+    out = ad.linear(embedding, weight, bias)
     return ad.reshape(out, out.shape[:-1])

@@ -5,18 +5,18 @@ operation involving a grad-enabled tensor appends one backward closure to the
 tape. :func:`backward` replays the tape in reverse, visiting each node exactly
 once, and accumulates ``d root / d leaf`` into ``Tensor.grad``.
 
-A fused op records one node for a whole computation: :func:`attention`
-runs every head of a multi-head attention block, and :func:`lstm_sequence`
-a whole LSTM layer. A fused op may produce several output tensors from its
-node (:func:`lstm_sequence` returns the hidden sequence and the last cell
+A fused op records one node for a whole computation: :func:`linear`
+runs a dense layer (product and bias), :func:`attention` every head of a
+multi-head attention block, and :func:`lstm_sequence` a whole LSTM layer.
+A fused op may produce several output tensors from its node
+(:func:`lstm_sequence` returns the hidden sequence and the last cell
 state). Every output is recorded before any of its consumers, so when
 the node runs, all their gradients are final; an output nothing used
 keeps ``grad`` None and contributes zero.
 
-Shapes follow numpy row-major conventions. Broadcasting is deliberately
-restricted: elementwise ops accept equal shapes or a scalar paired with a
-tensor, nothing else. Row-vector bias addition is its own named op
-(:func:`add_bias`) so no silent broadcasting ever happens.
+Shapes follow numpy row-major conventions. Elementwise ops take equal
+shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
+no silent broadcasting ever happens.
 """
 
 from __future__ import annotations
@@ -153,58 +153,54 @@ def _tracing(*operands: Tensor) -> bool:
 # core arithmetic
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer x w (+ b): x (..., n), w (n, k) and b (k,) give (..., k).
 
-    Accepts 2-D x 2-D, stacked (..., p, q) @ (..., q, r) with identical
-    leading axes, and stacked (..., p, q) @ (q, r) where the 2-D right-hand
-    side is shared across the stack (its gradient sums over the stack).
+    The leading axes of x are flattened into one (rows, n) @ (n, k) product,
+    and the bias is added in place: the one broadcast this module allows.
+    One tape node serves the output; its backward is two products and a
+    column sum on the flattened gradient.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    av, bv = a.values, b.values
-    if av.ndim < 2 or bv.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-D operands, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
-    if bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
-        raise DimensionError(f"matmul leading axes differ: {av.shape} @ {bv.shape}")
-    out = Tensor(np.matmul(av, bv))
-    if not _tracing(a, b):
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    operands = (x, w) if b is None else (x, w, b)
+    xv, wv = x.values, w.values
+    if xv.ndim < 1 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or (b is not None and b.shape != (wv.shape[1],)):
+        raise DimensionError(
+            f"linear: x {xv.shape}, w {wv.shape}, b {None if b is None else b.shape} do not fit "
+            f"(..., n) @ (n, k) + (k,)")
+    k = wv.shape[1]
+    x2d = xv.reshape(-1, wv.shape[0])
+    y = x2d @ wv
+    if b is not None:
+        y += b.values
+    out = Tensor(y.reshape(*xv.shape[:-1], k))
+    if not _tracing(*operands):
         return out
 
     def bw() -> None:
         g = out.grad
         if g is None:
             return
-        if a.requires_grad:
-            _accum(a, np.matmul(g, np.swapaxes(bv, -1, -2)))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(av, -1, -2), g)
-            if bv.ndim == 2 and gb.ndim > 2:
-                gb = gb.reshape(-1, *gb.shape[-2:]).sum(axis=0)
-            _accum(b, gb)
+        g2d = g.reshape(-1, k)
+        if x.requires_grad:
+            _accum(x, (g2d @ wv.T).reshape(xv.shape))
+        if w.requires_grad:
+            _accum(w, x2d.T @ g2d)
+        if b is not None and b.requires_grad:
+            _accum(b, g2d.sum(axis=0))
 
     return _emit(out, bw)
 
 
-def _scalar_pair(a: Tensor, b: Tensor, name: str) -> None:
-    if a.values.shape == b.values.shape:
-        return
-    if a.values.ndim == 0 or b.values.ndim == 0:
-        return
-    raise DimensionError(f"{name}: shapes {a.values.shape} and {b.values.shape} differ (only scalar broadcast allowed)")
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a gradient onto a scalar operand's shape."""
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
+def _same_shape(a: Tensor, b: Tensor, name: str) -> None:
+    if a.values.shape != b.values.shape:
+        raise DimensionError(f"{name}: shapes {a.values.shape} and {b.values.shape} differ")
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_pair(a, b, "add")
+    _same_shape(a, b, "add")
     out = Tensor(a.values + b.values)
     if not _tracing(a, b):
         return out
@@ -214,16 +210,16 @@ def add(a, b) -> Tensor:
         if g is None:
             return
         if a.requires_grad:
-            _accum(a, _reduce_to(g, a.values.shape))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _reduce_to(g, b.values.shape))
+            _accum(b, g)
 
     return _emit(out, bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_pair(a, b, "mul")
+    _same_shape(a, b, "mul")
     av, bv = a.values, b.values
     out = Tensor(av * bv)
     if not _tracing(a, b):
@@ -234,30 +230,9 @@ def mul(a, b) -> Tensor:
         if g is None:
             return
         if a.requires_grad:
-            _accum(a, _reduce_to(g * bv, a.values.shape))
+            _accum(a, g * bv)
         if b.requires_grad:
-            _accum(b, _reduce_to(g * av, b.values.shape))
-
-    return _emit(out, bw)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., d] + b[d], the one sanctioned row-vector broadcast."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if b.values.ndim != 1 or x.values.shape[-1] != b.values.shape[0]:
-        raise DimensionError(f"add_bias: shapes {x.values.shape} and {b.values.shape} incompatible")
-    out = Tensor(x.values + b.values)
-    if not _tracing(x, b):
-        return out
-
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
-        if x.requires_grad:
-            _accum(x, g)
-        if b.requires_grad:
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            _accum(b, g * av)
 
     return _emit(out, bw)
 
@@ -314,14 +289,14 @@ def sigmoid(x: Tensor) -> Tensor:
     return _emit(out, bw)
 
 
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
+ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
 
 
 def activation(kind: str, x: Tensor) -> Tensor:
     try:
-        return _ACTIVATIONS[kind](x)
+        return ACTIVATIONS[kind](x)
     except KeyError:
-        raise ContractError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}") from None
+        raise ContractError(f"unknown activation {kind!r}; expected one of {sorted(ACTIVATIONS)}") from None
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -204,6 +204,8 @@ def align(
     """
     if not series_list:
         raise AlignmentError("no series to align")
+    if step <= timedelta(0):
+        raise AlignmentError(f"grid step must be positive, got {step}")
     for s in series_list:
         if not s.timestamps:
             raise AlignmentError(f"series {s.name!r} has no observations")
@@ -227,6 +229,7 @@ def make_windows(series: AlignedSeries, t: int, h: int, stride: int = 1) -> list
 
     Window count is floor((L - t - h) / stride) + 1.
     """
+    _check_geometry(t, h)
     L = len(series)
     if L < t + h:
         raise WindowError(f"series length {L} < t + h = {t + h}")
@@ -238,10 +241,16 @@ def make_windows(series: AlignedSeries, t: int, h: int, stride: int = 1) -> list
 
 def window_at_origin(series: AlignedSeries, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
     """Single window at an explicit origin (used by the oversampler)."""
+    _check_geometry(t, h)
     L = len(series)
     if not 0 <= origin <= L - t - h:
         raise WindowError(f"origin {origin} outside [0, {L - t - h}]")
     return _window(series.matrix(), origin, t, h, oversampled)
+
+
+def _check_geometry(t: int, h: int) -> None:
+    if t < 1 or h < 1:
+        raise WindowError(f"history t and horizon h must be >= 1, got t={t}, h={h}")
 
 
 def _window(mat: np.ndarray, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
@@ -268,6 +277,8 @@ def chrono_split(
     range) go to validation, the rest to train. Every window lands in
     exactly one partition.
     """
+    if not 0.0 <= val_fraction < 1.0:
+        raise DataError(f"val_fraction must be in [0, 1), got {val_fraction}")
     test_idx = series.index_at(test_cutoff)
     val_idx = test_idx - int(math.floor(val_fraction * test_idx))
     train, val, test = [], [], []

@@ -28,6 +28,8 @@ class EfeConfig:
     def __post_init__(self) -> None:
         if self.s_efe < 1:
             raise ValueError(f"s_efe must be >= 1, got {self.s_efe}")
+        if self.activation not in ad.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {sorted(ad.ACTIVATIONS)}, got {self.activation!r}")
 
     def input_width(self, m: int) -> int:
         w = 1 + (m - 1) * (self.s_efe + 1)
@@ -68,5 +70,5 @@ def embed_sequence(windows: np.ndarray, weight: Tensor, bias: Tensor, cfg: EfeCo
         raise ad.DimensionError(
             f"efe weight expects input width {weight.shape[0]}, config gives {expected}")
     features = subsequence_matrix(windows, cfg.s_efe, cfg.include_target_lags)
-    out = ad.add_bias(ad.matmul(ad.tensor(features), weight), bias)
+    out = ad.linear(ad.tensor(features), weight, bias)
     return ad.activation(cfg.activation, out)

@@ -63,7 +63,7 @@ class PfConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("d_model", "n_heads", "ffn_width", "t", "h", "m"):
+        for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "ffn_width", "t", "h", "m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
@@ -220,26 +220,26 @@ def multi_head_attention(
     """Scaled dot-product attention of ``x`` over all rows of ``source``.
 
     Self-attention passes the same tensor twice. Q = x wq, K = source wk and
-    V = source wv are projected with one matmul each; :func:`ad.attention`
-    runs every head (head i on column block i, scaled by 1/sqrt(d_head)),
-    and the heads' outputs are output-projected with ``wo`` and ``bo``. No
-    mask. Attention weights are dropped out when ``rng`` is given. When
-    ``trace`` is given, every head's attention matrix (numpy) is appended
-    to it.
+    V = source wv are projected with one :func:`ad.linear` each;
+    :func:`ad.attention` runs every head (head i on column block i, scaled
+    by 1/sqrt(d_head)), and the heads' outputs are output-projected with
+    ``wo`` and ``bo``. No mask. Attention weights are dropped out when
+    ``rng`` is given. When ``trace`` is given, every head's attention matrix
+    (numpy) is appended to it.
     """
-    q = ad.matmul(x, params[f"{prefix}.wq"])
-    k = ad.matmul(source, params[f"{prefix}.wk"])
-    v = ad.matmul(source, params[f"{prefix}.wv"])
+    q = ad.linear(x, params[f"{prefix}.wq"])
+    k = ad.linear(source, params[f"{prefix}.wk"])
+    v = ad.linear(source, params[f"{prefix}.wv"])
     heads = ad.attention(q, k, v, cfg.n_heads, cfg.dropout_rate, rng, trace)
-    return ad.add_bias(ad.matmul(heads, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: PfConfig,
          rng: np.random.Generator | None) -> Tensor:
-    hidden = ad.relu(ad.add_bias(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
+    hidden = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     if rng is not None:
         hidden = ad.dropout(hidden, cfg.dropout_rate, rng)
-    return ad.add_bias(ad.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _add_norm(x: Tensor, residual: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -299,12 +299,12 @@ def _embed(windows: np.ndarray, ts_features: np.ndarray, params: dict[str, Tenso
         yaux = aee_mod.aux_head(emb, params["aee.head.w"], params["aee.head.b"])
         dec_in = emb
         if cfg.aee.hidden != cfg.d_model:
-            dec_in = ad.add_bias(ad.matmul(emb, params["aee.proj.w"]), params["aee.proj.b"])
+            dec_in = ad.linear(emb, params["aee.proj.w"], params["aee.proj.b"])
         return enc_in, dec_in, yaux
 
     B = windows.shape[0]
     cols = np.swapaxes(windows, 1, 2)  # (B, t, m)
-    enc_in = ad.add_bias(ad.matmul(ad.tensor(cols), params["tok.w"]), params["tok.b"])
+    enc_in = ad.linear(ad.tensor(cols), params["tok.w"], params["tok.b"])
     dec_in = ad.tile_leading(params["dec.start"], B)
     if cfg.embedding_mode == "position_token":
         pe_t = sinusoidal_positions(cfg.t, cfg.d_model)
@@ -348,7 +348,7 @@ def forward(
     enc_in, dec_in, yaux = _embed(windows, ts_features, params, cfg)
     memory = encoder_forward(enc_in, params, cfg, rng, trace)
     dec_out = decoder_forward(dec_in, memory, params, cfg, rng, trace)
-    out = ad.add_bias(ad.matmul(dec_out, params["head.w"]), params["head.b"])
+    out = ad.linear(dec_out, params["head.w"], params["head.b"])
     yhat = ad.reshape(out, out.shape[:-1])
     if yaux is None:
         return yhat, ad.tensor(np.zeros(yhat.shape))

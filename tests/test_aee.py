@@ -27,15 +27,15 @@ def timestamp_features_loop(issue_index, horizon, step=STEP, start=None):
 
 def columns(x, lo, hi):
     """x[..., lo:hi] as a product with a 0/1 selection matrix, so the
-    gradient flows back through ``ad.matmul``."""
-    return ad.matmul(x, ad.tensor(np.eye(x.shape[-1])[:, lo:hi]))
+    gradient flows back through ``ad.linear``."""
+    return ad.linear(x, ad.tensor(np.eye(x.shape[-1])[:, lo:hi]))
 
 
 def lstm_cell(x, h, c, w, u, b):
     """One recurrence step on a (B, input) slice; returns (h', c'). The
     composed-op oracle for ``ad.lstm_sequence``."""
     hidden = h.shape[-1]
-    gates = ad.add_bias(ad.add(ad.matmul(x, w), ad.matmul(h, u)), b)
+    gates = ad.add(ad.linear(x, w, b), ad.linear(h, u))
     i = ad.sigmoid(columns(gates, 0, hidden))
     f = ad.sigmoid(columns(gates, hidden, 2 * hidden))
     g = ad.tanh(columns(gates, 2 * hidden, 3 * hidden))

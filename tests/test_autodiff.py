@@ -20,37 +20,80 @@ from peakcast.autodiff import (
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 
-def test_matmul_identity():
+def test_linear_identity():
     a = ad.tensor([[1.0, 0.0], [0.0, 1.0]])
     b = ad.tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(ad.matmul(a, b).values, b.values)
+    assert np.array_equal(ad.linear(a, b).values, b.values)
 
 
-def test_matmul_hand_computed():
-    out = ad.matmul(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]))
-    assert np.array_equal(out.values, [[11.0]])
+def test_linear_hand_computed():
+    x, w = ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]])
+    assert np.array_equal(ad.linear(x, w).values, [[11.0]])
+    assert np.array_equal(ad.linear(x, w, ad.tensor([0.5])).values, [[11.5]])
 
 
-def test_matmul_zero_annihilates():
+def test_linear_zero_annihilates():
     rng = np.random.default_rng(0)
     a = ad.tensor(rng.normal(size=(3, 4)))
     z = ad.tensor(np.zeros((4, 2)))
-    assert np.array_equal(ad.matmul(a, z).values, np.zeros((3, 2)))
+    assert np.array_equal(ad.linear(a, z).values, np.zeros((3, 2)))
+    assert np.array_equal(ad.linear(a, z, ad.tensor([1.0, -2.0])).values, np.tile([1.0, -2.0], (3, 1)))
 
 
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(DimensionError) as exc:
-        ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((4, 2))))
-    assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+def _linear_input(layout, rng):
+    """A 2-D input, a (2, 3, 4) stack, or a non-contiguous (2, 3, 4) view
+    of a (2, 4, 3) array (the token embedding passes such a view)."""
+    if layout == "2d":
+        return rng.normal(size=(3, 4))
+    if layout == "stack":
+        return rng.normal(size=(2, 3, 4))
+    view = np.swapaxes(rng.normal(size=(2, 4, 3)), 1, 2)
+    assert not view.flags.c_contiguous
+    return view
 
 
-def test_matmul_batched_matches_loop():
+@pytest.mark.parametrize("layout", ["2d", "stack", "swapaxes_view"])
+def test_linear_stack_matches_loop(layout):
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(5, 3, 4))
-    b = rng.normal(size=(5, 4, 2))
-    out = ad.matmul(ad.tensor(a), ad.tensor(b)).values
-    for i in range(5):
-        assert np.allclose(out[i], a[i] @ b[i])
+    x = _linear_input(layout, rng)
+    w, b = rng.normal(size=(4, 2)), rng.normal(size=2)
+    out = ad.linear(ad.tensor(x), ad.tensor(w), ad.tensor(b)).values
+    assert out.shape == x.shape[:-1] + (2,)
+    rows = x.reshape(-1, 4)
+    want = np.stack([rows[i] @ w + b for i in range(len(rows))]).reshape(out.shape)
+    assert np.allclose(out, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["2d", "stack", "swapaxes_view"])
+@pytest.mark.parametrize("operand, bias", [("x", False), ("x", True), ("w", False), ("w", True), ("b", True)],
+                         ids=["x-no_bias", "x-bias", "w-no_bias", "w-bias", "b-bias"])
+def test_linear_gradient_vs_finite_difference(operand, bias, layout):
+    rng = np.random.default_rng(2)
+    ops = {"x": _linear_input(layout, rng), "w": rng.normal(size=(4, 3)), "b": rng.normal(size=3) if bias else None}
+    wy = ad.tensor(rng.normal(size=ops["x"].shape[:-1] + (3,)))
+
+    def loss(t: Tensor) -> Tensor:
+        args = {k: (None if v is None else ad.tensor(v)) for k, v in ops.items()}
+        args[operand] = t
+        return ad.sum_all(ad.mul(ad.tanh(ad.linear(**args)), wy))
+
+    x = ad.parameter(ops[operand].copy())
+    assert finite_diff_check(loss, x, eps=1e-6) < 1e-8
+
+
+@pytest.mark.parametrize("x, w, b", [
+    ((2, 3), (4, 2), None),  # inner dimensions differ
+    ((2, 3, 3), (4, 2), (2,)),
+    ((), (1, 2), None),  # x has no feature axis
+    ((2, 4), (4,), None),  # w is not a matrix
+    ((2, 4), (1, 4, 2), None),
+    ((2, 4), (4, 2), (3,)),  # bias width differs from w's columns
+    ((2, 4), (4, 2), (1, 2)),  # bias is not a vector
+], ids=["x_inner", "x_stack_inner", "x_scalar", "w_vector", "w_stack", "b_width", "b_matrix"])
+def test_linear_rejects_bad_shapes(x, w, b):
+    with pytest.raises(DimensionError, match="linear") as exc:
+        ad.linear(ad.tensor(np.ones(x)), ad.tensor(np.ones(w)), None if b is None else ad.tensor(np.ones(b)))
+    assert str(x) in str(exc.value) and str(w) in str(exc.value)
 
 
 def test_elementwise_rejects_nonscalar_broadcast():
@@ -58,9 +101,13 @@ def test_elementwise_rejects_nonscalar_broadcast():
         ad.add(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones(3)))
 
 
-def test_scalar_broadcast_allowed():
+@pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+def test_elementwise_rejects_scalar_broadcast(op):
     x = ad.tensor([1.0, 2.0])
-    assert np.array_equal(ad.mul(x, 3.0).values, [3.0, 6.0])
+    for a, b in ((x, 3.0), (3.0, x), (x, ad.tensor(3.0))):
+        with pytest.raises(DimensionError, match="differ"):
+            op(a, b)
+    assert op(ad.tensor(2.0), ad.tensor(3.0)).shape == ()
 
 
 @given(arrays(np.float64, (4,), elements=finite_floats), arrays(np.float64, (4,), elements=finite_floats))
@@ -231,18 +278,13 @@ def test_finite_diff_eps_bounds():
 
 def _op_cases():
     """Scalar-valued probes exercising every differentiable op's backward."""
-    rng = np.random.default_rng(6)
-    w = ad.parameter(rng.normal(size=(4, 3)))
 
     def wrap(build):
         return build
 
     return {
-        "matmul": wrap(lambda x: ad.sum_all(ad.matmul(x, w))),
-        "matmul_batched": wrap(lambda x: ad.sum_all(ad.matmul(ad.reshape(x, (2, 2, 4)), w))),
-        "add": wrap(lambda x: ad.sum_all(ad.add(x, ad.mul(x, 0.5)))),
+        "add": wrap(lambda x: ad.sum_all(ad.add(x, ad.tanh(x)))),
         "mul": wrap(lambda x: ad.sum_all(ad.mul(x, x))),
-        "add_bias": wrap(lambda x: ad.sum_all(ad.tanh(ad.add_bias(x, ad.last_step(x))))),
         "relu": wrap(lambda x: ad.sum_all(ad.relu(x))),
         "tanh": wrap(lambda x: ad.sum_all(ad.tanh(x))),
         "sigmoid": wrap(lambda x: ad.sum_all(ad.sigmoid(x))),
@@ -273,7 +315,7 @@ def test_first_gradient_is_a_copy():
     a, b = ad.parameter(np.zeros(3)), ad.parameter(np.zeros(3))
     tape = Tape()
     with record(tape):
-        p = ad.mul(a, 3.0)  # recorded first, so its gradient reaches a last
+        p = ad.mul(a, ad.tensor(np.full(3, 3.0)))  # recorded first, so its gradient reaches a last
         s = ad.add(a, b)
         out = ad.sum_all(ad.add(s, p))
     backward(tape, out)
@@ -400,7 +442,7 @@ def test_gradients_accumulate_across_shared_use():
     x = ad.parameter([2.0])
     tape = Tape()
     with record(tape):
-        out = ad.sum_all(ad.add(ad.mul(x, x), ad.mul(x, 3.0)))
+        out = ad.sum_all(ad.add(ad.mul(x, x), ad.mul(x, ad.tensor([3.0]))))
     backward(tape, out)
     assert np.allclose(x.grad, [7.0])  # 2x + 3
 

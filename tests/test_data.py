@@ -150,6 +150,12 @@ class TestAlign:
         with pytest.raises(d.AlignmentError):
             d.align([a, b])
 
+    @pytest.mark.parametrize("step", [timedelta(0), -STEP])
+    def test_non_positive_step_rejected(self, step):
+        a = grid_series("t", T0, [1, 2, 3, 4])
+        with pytest.raises(d.AlignmentError, match="step"):
+            d.align([a], step=step)
+
     def test_series_without_observations_raises(self, tmp_path):
         empty = d.load_csv(write(tmp_path, "empty.csv", []))
         a = grid_series("t", T0, [1, 2, 3, 4])
@@ -222,6 +228,14 @@ class TestWindows:
         with pytest.raises(d.WindowError):
             d.window_at_origin(self.make_series(40), origin, 6, 3)  # origins 0..31
 
+    @pytest.mark.parametrize("t, h", [(0, 3), (-1, 3), (6, 0), (6, -2)])
+    def test_empty_history_or_horizon_rejected(self, t, h):
+        series = self.make_series(40)
+        with pytest.raises(d.WindowError, match="must be >= 1"):
+            d.make_windows(series, t, h)
+        with pytest.raises(d.WindowError, match="must be >= 1"):
+            d.window_at_origin(series, 0, t, h)
+
     def test_matrix_is_read_only_and_never_copied(self):
         series = self.make_series(10)
         mat = series.matrix()
@@ -268,6 +282,11 @@ class TestChronoSplit:
             assert w.issue_index + len(w.target) < test_idx
         # some test window's target truly spans the cutoff
         assert any(w.issue_index + 1 < test_idx <= w.issue_index + len(w.target) for w in test)
+
+    @pytest.mark.parametrize("val_fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_val_fraction_outside_unit_interval_rejected(self, val_fraction):
+        with pytest.raises(d.DataError, match="val_fraction"):
+            self.split(val_fraction=val_fraction)
 
     def test_no_leakage_property(self):
         series, _, (train, val, test) = self.split(L=400, t=30, h=12, cutoff_idx=300)

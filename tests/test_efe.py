@@ -76,6 +76,16 @@ class TestBuildSubsequence:
         assert np.array_equal(mat[1], efe.subsequence_matrix(batch[1], s_efe=3))
 
 
+class TestEfeConfig:
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="'gelu'"):
+            efe.EfeConfig(activation="gelu")
+
+    def test_every_dispatched_activation_accepted(self):
+        for name in ad.ACTIVATIONS:
+            assert efe.EfeConfig(activation=name).activation == name
+
+
 def make_layer(cfg, m, d_model, seed=0):
     rng = np.random.default_rng(seed)
     w = ad.parameter(rng.normal(0, 0.3, size=(cfg.input_width(m), d_model)))

@@ -90,14 +90,14 @@ class TestAttention:
         dropped = self.compare(n_heads, kind, 0.3)
         assert not np.allclose(dropped, self.compare(n_heads, kind, 0.0))
 
-    def test_records_at_most_six_tape_nodes(self):
+    def test_records_at_most_five_tape_nodes(self):
         cfg = PfConfig(d_model=8, n_heads=4, t=7, h=5, dropout_rate=0.3)
         params = model.init_params(cfg, 1)
         x = ad.tensor(np.random.default_rng(2).normal(size=(2, cfg.h, 8)))
         tape = ad.Tape()
         with ad.record(tape):
             model.multi_head_attention(x, x, params, "dec.0.self", cfg, np.random.default_rng(3))
-        assert len(tape) <= 6
+        assert len(tape) <= 5
 
     def test_width_mismatch_rejected(self):
         cfg = PfConfig(d_model=8, n_heads=2, t=7, h=5)
@@ -105,6 +105,17 @@ class TestAttention:
         with pytest.raises(ad.DimensionError):
             model.multi_head_attention(ad.tensor(np.ones((1, 5, 8))), ad.tensor(np.ones((1, 7, 6))),
                                        params, "dec.0.cross", cfg)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name, value", [("n_enc_layers", -1), ("n_enc_layers", 0), ("n_dec_layers", 0)])
+    def test_layer_count_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            PfConfig(**{name: value})
+
+    def test_unknown_activation_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="gelu"):
+            toy_cfg(efe=EfeConfig(s_efe=2, activation="gelu"))
 
 
 class TestParameters:
@@ -290,7 +301,11 @@ class TestCheckpoint:
         lambda doc: doc.update(config=None),
         lambda doc: doc["config"].update(n_heads=0),
         lambda doc: doc["config"].update(t="long"),
-    ], ids=["missing_key", "null", "zero_heads", "non_numeric"])
+        lambda doc: doc["config"].update(n_enc_layers=-1),
+        lambda doc: doc["config"].update(n_dec_layers=0),
+        lambda doc: doc["config"].update({"efe.activation": "gelu"}),
+    ], ids=["missing_key", "null", "zero_heads", "non_numeric", "no_encoder_layer", "no_decoder_layer",
+            "unknown_activation"])
     def test_malformed_config_rejected(self, saved, edit):
         path = saved[0]
         self.rewrite(path, edit)

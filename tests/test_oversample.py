@@ -286,3 +286,22 @@ class TestCapOversample:
             ov.OversamplePolicy(os_pct=0.0)
         with pytest.raises(ov.PolicyError):
             ov.cap_kept_count(10, 10, 101.0)
+
+
+def test_policy_report_fields():
+    g = ov.fit_gmm(two_component_sample(1), 2)
+    eta = 0.8
+    report = {}
+    for line in ov.policy_report(g, eta).splitlines():
+        key, value = line.split(":", 1)
+        report[key] = [float(v) for v in value.split()]
+    assert report["components"] == [2]
+    assert report["iterations"] == [len(g.ll_history)]
+    for key, want in (("weights", g.weights), ("means", g.means), ("variances", g.variances)):
+        assert np.allclose(report[key], want, rtol=0.0, atol=1e-6), key
+    assert report["log_likelihood"][0] == pytest.approx(g.log_likelihood, abs=1e-6)
+    z = ov.highest_mean(g)
+    assert z == max(g.means) and z == pytest.approx(10.0, abs=0.2)
+    assert report["z (highest mean)"][0] == pytest.approx(z, abs=1e-6)
+    assert report["eta"] == [eta]
+    assert report["threshold eta*z"][0] == pytest.approx(eta * z, abs=1e-6)
