@@ -126,11 +126,14 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. ``fresh`` says the caller allocated ``g``
+    for ``t`` alone, so it may become ``t.grad`` without a copy."""
     if t.grad is None:
-        # A copy, never ``g`` itself: several backward closures hand on views
-        # of their output's gradient, which other tensors may also receive.
-        t.grad = g.copy()
+        # Otherwise a copy, never ``g`` itself: several backward closures hand
+        # on views of their output's gradient, which other tensors may also
+        # receive.
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -184,11 +187,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             return
         g2d = g.reshape(-1, k)
         if x.requires_grad:
-            _accum(x, (g2d @ wv.T).reshape(xv.shape))
+            _accum(x, (g2d @ wv.T).reshape(xv.shape), fresh=True)
         if w.requires_grad:
-            _accum(w, x2d.T @ g2d)
+            _accum(w, x2d.T @ g2d, fresh=True)
         if b is not None and b.requires_grad:
-            _accum(b, g2d.sum(axis=0))
+            _accum(b, g2d.sum(axis=0), fresh=True)
 
     return _emit(out, bw)
 
@@ -338,21 +341,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _emit(out, bw)
 
 
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """Boolean dropout keep mask: one uint16 draw per element, kept when at
+    or above round(rate * 65536), so the drop rate holds to within 1/65,536."""
+    return rng.integers(0, 65536, shape, dtype=np.uint16) >= round(rate * 65536)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
+    """Inverted dropout; identity when rate == 0. The keep mask follows
+    :func:`_keep_mask`, the rule :func:`attention` uses too."""
     if rate <= 0.0:
         return x
     if rate >= 1.0:
         raise ContractError("dropout: rate must be < 1")
     x = _as_tensor(x)
-    mask = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.values * mask)
+    keep = _keep_mask(rng, x.values.shape, rate)
+    keep_scale = 1.0 / (1.0 - rate)
+    y = x.values * keep
+    y *= keep_scale
+    out = Tensor(y)
     if not _tracing(x):
         return out
 
     def bw() -> None:
         if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad * mask)
+            gx = out.grad * keep
+            gx *= keep_scale
+            _accum(x, gx)
 
     return _emit(out, bw)
 
@@ -412,25 +427,49 @@ def last_step(x: Tensor) -> Tensor:
 # attention
 
 
+# Float64 elements in one block of attention scores: about 1 MB, so a block
+# stays in a 2 MB L2 cache through its softmax and its product with V.
+_BLOCK_ELEMS = 2 ** 17
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
               rng: np.random.Generator | None = None, trace: list | None = None) -> Tensor:
     """Unmasked multi-head scaled dot-product attention; returns (B, t_q, d).
 
     q is (B, t_q, d); k and v are (B, t_k, d). Head i owns column block i,
     of width d_head = d / n_heads, of all three and computes
-        P_i = softmax(Q_i K_i^T / sqrt(d_head)),  out_i = P_i V_i
-    into column block i of the output. When ``rng`` is given and ``rate`` >
-    0, each P_i goes through inverted dropout before the product with V_i,
-    its mask drawn per head, in head order. When ``trace`` is given, every
-    head's P_i (before dropout) is appended to it.
+        P_i = softmax(Q_i K_i^T / sqrt(d_head)),  out_i = (P_i * M_i) V_i / (1 - rate)
+    into column block i of the output. M_i is 1 everywhere unless ``rng``
+    is given and ``rate`` > 0; then each head draws its boolean keep mask
+    once, in head order, as uint16 draws at or above round(rate * 65536)
+    (:func:`_keep_mask`), so the drop rate holds to within 1/65,536. The
+    scale 1 / (1 - rate) multiplies the output, not P_i. This rule fixes
+    which weights a seeded generator drops: a float rule such as
+    ``rng.random(shape) >= rate`` drops others at the same rate, so a
+    training run repeats for a seed only under the same rule. Eval mode and
+    dropout off draw nothing from ``rng``.
 
-    The loop over heads runs on plain arrays. One tape node serves the
-    output, and its backward keeps only each head's P_i and keep mask.
+    Each head runs over blocks of rows of q, so that a block's
+    (B, rows, t_k) scores take about 1 MB (``_BLOCK_ELEMS``). One reused
+    buffer holds the scores, their row max, exp, row sum and normalisation
+    in turn, then the mask and the product with V_i. No (t_q, t_k) float
+    array outlives its block: the tape keeps each row's max and sum, of
+    shape (n_heads, B, t_q, 1), and the keep masks. Backward recomputes
+    each block of P_i with the same operations on the same block shapes,
+    so it equals the forward's P_i bit for bit. It takes the softmax row
+    term rowsum(dP_i * P_i) as the row dot g_i . out_i over (t_q, d_head),
+    writes dq block by block and accumulates dk and dv over the blocks.
+    This is the row-block recompute of FlashAttention (Dao et al.,
+    arXiv:2205.14135) without the online softmax.
+
+    When ``trace`` is given, every head's P_i (before dropout) is copied
+    block by block into a full (B, t_q, t_k) array appended to it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} are not (B, t_q, d), (B, t_k, d) x 2")
-    d = q.shape[2]
+    B, t_q, d = q.shape
+    t_k = k.shape[1]
     if n_heads < 1 or d % n_heads:
         raise DimensionError(f"attention: width {d} is not divisible by n_heads = {n_heads}")
     if not 0.0 <= rate < 1.0:
@@ -440,23 +479,51 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     drop = rng is not None and rate > 0.0
     keep_scale = 1.0 / (1.0 - rate)
     qs, kv, vv = q.values * scale, k.values, v.values
-    blocks = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]
-    y = np.empty(q.shape)
-    probs, keeps = [], []
-    for cols in blocks:
-        p = np.matmul(qs[..., cols], np.swapaxes(kv[..., cols], -1, -2))
-        p -= p.max(axis=-1, keepdims=True)
+    heads = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]
+    rows = max(1, _BLOCK_ELEMS // max(1, B * t_k))
+    row_blocks = [slice(lo, min(lo + rows, t_q)) for lo in range(0, t_q, rows)]
+    block_size = B * min(rows, t_q) * t_k
+
+    def block(buf: np.ndarray, r: slice) -> np.ndarray:
+        """The leading part of ``buf`` as a contiguous (B, rows in r, t_k) array."""
+        n = r.stop - r.start
+        return buf[:B * n * t_k].reshape(B, n, t_k)
+
+    stats = np.empty((2, n_heads, B, t_q, 1))  # each row's max and sum, kept for backward
+
+    def probs(buf: np.ndarray, i: int, r: slice, recompute: bool) -> np.ndarray:
+        """Head i's P over the rows r, in ``buf``. The first pass stores each
+        row's max and sum; a recompute reads them back, so both passes give
+        the same P."""
+        cols, row_max, row_sum = heads[i], stats[0, i, :, r], stats[1, i, :, r]
+        p = np.matmul(qs[:, r, cols], np.swapaxes(kv[..., cols], -1, -2), out=block(buf, r))
+        if not recompute:
+            np.max(p, axis=-1, keepdims=True, out=row_max)
+        p -= row_max
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        probs.append(p)
-        if trace is not None:
-            trace.append(p)
+        if not recompute:
+            np.sum(p, axis=-1, keepdims=True, out=row_sum)
+        p /= row_sum
+        return p
+
+    y = np.empty(q.shape)
+    p_buf = np.empty(block_size)
+    keeps = []
+    for i, cols in enumerate(heads):
+        keep = _keep_mask(rng, (B, t_q, t_k), rate) if drop else None
+        keeps.append(keep)
+        full = None if trace is None else np.empty((B, t_q, t_k))
+        for r in row_blocks:
+            p = probs(p_buf, i, r, recompute=False)
+            if full is not None:
+                full[:, r] = p
+            if drop:
+                p *= keep[:, r]
+            y[:, r, cols] = np.matmul(p, vv[..., cols])
         if drop:
-            keep = rng.random(p.shape) >= rate
-            keeps.append(keep)
-            p = p * keep
-            p *= keep_scale
-        y[..., cols] = np.matmul(p, vv[..., cols])
+            y[..., cols] *= keep_scale
+        if full is not None:
+            trace.append(full)
     out = Tensor(y)
     if not _tracing(q, k, v):
         return out
@@ -466,27 +533,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         if g is None:
             return
         dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
-        for i, cols in enumerate(blocks):
-            p, gi = probs[i], g[..., cols]
-            if dv is not None:
-                p_kept = p * keeps[i] * keep_scale if drop else p
-                dv[..., cols] = np.matmul(np.swapaxes(p_kept, -1, -2), gi)
-            # dp: gradient of P_i, turned in place into that of the scores
-            dp = np.matmul(gi, np.swapaxes(vv[..., cols], -1, -2))
+        p_buf, ds_buf = np.empty(block_size), np.empty(block_size)
+        for i, cols in enumerate(heads):
+            gi = g[..., cols]
+            row_dot = (gi * y[..., cols]).sum(axis=-1, keepdims=True)  # rowsum(dP_i * P_i)
             if drop:
-                dp *= keeps[i]
-                dp *= keep_scale
-            dp -= (dp * p).sum(axis=-1, keepdims=True)
-            dp *= p
-            if dq is not None:
-                dq[..., cols] = np.matmul(dp, kv[..., cols])
+                gi = gi * keep_scale
+            ki, vi = kv[..., cols], vv[..., cols]
+            dk_i = np.zeros((B, t_k, d_head))
+            dv_i = np.zeros((B, t_k, d_head))
+            for r in row_blocks:
+                p = probs(p_buf, i, r, recompute=True)
+                # ds: gradient of this block of P_i, turned in place into that of the scores
+                ds = np.matmul(gi[:, r], np.swapaxes(vi, -1, -2), out=block(ds_buf, r))
+                if drop:
+                    ds *= keeps[i][:, r]
+                ds -= row_dot[:, r]
+                ds *= p
+                if drop:
+                    p *= keeps[i][:, r]
+                dv_i += np.matmul(np.swapaxes(p, -1, -2), gi[:, r])
+                if dq is not None:
+                    dq[:, r, cols] = np.matmul(ds, ki)
+                dk_i += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r, cols])
             if dk is not None:
-                dk[..., cols] = np.matmul(np.swapaxes(dp, -1, -2), qs[..., cols])
+                dk[..., cols] = dk_i
+            if dv is not None:
+                dv[..., cols] = dv_i
         if dq is not None:
             dq *= scale
         for t, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
-                _accum(t, grad)
+                _accum(t, grad, fresh=True)
 
     return _emit(out, bw)
 
@@ -585,18 +663,18 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b
             dc = dc * f[:, s]
         dz2d = dz.reshape(B * T, H4)
         if x_seq.requires_grad:
-            _accum(x_seq, (dz2d @ w.values.T).reshape(B, T, n_in))
+            _accum(x_seq, (dz2d @ w.values.T).reshape(B, T, n_in), fresh=True)
         if w.requires_grad:
-            _accum(w, x2d.T @ dz2d)
+            _accum(w, x2d.T @ dz2d, fresh=True)
         if u.requires_grad:
             h_prev = np.concatenate([h0.values[:, None], hs[:, :-1]], axis=1)
-            _accum(u, h_prev.reshape(B * T, hidden).T @ dz2d)
+            _accum(u, h_prev.reshape(B * T, hidden).T @ dz2d, fresh=True)
         if b.requires_grad:
-            _accum(b, dz2d.sum(axis=0))
+            _accum(b, dz2d.sum(axis=0), fresh=True)
         if h0.requires_grad:
-            _accum(h0, dh)
+            _accum(h0, dh, fresh=True)
         if c0.requires_grad:
-            _accum(c0, dc)
+            _accum(c0, dc, fresh=True)
 
     return _emit(h_seq, bw, c_last), c_last
 

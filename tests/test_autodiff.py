@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,8 @@ def _op_cases():
         "reshape": wrap(lambda x: ad.sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
         "last_step": wrap(lambda x: ad.sum_all(ad.tanh(ad.last_step(ad.reshape(x, (2, 2, 4)))))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
+        # a fresh generator per evaluation, so every evaluation drops the same entries
+        "dropout": wrap(lambda x: ad.sum_all(ad.mul(ad.dropout(x, 0.4, np.random.default_rng(0)), x))),
     }
 
 
@@ -387,10 +390,7 @@ def _attention_operands(t_k, seed=0, B=2, t_q=3, d=4):
     return {"q": rng.normal(size=(B, t_q, d)), "k": rng.normal(size=(B, t_k, d)), "v": rng.normal(size=(B, t_k, d))}
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
-@pytest.mark.parametrize("t_k", [3, 5], ids=["self", "cross"])
-@pytest.mark.parametrize("operand", ["q", "k", "v"])
-def test_attention_gradient_vs_finite_difference(operand, t_k, rate):
+def _attention_fd_error(operand, t_k, rate):
     ops = {name: ad.tensor(v) for name, v in _attention_operands(t_k).items()}
     wy = ad.tensor(np.random.default_rng(1).normal(size=ops["q"].shape))
 
@@ -400,7 +400,103 @@ def test_attention_gradient_vs_finite_difference(operand, t_k, rate):
         return ad.sum_all(ad.mul(out, wy))
 
     x = ad.parameter(ops[operand].values.copy())
-    assert finite_diff_check(loss, x, eps=1e-6) < 1e-6
+    return finite_diff_check(loss, x, eps=1e-6)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("t_k", [3, 5], ids=["self", "cross"])
+@pytest.mark.parametrize("operand", ["q", "k", "v"])
+def test_attention_gradient_vs_finite_difference(operand, t_k, rate):
+    assert _attention_fd_error(operand, t_k, rate) < 1e-6
+
+
+def small_row_blocks(monkeypatch, rows, B, t_k):
+    """Patch the attention block size so that (B, t_q, t_k) operands run in
+    blocks of ``rows`` rows of q."""
+    monkeypatch.setattr(ad, "_BLOCK_ELEMS", rows * B * t_k)
+
+
+# 1-row blocks, and 2-row blocks that leave a 1-row tail of the 3 query rows
+@pytest.mark.parametrize("rows", [1, 2], ids=["one_row", "uneven_tail"])
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("t_k", [3, 5], ids=["self", "cross"])
+@pytest.mark.parametrize("operand", ["q", "k", "v"])
+def test_attention_gradient_in_row_blocks(operand, t_k, rate, rows, monkeypatch):
+    small_row_blocks(monkeypatch, rows, 2, t_k)
+    assert _attention_fd_error(operand, t_k, rate) < 1e-6
+
+
+def _attention_grads(ops, g, trace=None, rate=0.4):
+    """Output and q, k, v gradients of one taped attention call with cotangent g."""
+    q, k, v = (ad.parameter(ops[name]) for name in "qkv")
+    tape = Tape()
+    with record(tape):
+        out = ad.attention(q, k, v, 2, rate, np.random.default_rng(3), trace)
+    out.grad = g
+    tape.nodes[-1]()
+    return out.values, q.grad, k.grad, v.grad
+
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["one_block", "uneven_tail"])
+def test_attention_trace_changes_nothing(rows, monkeypatch):
+    ops = _attention_operands(5, t_q=5)
+    if rows is not None:
+        small_row_blocks(monkeypatch, rows, 2, 5)
+    g = np.random.default_rng(1).normal(size=ops["q"].shape)
+    trace = []
+    traced = _attention_grads(ops, g, trace)
+    for want, got in zip(_attention_grads(ops, g), traced, strict=True):
+        assert np.array_equal(want, got)
+    assert len(trace) == 2
+    for p in trace:
+        assert p.shape == (2, 5, 5)
+        assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+def test_attention_untaped_forward_matches_taped(rate):
+    ops = _attention_operands(5, t_q=4)
+    untaped = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 2, rate, np.random.default_rng(3))
+    taped, *_ = _attention_grads(ops, np.ones(ops["q"].shape), rate=rate)
+    assert np.array_equal(untaped.values, taped)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_keep_fraction_within_binomial_bound(rate):
+    # attention: with q = 0 every weight is 1/t_k, and each head's v is the
+    # identity, so column j of head i's output is the keep mask of key j
+    B, t, heads = 2, 128, 2
+    q = ad.tensor(np.zeros((B, t, heads * t)))
+    v = ad.tensor(np.tile(np.eye(t), (B, 1, heads)))
+    attended = ad.attention(q, v, v, heads, rate, np.random.default_rng(5)).values
+    dropped = ad.dropout(ad.tensor(np.ones((B * heads * t, t))), rate, np.random.default_rng(6)).values
+    for out, kept_value in ((attended, 1.0 / t), (dropped, 1.0)):
+        n = out.size
+        kept = np.count_nonzero(out)
+        assert abs(kept - n * (1.0 - rate)) <= 5.0 * math.sqrt(n * rate * (1.0 - rate))
+        assert np.allclose(out[out != 0], kept_value / (1.0 - rate), rtol=1e-12)
+
+
+def test_attention_keeps_no_score_map_for_backward():
+    # dropout off: what the tape keeps between forward and backward (the
+    # output, the scaled q and each row's max and sum) stays below one
+    # float64 (t_q, t_k) map of one head
+    B, t, heads = 2, 256, 4
+    rng = np.random.default_rng(0)
+    q, k, v = (ad.parameter(rng.normal(size=(B, t, 8))) for _ in range(3))
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with record(tape):
+            out = ad.attention(q, k, v, heads)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < t * t * 8, f"attention keeps {kept} bytes for backward"
+    out.grad = np.ones(out.shape)
+    tape.nodes[-1]()
+    assert all(np.isfinite(x.grad).all() for x in (q, k, v))
 
 
 def test_attention_gradient_through_one_shared_operand():

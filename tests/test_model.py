@@ -38,7 +38,7 @@ def loss_of(params, cfg, batch, rng=None, training=False):
 def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, rng=None):
     """Textbook per-head attention in numpy; head i owns column block i of wq/wk/wv.
     With ``rng``, each head's weights go through inverted dropout, one mask per
-    head drawn in head order."""
+    head drawn in head order: uint16 draws at or above round(rate * 65536) are kept."""
     d = q_in.shape[-1]
     d_head = d // n_heads
     heads = []
@@ -52,7 +52,8 @@ def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, r
         probs = e / e.sum(axis=-1, keepdims=True)
         trace.append(probs)
         if rng is not None:
-            probs = probs * ((rng.random(probs.shape) >= rate) / (1.0 - rate))
+            keep = rng.integers(0, 65536, probs.shape, dtype=np.uint16) >= round(rate * 65536)
+            probs = probs * (keep / (1.0 - rate))
         heads.append(probs @ v)
     return np.concatenate(heads, axis=-1) @ params[f"{prefix}.wo"].values + params[f"{prefix}.bo"].values
 
@@ -89,6 +90,15 @@ class TestAttention:
     def test_dropout_matches_per_head_reference(self, n_heads, kind):
         dropped = self.compare(n_heads, kind, 0.3)
         assert not np.allclose(dropped, self.compare(n_heads, kind, 0.0))
+
+    # 1-row blocks, and 2-row blocks that leave a 1-row tail of the 5 query rows
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one_row", "uneven_tail"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_row_blocks_match_per_head_reference(self, kind, rate, rows, monkeypatch):
+        t_k = 5 if kind == "self" else 7
+        monkeypatch.setattr(ad, "_BLOCK_ELEMS", rows * 3 * t_k)
+        self.compare(2, kind, rate)
 
     def test_records_at_most_five_tape_nodes(self):
         cfg = PfConfig(d_model=8, n_heads=4, t=7, h=5, dropout_rate=0.3)
@@ -165,6 +175,28 @@ class TestForward:
         eval_out = model.forward(windows, ts, params, cfg)[0].values
         assert np.array_equal(run(5, training=False), eval_out)
         assert not np.array_equal(run(5), eval_out)
+
+    def test_gradients_equal_with_every_first_gradient_copied(self, monkeypatch):
+        # the fused ops hand the gradients they allocate to _accum without a
+        # copy; copying every first gradient instead changes no bit
+        cfg = toy_cfg(dropout_rate=0.3)
+        batch = toy_batch(cfg)
+
+        def grads():
+            params = model.init_params(cfg, 0)
+            tape = ad.Tape()
+            with ad.record(tape):
+                loss = loss_of(params, cfg, batch, np.random.default_rng(5), training=True)
+            ad.backward(tape, loss)
+            return {name: p.grad for name, p in params.items()}
+
+        handed_over = grads()
+        accum = ad._accum
+        monkeypatch.setattr(ad, "_accum", lambda t, g, fresh=False: accum(t, g.copy()))
+        copied = grads()
+        assert handed_over.keys() == copied.keys()
+        for name, g in copied.items():
+            assert np.array_equal(handed_over[name], g), name
 
     def test_trace_collects_every_head(self):
         cfg = toy_cfg()
