@@ -5,14 +5,23 @@ operation involving a grad-enabled tensor appends one backward closure to the
 tape. :func:`backward` replays the tape in reverse, visiting each node exactly
 once, and accumulates ``d root / d leaf`` into ``Tensor.grad``.
 
+Every op follows one pattern: it computes its output values on plain
+arrays and hands its outputs, its inputs and a vector-Jacobian product
+``vjp`` to :func:`_emit`, which records one node when a tape is active and
+an input requires grad. The node calls ``vjp`` with each output's
+gradient, None for an output nothing used (it contributes zero), and
+skips the call when no output was used. Outputs are recorded before their
+consumers, so those gradients are final when the node runs. ``vjp`` adds
+into each input with :func:`_accum`, which keeps a first gradient without
+a copy: every op hands over arrays it allocated for that input alone,
+except :func:`add` and :func:`reshape`, which copy the output gradient
+they pass on.
+
 A fused op records one node for a whole computation: :func:`linear`
 runs a dense layer (product and bias), :func:`attention` every head of a
-multi-head attention block, and :func:`lstm_sequence` a whole LSTM layer.
-A fused op may produce several output tensors from its node
-(:func:`lstm_sequence` returns the hidden sequence and the last cell
-state). Every output is recorded before any of its consumers, so when
-the node runs, all their gradients are final; an output nothing used
-keeps ``grad`` None and contributes zero.
+multi-head attention block, and :func:`lstm_sequence` a whole LSTM layer,
+whose node serves both its outputs (the hidden sequence and the last
+cell state).
 
 Shapes follow numpy row-major conventions. Elementwise ops take equal
 shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
@@ -126,30 +135,38 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add ``g`` into ``t.grad``. ``fresh`` says the caller allocated ``g``
-    for ``t`` alone, so it may become ``t.grad`` without a copy."""
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``. The first gradient becomes ``t.grad`` as
+    it is, so the caller must have allocated ``g`` for ``t`` alone."""
     if t.grad is None:
-        # Otherwise a copy, never ``g`` itself: several backward closures hand
-        # on views of their output's gradient, which other tensors may also
-        # receive.
-        t.grad = g if fresh else g.copy()
+        t.grad = g
     else:
         t.grad += g
 
 
-def _emit(out: Tensor, bw: Callable[[], None], *also: Tensor) -> Tensor:
-    """Register one node that produces ``out`` and any ``also`` outputs."""
+def _emit(out: Tensor, inputs: Sequence[Tensor], vjp: Callable[..., None], *also: Tensor) -> Tensor:
+    """Record one node that computes ``out`` and any ``also`` outputs from
+    ``inputs``; return ``out``.
+
+    Nothing is recorded unless a tape is active and an input requires grad.
+    The node calls ``vjp`` with one gradient per output, None for an output
+    nothing used, and skips the call when no output was used.
+    """
     tape = _ACTIVE
-    for t in (out, *also):
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return out
+    outputs = (out, *also)
+    for t in outputs:
         t.requires_grad = True
         t.tape_id = tape.serial
-    tape.nodes.append(bw)
+
+    def node() -> None:
+        grads = [t.grad for t in outputs]
+        if any(g is not None for g in grads):
+            vjp(*grads)
+
+    tape.nodes.append(node)
     return out
-
-
-def _tracing(*operands: Tensor) -> bool:
-    return _ACTIVE is not None and any(t.requires_grad for t in operands)
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +194,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = x2d @ wv
     if b is not None:
         y += b.values
-    out = Tensor(y.reshape(*xv.shape[:-1], k))
-    if not _tracing(*operands):
-        return out
 
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g: np.ndarray) -> None:
         g2d = g.reshape(-1, k)
         if x.requires_grad:
-            _accum(x, (g2d @ wv.T).reshape(xv.shape), fresh=True)
+            _accum(x, (g2d @ wv.T).reshape(xv.shape))
         if w.requires_grad:
-            _accum(w, x2d.T @ g2d, fresh=True)
+            _accum(w, x2d.T @ g2d)
         if b is not None and b.requires_grad:
-            _accum(b, g2d.sum(axis=0), fresh=True)
+            _accum(b, g2d.sum(axis=0))
 
-    return _emit(out, bw)
+    return _emit(Tensor(y.reshape(*xv.shape[:-1], k)), operands, vjp)
 
 
 def _same_shape(a: Tensor, b: Tensor, name: str) -> None:
@@ -204,40 +215,28 @@ def _same_shape(a: Tensor, b: Tensor, name: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "add")
-    out = Tensor(a.values + b.values)
-    if not _tracing(a, b):
-        return out
 
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
+    def vjp(g: np.ndarray) -> None:
+        # g is the output's own gradient, so each operand gets a copy
+        for t in (a, b):
+            if t.requires_grad:
+                _accum(t, g.copy())
 
-    return _emit(out, bw)
+    return _emit(Tensor(a.values + b.values), (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _same_shape(a, b, "mul")
     av, bv = a.values, b.values
-    out = Tensor(av * bv)
-    if not _tracing(a, b):
-        return out
 
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g: np.ndarray) -> None:
         if a.requires_grad:
             _accum(a, g * bv)
         if b.requires_grad:
             _accum(b, g * av)
 
-    return _emit(out, bw)
+    return _emit(Tensor(av * bv), (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +246,13 @@ def mul(a, b) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     mask = x.values > 0  # gradient at exactly 0 is 0
-    out = Tensor(np.where(mask, x.values, 0.0))
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad * mask)
-
-    return _emit(out, bw)
+    return _emit(Tensor(np.where(mask, x.values, 0.0)), (x,), lambda g: _accum(x, g * mask))
 
 
 def tanh(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     y = np.tanh(x.values)
-    out = Tensor(y)
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad * (1.0 - y * y))
-
-    return _emit(out, bw)
+    return _emit(Tensor(y), (x,), lambda g: _accum(x, g * (1.0 - y * y)))
 
 
 def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -281,15 +264,7 @@ def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid(x.values)
-    out = Tensor(y)
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad * y * (1.0 - y))
-
-    return _emit(out, bw)
+    return _emit(Tensor(y), (x,), lambda g: _accum(x, g * y * (1.0 - y)))
 
 
 ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
@@ -320,14 +295,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = ((x.values - mu) ** 2).mean(axis=-1, keepdims=True)
     s = np.sqrt(var + eps)
     xh = (x.values - mu) / s
-    out = Tensor(xh * gain.values + bias.values)
-    if not _tracing(x, gain, bias):
-        return out
 
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g: np.ndarray) -> None:
         if gain.requires_grad:
             _accum(gain, (g * xh).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -338,7 +307,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             m2 = (gy * xh).mean(axis=-1, keepdims=True)
             _accum(x, (gy - m1 - xh * m2) / s)
 
-    return _emit(out, bw)
+    return _emit(Tensor(xh * gain.values + bias.values), (x, gain, bias), vjp)
 
 
 def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
@@ -350,26 +319,22 @@ def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) ->
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate == 0. The keep mask follows
     :func:`_keep_mask`, the rule :func:`attention` uses too."""
-    if rate <= 0.0:
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout: dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
         return x
-    if rate >= 1.0:
-        raise ContractError("dropout: rate must be < 1")
     x = _as_tensor(x)
     keep = _keep_mask(rng, x.values.shape, rate)
     keep_scale = 1.0 / (1.0 - rate)
     y = x.values * keep
     y *= keep_scale
-    out = Tensor(y)
-    if not _tracing(x):
-        return out
 
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            gx = out.grad * keep
-            gx *= keep_scale
-            _accum(x, gx)
+    def vjp(g: np.ndarray) -> None:
+        gx = g * keep
+        gx *= keep_scale
+        _accum(x, gx)
 
-    return _emit(out, bw)
+    return _emit(Tensor(y), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +343,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.values.reshape(shape))
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad.reshape(x.values.shape))
-
-    return _emit(out, bw)
+    # g is the output's own gradient, and its reshape may be a view of it
+    return _emit(Tensor(x.values.reshape(shape)), (x,), lambda g: _accum(x, g.reshape(x.values.shape).copy()))
 
 
 def tile_leading(x: Tensor, n: int) -> Tensor:
     """Repeat x along a new leading axis: (...,) -> (n, ...)."""
     x = _as_tensor(x)
     out = Tensor(np.broadcast_to(x.values, (n, *x.values.shape)).copy())
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad.sum(axis=0))
-
-    return _emit(out, bw)
+    return _emit(out, (x,), lambda g: _accum(x, g.sum(axis=0)))
 
 
 def last_step(x: Tensor) -> Tensor:
@@ -408,19 +359,13 @@ def last_step(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.values.ndim < 2:
         raise DimensionError(f"last_step needs >=2-D, got {x.values.shape}")
-    out = Tensor(x.values[..., -1, :])
-    if not _tracing(x):
-        return out
 
-    def bw() -> None:
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
+    def vjp(g: np.ndarray) -> None:
         full = np.zeros_like(x.values)
         full[..., -1, :] = g
         _accum(x, full)
 
-    return _emit(out, bw)
+    return _emit(Tensor(x.values[..., -1, :]), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +469,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
             y[..., cols] *= keep_scale
         if full is not None:
             trace.append(full)
-    out = Tensor(y)
-    if not _tracing(q, k, v):
-        return out
 
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g: np.ndarray) -> None:
         dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
         p_buf, ds_buf = np.empty(block_size), np.empty(block_size)
         for i, cols in enumerate(heads):
@@ -564,9 +503,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
             dq *= scale
         for t, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
-                _accum(t, grad, fresh=True)
+                _accum(t, grad)
 
-    return _emit(out, bw)
+    return _emit(Tensor(y), (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -616,14 +555,8 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b
         h = z[:, 3 * hidden:] * np.tanh(c)
         cs[:, s] = c
         hs[:, s] = h
-    h_seq, c_last = Tensor(hs), Tensor(c)
-    if not _tracing(x_seq, h0, c0, w, u, b):
-        return h_seq, c_last
 
-    def bw() -> None:
-        gh, gc = h_seq.grad, c_last.grad
-        if gh is None and gc is None:
-            return
+    def vjp(gh: np.ndarray | None, gc: np.ndarray | None) -> None:
         i, f, g, o = (acts[..., k * hidden:(k + 1) * hidden] for k in range(4))
         # dz starts as the local factors of the four gate pre-activations and
         # is scaled in place, step by step, by the cell-state gradient (i, f
@@ -663,20 +596,21 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b
             dc = dc * f[:, s]
         dz2d = dz.reshape(B * T, H4)
         if x_seq.requires_grad:
-            _accum(x_seq, (dz2d @ w.values.T).reshape(B, T, n_in), fresh=True)
+            _accum(x_seq, (dz2d @ w.values.T).reshape(B, T, n_in))
         if w.requires_grad:
-            _accum(w, x2d.T @ dz2d, fresh=True)
+            _accum(w, x2d.T @ dz2d)
         if u.requires_grad:
             h_prev = np.concatenate([h0.values[:, None], hs[:, :-1]], axis=1)
-            _accum(u, h_prev.reshape(B * T, hidden).T @ dz2d, fresh=True)
+            _accum(u, h_prev.reshape(B * T, hidden).T @ dz2d)
         if b.requires_grad:
-            _accum(b, dz2d.sum(axis=0), fresh=True)
+            _accum(b, dz2d.sum(axis=0))
         if h0.requires_grad:
-            _accum(h0, dh, fresh=True)
+            _accum(h0, dh)
         if c0.requires_grad:
-            _accum(c0, dc, fresh=True)
+            _accum(c0, dc)
 
-    return _emit(h_seq, bw, c_last), c_last
+    c_last = Tensor(c)
+    return _emit(Tensor(hs), (x_seq, h0, c0, w, u, b), vjp, c_last), c_last
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +619,7 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b
 
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.values.sum())
-    if not _tracing(x):
-        return out
-
-    def bw() -> None:
-        if out.grad is not None and x.requires_grad:
-            _accum(x, np.full_like(x.values, float(out.grad)))
-
-    return _emit(out, bw)
+    return _emit(Tensor(x.values.sum()), (x,), lambda g: _accum(x, np.full_like(x.values, float(g))))
 
 
 def rmse(pred: Tensor, truth: Tensor) -> Tensor:
@@ -709,23 +635,15 @@ def rmse(pred: Tensor, truth: Tensor) -> Tensor:
         raise ContractError("rmse: empty operands")
     diff = pred.values - truth.values
     r = math.sqrt(float((diff * diff).mean()))
-    out = Tensor(r)
-    if not _tracing(pred, truth):
-        return out
 
-    n = diff.size
-
-    def bw() -> None:
-        g = out.grad
-        if g is None:
-            return
-        scale = 0.0 if r == 0.0 else float(g) / (n * r)
+    def vjp(g: np.ndarray) -> None:
+        scale = 0.0 if r == 0.0 else float(g) / (diff.size * r)
         if pred.requires_grad:
             _accum(pred, scale * diff)
         if truth.requires_grad:
             _accum(truth, -scale * diff)
 
-    return _emit(out, bw)
+    return _emit(Tensor(r), (pred, truth), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,8 @@ def mark_important(values: np.ndarray, eta: float, z: float, nu: int = 8) -> np.
     thinning keeps the index that is the leftmost maximum within its
     nu-wide neighborhood, so each event contributes one peak.
     """
+    if nu < 0:
+        raise PolicyError(f"nu must be >= 0, got {nu}")
     x = np.asarray(values, dtype=np.float64)
     threshold = eta * z
     candidates = np.flatnonzero(x > threshold)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -293,6 +294,8 @@ def _op_cases():
             lambda x: ad.sum_all(
                 ad.mul(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)), eps=1e-3), x))),
         "reshape": wrap(lambda x: ad.sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
+        "tile_leading": wrap(lambda x: ad.sum_all(
+            ad.tanh(ad.mul(ad.tile_leading(x, 3), ad.tensor(np.linspace(-2.0, 2.0, 48).reshape(3, 4, 4)))))),
         "last_step": wrap(lambda x: ad.sum_all(ad.tanh(ad.last_step(ad.reshape(x, (2, 2, 4)))))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
         # a fresh generator per evaluation, so every evaluation drops the same entries
@@ -312,6 +315,20 @@ def test_every_op_gradient_vs_finite_difference(name):
     assert worst < 1e-4, f"{name}: max rel err {worst}"
 
 
+def test_every_recording_op_has_a_finite_difference_check():
+    # the public ops that record a tape node, found by their call to _emit
+    recording = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                 if fn.__module__ == ad.__name__ and not name.startswith("_") and "_emit(" in inspect.getsource(fn)}
+    assert {"add", "linear", "attention", "lstm_sequence"} <= recording
+    dedicated = {
+        "linear": test_linear_gradient_vs_finite_difference,
+        "attention": test_attention_gradient_vs_finite_difference,
+        "lstm_sequence": test_lstm_sequence_gradient_vs_finite_difference,
+        "sum_all": test_finite_diff_exact_for_linear,  # sum_all alone
+    }
+    assert recording - set(dedicated) - set(_op_cases()) == set()
+
+
 def test_first_gradient_is_a_copy():
     # add hands the same upstream array to a and b; a later accumulation
     # into a must leave b (and the upstream gradient) unchanged
@@ -325,6 +342,17 @@ def test_first_gradient_is_a_copy():
     assert np.array_equal(a.grad, np.full(3, 4.0))
     assert np.array_equal(b.grad, np.ones(3))
     assert np.array_equal(s.grad, np.ones(3))
+    # reshape hands on a view of its output's gradient; a later accumulation
+    # into x must leave that gradient unchanged
+    x = ad.parameter(np.zeros(4))
+    tape = Tape()
+    with record(tape):
+        p = ad.mul(x, ad.tensor(np.full(4, 3.0)))  # recorded first, so its gradient reaches x last
+        r = ad.reshape(x, (2, 2))
+        out = ad.add(ad.sum_all(r), ad.sum_all(p))
+    backward(tape, out)
+    assert np.array_equal(x.grad, np.full(4, 4.0))
+    assert np.array_equal(r.grad, np.ones((2, 2)))
 
 
 def test_sigmoid_matches_three_exp_formula_bitwise():
@@ -528,10 +556,16 @@ def test_attention_rejects_bad_shapes(operand, shape, n_heads):
         ad.attention(*(ad.tensor(v) for v in ops.values()), n_heads)
 
 
-@pytest.mark.parametrize("rate", [-0.1, 1.0])
-def test_attention_rejects_rate_outside_unit_interval(rate):
+@pytest.mark.parametrize("op, rate", [
+    ("attention", -0.1), ("attention", 1.0), ("attention", math.nan),
+    ("dropout", -0.5), ("dropout", 1.0), ("dropout", math.nan),
+], ids=["-0.1", "1.0", "nan", "dropout--0.5", "dropout-1.0", "dropout-nan"])
+def test_attention_rejects_rate_outside_unit_interval(op, rate):
     with pytest.raises(ContractError, match="dropout rate"):
-        ad.attention(*(ad.tensor(v) for v in _attention_operands(5).values()), 2, rate, np.random.default_rng(0))
+        if op == "attention":
+            ad.attention(*(ad.tensor(v) for v in _attention_operands(5).values()), 2, rate, np.random.default_rng(0))
+        else:
+            ad.dropout(ad.tensor(np.ones((2, 3))), rate, np.random.default_rng(0))
 
 
 def test_gradients_accumulate_across_shared_use():

@@ -177,8 +177,8 @@ class TestForward:
         assert not np.array_equal(run(5), eval_out)
 
     def test_gradients_equal_with_every_first_gradient_copied(self, monkeypatch):
-        # the fused ops hand the gradients they allocate to _accum without a
-        # copy; copying every first gradient instead changes no bit
+        # every op hands the gradients it allocates to _accum without a copy;
+        # copying every first gradient instead changes no bit
         cfg = toy_cfg(dropout_rate=0.3)
         batch = toy_batch(cfg)
 
@@ -192,11 +192,25 @@ class TestForward:
 
         handed_over = grads()
         accum = ad._accum
-        monkeypatch.setattr(ad, "_accum", lambda t, g, fresh=False: accum(t, g.copy()))
+        monkeypatch.setattr(ad, "_accum", lambda t, g: accum(t, g.copy()))
         copied = grads()
         assert handed_over.keys() == copied.keys()
         for name, g in copied.items():
             assert np.array_equal(handed_over[name], g), name
+
+    @pytest.mark.parametrize("mode", model.EMBEDDING_MODES)
+    def test_no_two_parameter_gradients_share_memory(self, mode):
+        cfg = toy_cfg(mode, dropout_rate=0.3)
+        params = model.init_params(cfg, 0)
+        tape = ad.Tape()
+        with ad.record(tape):
+            loss = loss_of(params, cfg, toy_batch(cfg), np.random.default_rng(5), training=True)
+        ad.backward(tape, loss)
+        grads = [(name, p.grad) for name, p in params.items() if p.grad is not None]
+        assert len(grads) > len(params) // 2
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
 
     def test_trace_collects_every_head(self):
         cfg = toy_cfg()

@@ -204,6 +204,12 @@ class TestMarkImportant:
         peaks = ov.mark_important(x, eta=1.0, z=5.0, nu=8)
         assert list(peaks) == [13]
 
+    def test_negative_neighborhood_rejected(self):
+        x = np.ones(20)
+        x[5] = 100.0
+        with pytest.raises(ov.PolicyError, match="nu"):
+            ov.mark_important(x, eta=1.2, z=5.0, nu=-2)
+
 
 class TestExpandPeaks:
     def test_ross_setting_eight_issue_points(self):
