@@ -376,13 +376,38 @@ def last_step(x: Tensor) -> Tensor:
 # stays in a 2 MB L2 cache through its softmax and its product with V.
 _BLOCK_ELEMS = 2 ** 17
 
+# A head whose shifted exponentials leave some row sum below e^-600 reruns
+# with each row's exact max as its shift. The bound can exceed a row's max
+# by any amount, and exp loses digits below e^-708, where float64 turns
+# subnormal, and gives 0 below e^-745. A row whose sum reaches e^-600 has a
+# term of at least e^-600 / t_k, so for t_k up to e^18 (6.5e7) keys every
+# term within a factor e^-90 of its largest is a normal float64, and the
+# rest weigh less than one rounding of the sum.
+_MIN_ROW_SUM = math.exp(-600.0)
+
+
+def _score_bounds(qs: np.ndarray, k: np.ndarray, n_heads: int) -> np.ndarray:
+    """Upper bound of every row of every head's scores Q_i K_i^T: for row r of
+    head i, c = sum_c max(q_rc * max_j k_jc, q_rc * min_j k_jc) over head i's
+    columns c. qs is (B, t_q, d) and k (B, t_k, d), t_k >= 1; returns
+    (n_heads, B, t_q, 1)."""
+    B, t_q, d = qs.shape
+    kmax, kmin = k.max(axis=1)[:, None], k.min(axis=1)[:, None]
+    c = np.maximum(qs * kmax, qs * kmin).reshape(B, t_q, n_heads, d // n_heads).sum(axis=-1)
+    return np.moveaxis(c, -1, 0)[..., None]
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """x (..., n) with a column of ones appended: (..., n + 1)."""
+    return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
+
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
               rng: np.random.Generator | None = None, trace: list | None = None) -> Tensor:
     """Unmasked multi-head scaled dot-product attention; returns (B, t_q, d).
 
-    q is (B, t_q, d); k and v are (B, t_k, d). Head i owns column block i,
-    of width d_head = d / n_heads, of all three and computes
+    q is (B, t_q, d); k and v are (B, t_k, d) with t_k >= 1. Head i owns
+    column block i, of width d_head = d / n_heads, of all three and computes
         P_i = softmax(Q_i K_i^T / sqrt(d_head)),  out_i = (P_i * M_i) V_i / (1 - rate)
     into column block i of the output. M_i is 1 everywhere unless ``rng``
     is given and ``rate`` > 0; then each head draws its boolean keep mask
@@ -394,15 +419,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     training run repeats for a seed only under the same rule. Eval mode and
     dropout off draw nothing from ``rng``.
 
+    The softmax shifts each row of scores S_i = Q_i K_i^T / sqrt(d_head) by
+    an upper bound of the row, c_r = sum_c max(q_rc max_j k_jc, q_rc min_j
+    k_jc) (:func:`_score_bounds`), instead of its max, so no pass over the
+    scores is needed to find the shift: one product of [Q_i, -c] with
+    [K_i, 1]^T gives S_i - c, and one in-place exp gives E_i <= 1. Without
+    dropout, E_i [V_i, 1] gives the unnormalised output and the row sums in
+    one product; with dropout the row sums are taken before the mask. The
+    (t_q, d_head) output is then divided by the row sums. Softmax does not
+    depend on the shift, but a bound far above the max underflows E_i: if
+    any row sum of a head falls below ``_MIN_ROW_SUM`` (e^-600), that head
+    reruns with each row's exact max as its shift. This is the "unified
+    max" of FlashDecoding++ (Hong et al., arXiv:2311.01282), with a bound
+    per row.
+
     Each head runs over blocks of rows of q, so that a block's
-    (B, rows, t_k) scores take about 1 MB (``_BLOCK_ELEMS``). One reused
-    buffer holds the scores, their row max, exp, row sum and normalisation
-    in turn, then the mask and the product with V_i. No (t_q, t_k) float
-    array outlives its block: the tape keeps each row's max and sum, of
-    shape (n_heads, B, t_q, 1), and the keep masks. Backward recomputes
-    each block of P_i with the same operations on the same block shapes,
-    so it equals the forward's P_i bit for bit. It takes the softmax row
-    term rowsum(dP_i * P_i) as the row dot g_i . out_i over (t_q, d_head),
+    (B, rows, t_k) scores take about 1 MB (``_BLOCK_ELEMS``); one reused
+    buffer holds a block of E_i, masked in place under dropout. No
+    (t_q, t_k) float array outlives its block: the tape keeps ``stats``, of shape
+    (2, n_heads, B, t_q, 1), with each row's shift (bound or exact max) in
+    stats[0] and its sum of E_i in stats[1], and the keep masks. Backward
+    rebuilds [Q_i, -c] and [K_i, 1] from the kept values and shift, and
+    runs the same product and exp on the same block shapes, so its E_i
+    equals the forward's bit for bit and matches the kept row sums. It
+    folds 1 / rowsum and the dropout scale into g_i and into the softmax
+    row term rowsum(dP_i * P_i) = g_i . out_i, so the scores' gradient is
+    dS_i = E_i * (g'_i V_i^T [* M_i] - rowdot'_i) without forming P_i. It
     writes dq block by block and accumulates dk and dv over the blocks.
     This is the row-block recompute of FlashAttention (Dao et al.,
     arXiv:2205.14135) without the online softmax.
@@ -415,8 +457,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} are not (B, t_q, d), (B, t_k, d) x 2")
     B, t_q, d = q.shape
     t_k = k.shape[1]
-    if n_heads < 1 or d % n_heads:
-        raise DimensionError(f"attention: width {d} is not divisible by n_heads = {n_heads}")
+    if t_k == 0:
+        raise DimensionError(f"attention: k {k.shape} has no keys to attend to")
+    if n_heads < 1 or d < n_heads or d % n_heads:
+        raise DimensionError(f"attention: width {d} does not split into n_heads = {n_heads} heads")
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"attention: dropout rate must be in [0, 1), got {rate}")
     d_head = d // n_heads
@@ -434,64 +478,83 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         n = r.stop - r.start
         return buf[:B * n * t_k].reshape(B, n, t_k)
 
-    stats = np.empty((2, n_heads, B, t_q, 1))  # each row's max and sum, kept for backward
+    stats = np.empty((2, n_heads, B, t_q, 1))  # each row's shift and sum of E, kept for backward
+    stats[0] = _score_bounds(qs, kv, n_heads)
 
-    def probs(buf: np.ndarray, i: int, r: slice, recompute: bool) -> np.ndarray:
-        """Head i's P over the rows r, in ``buf``. The first pass stores each
-        row's max and sum; a recompute reads them back, so both passes give
-        the same P."""
-        cols, row_max, row_sum = heads[i], stats[0, i, :, r], stats[1, i, :, r]
-        p = np.matmul(qs[:, r, cols], np.swapaxes(kv[..., cols], -1, -2), out=block(buf, r))
-        if not recompute:
-            np.max(p, axis=-1, keepdims=True, out=row_max)
-        p -= row_max
-        np.exp(p, out=p)
-        if not recompute:
-            np.sum(p, axis=-1, keepdims=True, out=row_sum)
-        p /= row_sum
-        return p
+    def shifted(i: int) -> tuple[np.ndarray, np.ndarray]:
+        """[Q_i, -shift] and [K_i, 1]^T of head i: their product is S_i - shift."""
+        cols = heads[i]
+        return np.concatenate([qs[..., cols], -stats[0, i]], axis=-1), np.swapaxes(_with_ones(kv[..., cols]), -1, -2)
+
+    def exps(buf: np.ndarray, qa: np.ndarray, kat: np.ndarray, r: slice) -> np.ndarray:
+        """exp(S_i - shift) over the rows r, in ``buf``."""
+        e = np.matmul(qa[:, r], kat, out=block(buf, r))
+        return np.exp(e, out=e)
 
     y = np.empty(q.shape)
-    p_buf = np.empty(block_size)
+    e_buf = np.empty(block_size)
+
+    def head_forward(i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
+        """Head i's unnormalised output into y and its row sums into stats[1]."""
+        cols, row_sum = heads[i], stats[1, i]
+        qa, kat = shifted(i)
+        va = None if drop else _with_ones(vv[..., cols])
+        for r in row_blocks:
+            e = exps(e_buf, qa, kat, r)
+            if full is not None:
+                full[:, r] = e
+            if drop:
+                np.sum(e, axis=-1, keepdims=True, out=row_sum[:, r])
+                e *= keep[:, r]
+                y[:, r, cols] = np.matmul(e, vv[..., cols])
+            else:
+                ya = np.matmul(e, va)
+                y[:, r, cols] = ya[..., :-1]
+                row_sum[:, r] = ya[..., -1:]
+
     keeps = []
     for i, cols in enumerate(heads):
         keep = _keep_mask(rng, (B, t_q, t_k), rate) if drop else None
         keeps.append(keep)
         full = None if trace is None else np.empty((B, t_q, t_k))
-        for r in row_blocks:
-            p = probs(p_buf, i, r, recompute=False)
-            if full is not None:
-                full[:, r] = p
-            if drop:
-                p *= keep[:, r]
-            y[:, r, cols] = np.matmul(p, vv[..., cols])
+        head_forward(i, keep, full)
+        if np.any(stats[1, i] < _MIN_ROW_SUM):
+            kt = np.swapaxes(kv[..., cols], -1, -2)
+            for r in row_blocks:
+                s = np.matmul(qs[:, r, cols], kt, out=block(e_buf, r))
+                np.max(s, axis=-1, keepdims=True, out=stats[0, i, :, r])
+            head_forward(i, keep, full)
+        y[..., cols] /= stats[1, i]
         if drop:
             y[..., cols] *= keep_scale
         if full is not None:
+            full /= stats[1, i]
             trace.append(full)
 
     def vjp(g: np.ndarray) -> None:
         dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
-        p_buf, ds_buf = np.empty(block_size), np.empty(block_size)
+        e_buf, ds_buf = np.empty(block_size), np.empty(block_size)
         for i, cols in enumerate(heads):
+            inv_sum = 1.0 / stats[1, i]
             gi = g[..., cols]
             row_dot = (gi * y[..., cols]).sum(axis=-1, keepdims=True)  # rowsum(dP_i * P_i)
-            if drop:
-                gi = gi * keep_scale
+            row_dot *= inv_sum
+            gi = gi * (inv_sum * keep_scale if drop else inv_sum)  # g'_i: dP_i * P_i = (g'_i V_i^T [* M_i]) * E_i
+            qa, kat = shifted(i)
             ki, vi = kv[..., cols], vv[..., cols]
             dk_i = np.zeros((B, t_k, d_head))
             dv_i = np.zeros((B, t_k, d_head))
             for r in row_blocks:
-                p = probs(p_buf, i, r, recompute=True)
-                # ds: gradient of this block of P_i, turned in place into that of the scores
+                e = exps(e_buf, qa, kat, r)
+                # ds: the scores' gradient, built in place
                 ds = np.matmul(gi[:, r], np.swapaxes(vi, -1, -2), out=block(ds_buf, r))
                 if drop:
                     ds *= keeps[i][:, r]
                 ds -= row_dot[:, r]
-                ds *= p
+                ds *= e
                 if drop:
-                    p *= keeps[i][:, r]
-                dv_i += np.matmul(np.swapaxes(p, -1, -2), gi[:, r])
+                    e *= keeps[i][:, r]
+                dv_i += np.matmul(np.swapaxes(e, -1, -2), gi[:, r])
                 if dq is not None:
                     dq[:, r, cols] = np.matmul(ds, ki)
                 dk_i += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r, cols])

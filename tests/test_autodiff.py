@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -536,6 +536,137 @@ def test_attention_gradient_through_one_shared_operand():
         return ad.sum_all(ad.mul(ad.attention(x, x, x, 4, 0.4, np.random.default_rng(2)), wy))
 
     assert finite_diff_check(loss, ad.parameter(x0), eps=1e-6) < 1e-6
+
+
+def softmax_attention(q, k, v, n_heads, rate=0.0, rng=None):
+    """Plain-numpy reference of ad.attention: per head, softmax(Q_i K_i^T /
+    sqrt(d_head)) shifted by each row's exact max, times V_i, with keep masks
+    drawn in head order when ``rng`` is given. Returns the output and every
+    head's P_i."""
+    d_head = q.shape[-1] // n_heads
+    out, maps = np.empty(q.shape), []
+    for lo in range(0, q.shape[-1], d_head):
+        cols = slice(lo, lo + d_head)
+        s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(d_head)
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        maps.append(p)
+        if rng is not None:
+            p = p * ad._keep_mask(rng, p.shape, rate) / (1.0 - rate)
+        out[..., cols] = p @ v[..., cols]
+    return out, maps
+
+
+def _assert_matches_softmax_reference(ops, n_heads, rate):
+    """ad.attention and its trace maps equal the reference to 1e-12,
+    relative to the largest value the output can reach."""
+    trace = []
+    got = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), n_heads, rate, np.random.default_rng(3), trace).values
+    want, maps = softmax_attention(*(ops[n] for n in "qkv"), n_heads, rate,
+                                   np.random.default_rng(3) if rate > 0 else None)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(ops["v"]).max() / (1.0 - rate)
+    assert len(trace) == len(maps)
+    for p, ref in zip(trace, maps):
+        assert np.abs(p - ref).max() <= 1e-12
+
+
+# score scales from 1e-3 to 1e3: near 1e3, about one row in eight has a
+# bound more than 600 above its max, and its head takes the exact-max path
+# (two rows do in each explicit example)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0), B=st.integers(1, 2),
+       t_q=st.integers(1, 6), t_k=st.integers(1, 6), n_heads=st.sampled_from([1, 2, 4]),
+       rate=st.sampled_from([0.0, 0.4]))
+@example(seed=1, log_scale=3.0, B=2, t_q=4, t_k=5, n_heads=2, rate=0.0)
+@example(seed=1, log_scale=3.0, B=2, t_q=4, t_k=5, n_heads=2, rate=0.4)
+def test_attention_matches_softmax_reference(seed, log_scale, B, t_q, t_k, n_heads, rate):
+    ops = _attention_operands(t_k, seed, B, t_q)
+    ops["q"] *= 10.0 ** log_scale
+    _assert_matches_softmax_reference(ops, n_heads, rate)
+
+
+def _loose_bound_operands(seed=0, B=2, t_q=3, t_k=5, d=8):
+    """Operands for two heads of width 4 whose score bound exceeds the max
+    of query row 0 by about 800 in every head and batch: each key's columns
+    alternate +-20 (sign per key) and row 0 of q is near 20 in every
+    column, so its scores stay within a few units of 0 while the bound is
+    sum_c |q_c| 20 / 2. The other rows score within a few units too."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size=(B, t_k, 1))
+    k = 20.0 * sign * np.tile([1.0, -1.0], d // 2) + 0.05 * rng.normal(size=(B, t_k, d))
+    q = 0.1 * rng.normal(size=(B, t_q, d))
+    q[:, 0] = 20.0 + 0.05 * rng.normal(size=(B, d))
+    return {"q": q, "k": k, "v": rng.normal(size=(B, t_k, d))}
+
+
+def _bound_gaps(ops, n_heads):
+    """Each head's score bound minus each row's max: (n_heads, B, t_q)."""
+    d_head = ops["q"].shape[-1] // n_heads
+    qs = ops["q"] / math.sqrt(d_head)
+    bound = ad._score_bounds(qs, ops["k"], n_heads)[..., 0]
+    gaps = []
+    for i in range(n_heads):
+        cols = slice(i * d_head, (i + 1) * d_head)
+        s = qs[..., cols] @ np.swapaxes(ops["k"][..., cols], -1, -2)
+        gaps.append(bound[i] - s.max(axis=-1))
+    return np.stack(gaps)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+def test_attention_falls_back_to_row_max_when_bound_is_loose(rate):
+    # with the bound as shift, row 0's exponentials all underflow to 0
+    ops = _loose_bound_operands()
+    gaps = _bound_gaps(ops, 2)
+    assert np.all(gaps[:, :, 0] > 600.0) and np.all(gaps[:, :, 1:] < 600.0)
+    _assert_matches_softmax_reference(ops, 2, rate)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("operand", ["q", "k", "v"])
+def test_attention_gradient_with_loose_bound(operand, rate):
+    ops = {name: ad.tensor(v) for name, v in _loose_bound_operands().items()}
+    wy = ad.tensor(np.random.default_rng(1).normal(size=ops["q"].shape))
+
+    def loss(x: Tensor) -> Tensor:
+        out = ad.attention(**{**ops, operand: x}, n_heads=2, rate=rate, rng=np.random.default_rng(2))
+        return ad.sum_all(ad.mul(out, wy))
+
+    x = ad.parameter(ops[operand].values.copy())
+    assert finite_diff_check(loss, x, eps=1e-6) < 1e-6
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t_k=st.integers(1, 5), n_heads=st.sampled_from([1, 2, 4]))
+def test_score_bound_is_at_least_every_row_max(seed, t_k, n_heads):
+    # integer operands, so every product and sum here is exact in float64
+    rng = np.random.default_rng(seed)
+    qs = rng.integers(-1000, 1001, size=(2, 3, 4)).astype(np.float64)
+    k = rng.integers(-1000, 1001, size=(2, t_k, 4)).astype(np.float64)
+    bound = ad._score_bounds(qs, k, n_heads)
+    assert bound.shape == (n_heads, 2, 3, 1)
+    d_head = 4 // n_heads
+    for i in range(n_heads):
+        cols = slice(i * d_head, (i + 1) * d_head)
+        row_max = (qs[..., cols] @ np.swapaxes(k[..., cols], -1, -2)).max(axis=-1, keepdims=True)
+        assert np.all(bound[i] >= row_max)
+        if t_k == 1:  # one key: the bound is its score
+            assert np.array_equal(bound[i], row_max)
+
+
+@pytest.mark.parametrize("t_k, d", [(0, 4), (5, 0)], ids=["no_keys", "no_width"])
+def test_attention_rejects_no_keys_or_no_width(t_k, d):
+    ops = _attention_operands(t_k, d=d)
+    with pytest.raises(DimensionError, match="attention"):
+        ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 2)
+
+
+@pytest.mark.parametrize("B, t_q", [(0, 3), (2, 0)], ids=["no_batch", "no_queries"])
+def test_attention_empty_operands_give_empty_results(B, t_q):
+    ops = _attention_operands(5, B=B, t_q=t_q)
+    out, *grads = _attention_grads(ops, np.ones((B, t_q, 4)))
+    assert out.shape == (B, t_q, 4)
+    for name, grad in zip("qkv", grads, strict=True):
+        assert grad.shape == ops[name].shape and not grad.any()
 
 
 @pytest.mark.parametrize("operand, shape, n_heads", [
