@@ -23,6 +23,17 @@ multi-head attention block, and :func:`lstm_sequence` a whole LSTM layer,
 whose node serves both its outputs (the hidden sequence and the last
 cell state).
 
+:func:`attention` runs its heads, forward and backward, on one
+process-wide pool of threads, one per usable CPU, when two or more CPUs
+are usable, there are two or more heads and a head has at least
+``_BLOCK_ELEMS`` scores; smaller calls run their heads serially. Either
+way the results are the same bit for bit, and dropout masks are drawn in
+head order by the calling thread, so a seed gives the same run on any CPU
+count; pin a process to one CPU to run it serially. The pool is made on
+first use, and a forked child makes its own on its first pooled call. It
+assumes a single-threaded BLAS (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``);
+a BLAS that threads each product too competes with it for the CPUs.
+
 Shapes follow numpy row-major conventions. Elementwise ops take equal
 shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
 no silent broadcasting ever happens.
@@ -32,10 +43,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 class DimensionError(ValueError):
@@ -321,6 +336,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     :func:`_keep_mask`, the rule :func:`attention` uses too."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout: dropout rate must be in [0, 1), got {rate}")
+    if rng is None:
+        raise ContractError("dropout: rng must be a numpy Generator, got None")
     if rate == 0.0:
         return x
     x = _as_tensor(x)
@@ -384,6 +401,71 @@ _BLOCK_ELEMS = 2 ** 17
 # term within a factor e^-90 of its largest is a normal float64, and the
 # rest weigh less than one rounding of the sum.
 _MIN_ROW_SUM = math.exp(-600.0)
+
+# The threads that run attention heads; see _head_pool.
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _head_pool() -> ThreadPoolExecutor:
+    """The pool that runs attention heads, shared by all calls in the
+    process and made on first use with one thread per usable CPU."""
+    global _POOL
+    if _POOL is None:
+        # imported here: concurrent.futures imports logging, ~0.75 MB that
+        # a process whose heads all run serially need not load
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="attention-head")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child. The child copies the executor but
+    none of its threads, so work submitted to the copy would never run;
+    its first pooled call makes a new pool instead."""
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_heads(head: Callable[..., None], calls: Iterable[tuple], buffers: list, pooled: bool) -> None:
+    """Run ``head(buf, *args)`` for every ``args`` that ``calls`` yields and
+    return when all are done. ``buf`` is one of ``buffers`` that no running
+    call holds, so the calls running at once are at most len(buffers).
+
+    Serial, every call runs in this thread with buffers[0]. Pooled, each is
+    submitted to the shared pool as soon as ``calls`` yields it, so the work
+    ``calls`` does in this thread before its next yield overlaps the heads
+    already submitted. The caller allocates ``buffers``: memory a pool
+    thread allocates stays in that thread's malloc arena once freed.
+    """
+    if not pooled:
+        for args in calls:
+            head(buffers[0], *args)
+        return
+    import queue  # loaded, like concurrent.futures, only by processes that pool
+
+    free = queue.SimpleQueue()
+    for buf in buffers:
+        free.put(buf)
+
+    def run(*args) -> None:
+        buf = free.get()
+        try:
+            head(buf, *args)
+        finally:
+            free.put(buf)
+
+    pool = _head_pool()
+    for future in [pool.submit(run, *args) for args in calls]:
+        future.result()
 
 
 def _score_bounds(qs: np.ndarray, k: np.ndarray, n_heads: int) -> np.ndarray:
@@ -450,7 +532,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     arXiv:2205.14135) without the online softmax.
 
     When ``trace`` is given, every head's P_i (before dropout) is copied
-    block by block into a full (B, t_q, t_k) array appended to it.
+    block by block into a full (B, t_q, t_k) array; the arrays are appended
+    to it in head order.
+
+    Heads are independent, so they run on a shared pool of threads, one per
+    usable CPU (:func:`_head_pool`), in forward and in backward, when two or
+    more CPUs are usable, n_heads >= 2 and a head has at least
+    ``_BLOCK_ELEMS`` scores (B t_q t_k). Smaller calls run their heads one
+    after another in the calling thread, through the same per-head code; to
+    run a process serially, pin it to one CPU. Pooled or not, results are
+    the same bit for bit: each head's arithmetic does not depend on the
+    thread that runs it, and heads write disjoint column blocks of the
+    output, ``stats`` and the gradients. The calling thread draws each
+    head's keep mask in head order before it submits that head, so a seed
+    gives the same run on any CPU count, and the draws overlap the heads
+    already running. Each head in flight holds one of the block buffers that
+    the calling thread allocates and reuses (two in backward). The pool
+    relies on numpy releasing the GIL in its products, exp and elementwise
+    loops, and assumes a single-threaded BLAS: a BLAS that threads each
+    product as well contends with the pool for the same CPUs. A process
+    forked after a pooled call drops the inherited pool, whose threads do
+    not exist in the child, and makes a new one on its first pooled call
+    (:func:`_forget_pool`).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
@@ -472,6 +575,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     rows = max(1, _BLOCK_ELEMS // max(1, B * t_k))
     row_blocks = [slice(lo, min(lo + rows, t_q)) for lo in range(0, t_q, rows)]
     block_size = B * min(rows, t_q) * t_k
+    workers = min(n_heads, _usable_cpus()) if n_heads >= 2 and B * t_q * t_k >= _BLOCK_ELEMS else 1
+    pooled = workers >= 2
 
     def block(buf: np.ndarray, r: slice) -> np.ndarray:
         """The leading part of ``buf`` as a contiguous (B, rows in r, t_k) array."""
@@ -492,9 +597,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         return np.exp(e, out=e)
 
     y = np.empty(q.shape)
-    e_buf = np.empty(block_size)
 
-    def head_forward(i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
+    def head_pass(e_buf: np.ndarray, i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
         """Head i's unnormalised output into y and its row sums into stats[1]."""
         cols, row_sum = heads[i], stats[1, i]
         qa, kat = shifted(i)
@@ -512,29 +616,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
                 y[:, r, cols] = ya[..., :-1]
                 row_sum[:, r] = ya[..., -1:]
 
-    keeps = []
-    for i, cols in enumerate(heads):
-        keep = _keep_mask(rng, (B, t_q, t_k), rate) if drop else None
-        keeps.append(keep)
-        full = None if trace is None else np.empty((B, t_q, t_k))
-        head_forward(i, keep, full)
+    def head_forward(e_buf: np.ndarray, i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
+        """Head i's output into column block i of y, with the exact-max rerun
+        when its bound underflows, and its P_i into ``full`` when traced."""
+        cols = heads[i]
+        head_pass(e_buf, i, keep, full)
         if np.any(stats[1, i] < _MIN_ROW_SUM):
             kt = np.swapaxes(kv[..., cols], -1, -2)
             for r in row_blocks:
                 s = np.matmul(qs[:, r, cols], kt, out=block(e_buf, r))
                 np.max(s, axis=-1, keepdims=True, out=stats[0, i, :, r])
-            head_forward(i, keep, full)
+            head_pass(e_buf, i, keep, full)
         y[..., cols] /= stats[1, i]
         if drop:
             y[..., cols] *= keep_scale
         if full is not None:
             full /= stats[1, i]
-            trace.append(full)
+
+    keeps: list[np.ndarray | None] = []
+    maps: list[np.ndarray | None] = []
+
+    def forward_calls():
+        """Each head's arguments in head order, its keep mask drawn here, in
+        the calling thread, just before the head is yielded."""
+        for i in range(n_heads):
+            keeps.append(_keep_mask(rng, (B, t_q, t_k), rate) if drop else None)
+            maps.append(None if trace is None else np.empty((B, t_q, t_k)))
+            yield i, keeps[i], maps[i]
+
+    _run_heads(head_forward, forward_calls(), [np.empty(block_size) for _ in range(workers)], pooled)
+    if trace is not None:
+        trace.extend(maps)
 
     def vjp(g: np.ndarray) -> None:
         dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
-        e_buf, ds_buf = np.empty(block_size), np.empty(block_size)
-        for i, cols in enumerate(heads):
+
+        def head_backward(bufs: tuple[np.ndarray, np.ndarray], i: int) -> None:
+            """Head i's column blocks of dq (unscaled), dk and dv."""
+            e_buf, ds_buf = bufs
+            cols = heads[i]
             inv_sum = 1.0 / stats[1, i]
             gi = g[..., cols]
             row_dot = (gi * y[..., cols]).sum(axis=-1, keepdims=True)  # rowsum(dP_i * P_i)
@@ -562,6 +682,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
                 dk[..., cols] = dk_i
             if dv is not None:
                 dv[..., cols] = dv_i
+
+        _run_heads(head_backward, ((i,) for i in range(n_heads)),
+                   [(np.empty(block_size), np.empty(block_size)) for _ in range(workers)], pooled)
         if dq is not None:
             dq *= scale
         for t, grad in ((q, dq), (k, dk), (v, dv)):

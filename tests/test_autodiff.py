@@ -1,6 +1,12 @@
 import inspect
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -699,6 +705,169 @@ def test_attention_rejects_rate_outside_unit_interval(op, rate):
             ad.dropout(ad.tensor(np.ones((2, 3))), rate, np.random.default_rng(0))
 
 
+def _head_pool_calls(monkeypatch, cpus):
+    """Report ``cpus`` usable CPUs to attention and count its pool requests;
+    returns the list that grows by one per request."""
+    calls = []
+    pool = ad._head_pool
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "_head_pool", lambda: calls.append(1) or pool())
+    return calls
+
+
+def _pool_sized_operands(B, fallback, seed=0, n_heads=4, d_head=4):
+    """Operands for n_heads heads of width d_head with at least
+    ``_BLOCK_ELEMS`` scores per head, so they run pooled when two CPUs are
+    usable. With ``fallback``, head 0 alone has keys whose columns
+    alternate +-20 and a query row 0 near 20 (see _loose_bound_operands):
+    its bound exceeds that row's max by far more than 600, so head 0 alone
+    takes the exact-max rerun and does twice the work of the others."""
+    t = math.isqrt(ad._BLOCK_ELEMS // B) + 1
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(B, t, n_heads * d_head)) for _ in range(3))
+    if fallback:
+        sign = rng.choice([-1.0, 1.0], size=(B, t, 1))
+        k[..., :d_head] = 20.0 * sign * np.tile([1.0, -1.0], d_head // 2)
+        q[:, 0, :d_head] = 20.0 + 0.05 * rng.normal(size=(B, d_head))
+        assert np.all(_bound_gaps({"q": q, "k": k}, n_heads)[0, :, 0] > 600.0)
+    return {"q": q, "k": k, "v": v}
+
+
+def _pooled_and_serial(monkeypatch, ops, rate, n_heads=4, pooled_cpus=2):
+    """Output, gradients and trace maps of one taped call pooled on
+    ``pooled_cpus`` CPUs and of one run serially, and how often each asked
+    for the pool."""
+    g = np.random.default_rng(1).normal(size=ops["q"].shape)
+    runs = []
+    for cpus in (pooled_cpus, 1):
+        with monkeypatch.context() as m:
+            calls = _head_pool_calls(m, cpus)
+            q, k, v = (ad.parameter(ops[name]) for name in "qkv")
+            trace, tape = [], Tape()
+            with record(tape):
+                out = ad.attention(q, k, v, n_heads, rate, np.random.default_rng(3), trace)
+            out.grad = g
+            tape.nodes[-1]()
+            runs.append(((out.values, q.grad, k.grad, v.grad, *trace), len(calls)))
+    return runs
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["bound", "exact_max_head"])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+def test_attention_pooled_heads_match_serial_bit_for_bit(rate, B, fallback, monkeypatch):
+    ops = _pool_sized_operands(B, fallback)
+    (pooled, pool_calls), (serial, serial_calls) = _pooled_and_serial(monkeypatch, ops, rate)
+    assert pool_calls == 2 and serial_calls == 0  # forward and backward
+    assert len(pooled) == len(serial) == 4 + 4
+    for want, got in zip(serial, pooled, strict=True):
+        assert np.array_equal(want, got)
+
+
+class _LastFirstPool:
+    """Executor double that runs nothing until a result is asked for, and then
+    runs every waiting task in this thread, last submitted first: heads
+    finish in reverse order and start only after every head is submitted."""
+
+    def __init__(self):
+        self.waiting = []
+
+    def submit(self, fn, *args):
+        future = _LastFirstFuture(self)
+        self.waiting.append((future, fn, args))
+        return future
+
+    def run_all(self):
+        while self.waiting:
+            future, fn, args = self.waiting.pop()
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+
+class _LastFirstFuture(Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.run_all()
+        return super().result(timeout)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+def test_attention_heads_finishing_out_of_order_change_nothing(rate, monkeypatch):
+    # keep masks must be drawn before each head is submitted, and trace
+    # maps kept in head order, whatever order the heads run and finish in
+    ops = _pool_sized_operands(1, fallback=False)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+    serial = _attention_grads(ops, np.ones(ops["q"].shape), trace := [], rate)
+    pool = _LastFirstPool()
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "_head_pool", lambda: pool)
+    reordered = _attention_grads(ops, np.ones(ops["q"].shape), reordered_trace := [], rate)
+    for want, got in zip((*serial, *trace), (*reordered, *reordered_trace), strict=True):
+        assert np.array_equal(want, got)
+
+
+def test_attention_pool_with_more_threads_than_cpus_matches_serial(monkeypatch):
+    # eight heads on a new pool of eight threads, switching every microsecond
+    ops = _pool_sized_operands(1, fallback=True, n_heads=8)
+    monkeypatch.setattr(ad, "_POOL", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (pooled, pool_calls), (serial, _) = _pooled_and_serial(monkeypatch, ops, 0.4, n_heads=8, pooled_cpus=8)
+        assert ad._POOL._max_workers == 8
+    finally:
+        sys.setswitchinterval(interval)
+        if ad._POOL is not None:
+            ad._POOL.shutdown()
+    assert pool_calls == 2
+    for want, got in zip(serial, pooled, strict=True):
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("rows", [1, 2], ids=["one_row", "uneven_tail"])
+@pytest.mark.parametrize("t_k", [3, 5], ids=["self", "cross"])
+def test_attention_row_block_tests_run_pooled(rows, t_k, monkeypatch):
+    # small_row_blocks shrinks the block below a head's scores, so the
+    # row-block gradient tests above run their heads on the pool
+    small_row_blocks(monkeypatch, rows, 2, t_k)
+    calls = _head_pool_calls(monkeypatch, 2)
+    _attention_fd_error("q", t_k, 0.4)
+    assert calls
+
+
+def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch):
+    # the child inherits the pool object but not its threads; it must make
+    # a new pool instead of waiting forever on the copy
+    ops = _pool_sized_operands(1, fallback=False)
+    calls = _head_pool_calls(monkeypatch, 2)
+    want = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 4).values
+    assert calls and ad._POOL is not None
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on every fork of a process with threads
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 4).values
+            code = 0 if np.array_equal(got, want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's pooled attention call did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_gradients_accumulate_across_shared_use():
     x = ad.parameter([2.0])
     tape = Tape()
@@ -716,6 +885,11 @@ def test_dropout_identity_at_zero_rate_and_scales_expectation():
     kept = out[out > 0]
     assert np.allclose(kept, 2.0)
     assert abs(out.mean() - 1.0) < 0.1
+
+
+def test_dropout_rejects_missing_generator():
+    with pytest.raises(ContractError, match="dropout: rng"):
+        ad.dropout(ad.tensor(np.ones((2, 3))), 0.1, None)
 
 
 def test_no_tape_means_no_graph():
