@@ -55,8 +55,8 @@ def encode(windows: np.ndarray, params: dict[str, Tensor], cfg: AeeConfig) -> li
     inp = ad.tensor(np.swapaxes(windows, 1, 2))  # (B, t, m)
     states = []
     for layer in range(cfg.layers):
-        inp, c = ad.lstm_sequence(inp, zeros, zeros, *_layer(params, "enc", layer))
-        states.append((ad.last_step(inp), c))
+        inp, h, c = ad.lstm_sequence(inp, zeros, zeros, *_layer(params, "enc", layer))
+        states.append((h, c))
     return states
 
 
@@ -105,7 +105,7 @@ def decode(
         ts_features = ts_features[None, ...]
     inp = ad.tensor(ts_features)
     for layer, (h, c) in enumerate(latents):
-        inp, _ = ad.lstm_sequence(inp, h, c, *_layer(params, "dec", layer))
+        inp, _, _ = ad.lstm_sequence(inp, h, c, *_layer(params, "dec", layer))
     return inp
 
 

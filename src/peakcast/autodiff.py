@@ -20,8 +20,8 @@ they pass on.
 A fused op records one node for a whole computation: :func:`linear`
 runs a dense layer (product and bias), :func:`attention` every head of a
 multi-head attention block, and :func:`lstm_sequence` a whole LSTM layer,
-whose node serves both its outputs (the hidden sequence and the last
-cell state).
+whose node serves its three outputs: the hidden sequence and the last
+step's hidden and cell states.
 
 :func:`attention` runs its heads, forward and backward, on one
 process-wide pool of threads, one per usable CPU, when two or more CPUs
@@ -270,15 +270,11 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(Tensor(y), (x,), lambda g: _accum(x, g * (1.0 - y * y)))
 
 
-def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|v|)."""
-    e = np.exp(-np.abs(v))
-    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
-
-
 def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|x|)."""
     x = _as_tensor(x)
-    y = _sigmoid(x.values)
+    e = np.exp(-np.abs(x.values))
+    y = np.where(x.values >= 0, 1.0, e) / (1.0 + e)
     return _emit(Tensor(y), (x,), lambda g: _accum(x, g * y * (1.0 - y)))
 
 
@@ -369,20 +365,6 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.broadcast_to(x.values, (n, *x.values.shape)).copy())
     return _emit(out, (x,), lambda g: _accum(x, g.sum(axis=0)))
-
-
-def last_step(x: Tensor) -> Tensor:
-    """x[..., -1, :], the last step of a (..., T, d) sequence."""
-    x = _as_tensor(x)
-    if x.values.ndim < 2:
-        raise DimensionError(f"last_step needs >=2-D, got {x.values.shape}")
-
-    def vjp(g: np.ndarray) -> None:
-        full = np.zeros_like(x.values)
-        full[..., -1, :] = g
-        _accum(x, full)
-
-    return _emit(Tensor(x.values[..., -1, :]), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +509,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     folds 1 / rowsum and the dropout scale into g_i and into the softmax
     row term rowsum(dP_i * P_i) = g_i . out_i, so the scores' gradient is
     dS_i = E_i * (g'_i V_i^T [* M_i] - rowdot'_i) without forming P_i. It
-    writes dq block by block and accumulates dk and dv over the blocks.
+    writes dq block by block and sums dk and dv over the blocks in reused
+    (B, t_k, d_head) buffers, each block's product made with ``out=`` in a
+    third one.
     This is the row-block recompute of FlashAttention (Dao et al.,
     arXiv:2205.14135) without the online softmax.
 
@@ -547,7 +531,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     head's keep mask in head order before it submits that head, so a seed
     gives the same run on any CPU count, and the draws overlap the heads
     already running. Each head in flight holds one of the block buffers that
-    the calling thread allocates and reuses (two in backward). The pool
+    the calling thread allocates and reuses (three in backward). The pool
     relies on numpy releasing the GIL in its products, exp and elementwise
     loops, and assumes a single-threaded BLAS: a BLAS that threads each
     product as well contends with the pool for the same CPUs. A process
@@ -651,9 +635,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     def vjp(g: np.ndarray) -> None:
         dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
 
-        def head_backward(bufs: tuple[np.ndarray, np.ndarray], i: int) -> None:
+        def head_backward(bufs: tuple[np.ndarray, np.ndarray, np.ndarray], i: int) -> None:
             """Head i's column blocks of dq (unscaled), dk and dv."""
-            e_buf, ds_buf = bufs
+            e_buf, ds_buf, kv_buf = bufs
             cols = heads[i]
             inv_sum = 1.0 / stats[1, i]
             gi = g[..., cols]
@@ -662,8 +646,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
             gi = gi * (inv_sum * keep_scale if drop else inv_sum)  # g'_i: dP_i * P_i = (g'_i V_i^T [* M_i]) * E_i
             qa, kat = shifted(i)
             ki, vi = kv[..., cols], vv[..., cols]
-            dk_i = np.zeros((B, t_k, d_head))
-            dv_i = np.zeros((B, t_k, d_head))
+            prod, dk_i, dv_i = kv_buf  # one block's product, and dk and dv summed over the blocks
+            kv_buf[1:] = 0.0
             for r in row_blocks:
                 e = exps(e_buf, qa, kat, r)
                 # ds: the scores' gradient, built in place
@@ -674,17 +658,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
                 ds *= e
                 if drop:
                     e *= keeps[i][:, r]
-                dv_i += np.matmul(np.swapaxes(e, -1, -2), gi[:, r])
+                dv_i += np.matmul(np.swapaxes(e, -1, -2), gi[:, r], out=prod)
                 if dq is not None:
                     dq[:, r, cols] = np.matmul(ds, ki)
-                dk_i += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r, cols])
+                dk_i += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r, cols], out=prod)
             if dk is not None:
                 dk[..., cols] = dk_i
             if dv is not None:
                 dv[..., cols] = dv_i
 
         _run_heads(head_backward, ((i,) for i in range(n_heads)),
-                   [(np.empty(block_size), np.empty(block_size)) for _ in range(workers)], pooled)
+                   [(np.empty(block_size), np.empty(block_size), np.empty((3, B, t_k, d_head))) for _ in range(workers)],
+                   pooled)
         if dq is not None:
             dq *= scale
         for t, grad in ((q, dq), (k, dk), (v, dv)):
@@ -698,18 +683,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
 # recurrence
 
 
-def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """An LSTM layer over a (B, T, n_in) sequence; returns (h_seq, c_T).
+def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
+                  b: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """An LSTM layer over a (B, T, n_in) sequence; returns (h_seq, h_T, c_T).
 
-    Gates are stacked i, f, g, o along the last axis of w (n_in, 4H), u
+    Gates are stored i, f, g, o along the last axis of w (n_in, 4H), u
     (H, 4H) and b (4H,); h0 and c0 are (B, H). Per step
         z = x_s w + b + h u,  c = f * c + i * g,  h = o * tanh(c),
-    with sigmoid i, f, o and tanh g. h_seq is (B, T, H) and c_T is (B, H).
+    with sigmoid i, f, o and tanh g. h_seq is (B, T, H), and h_T and c_T,
+    the last step's states, are (B, H).
 
-    The input projection of all T steps is one matmul; the loop over steps
-    runs on plain arrays and keeps the gate activations and cell states.
-    One tape node serves both outputs, and its backward runs backprop
-    through time by hand.
+    The loop runs time-major. One product projects the inputs of all T
+    steps into a (T, B, 4H) array, so each step adds h u into a contiguous
+    (B, 4H) slice, and writes c and h with ``out=`` into the arrays the op
+    keeps; h goes straight into h_seq through a swapped view. The step's
+    only allocation is the product h u.
+
+    Inside the op the gates run in the order o, i, f, g: w, u and b are
+    rolled by H columns once per call, so the sigmoid gates sit in [0, 3H)
+    and the gates that the cell-state gradient scales in [H, 4H). Their
+    sigmoid-gate columns are halved, an exact power-of-two scaling, so one
+    in-place tanh over the whole (B, 4H) pre-activation gives g and
+    tanh(z / 2), and sigmoid(z) = (1 + tanh(z / 2)) / 2 finishes the
+    sigmoid gates with two in-place scalar ops. The identity keeps every
+    gate within an absolute error of about 2^-53 of the exp form
+    1 / (1 + e^-z), but not within a relative one: a nearly closed gate
+    has a relative error of about 2^-53 / sigmoid(z), and one below 2^-54
+    may read 0.
+
+    One tape node serves the three outputs; h_T and c_T are views of the
+    last step of h_seq and of the cell states. The node keeps the
+    (T, B, 4H) gate activations and the (T, B, H) cell states besides
+    h_seq, and rebuilds the time-major input from x_seq when w needs a
+    gradient. Its backward runs backprop through time by hand in the same
+    layout: the gradient of a step's pre-activations is scaled by the
+    cell-state gradient over [H, 4H) in one broadcast op and by the
+    hidden-state gradient over the o block. Only the gradients of w, u and
+    b are rolled back to the stored order. An output nothing used adds
+    nothing: when h_seq has no consumer, its per-step gradient is never
+    read.
     """
     x_seq, h0, c0, w, u, b = (_as_tensor(t) for t in (x_seq, h0, c0, w, u, b))
     xv, uv = x_seq.values, u.values
@@ -725,78 +737,85 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor, b
     if h0.shape != (B, hidden) or c0.shape != (B, hidden):
         raise DimensionError(f"lstm_sequence: h0 {h0.shape} and c0 {c0.shape} must be (B, hidden) = {(B, hidden)}")
 
-    x2d = xv.reshape(B * T, n_in)
-    acts = np.matmul(x2d, w.values).reshape(B, T, H4)
-    acts += b.values
-    hs = np.empty((B, T, hidden))
-    cs = np.empty((B, T, hidden))
+    H, H3 = hidden, 3 * hidden
+    w_in, u_in, b_in = (np.roll(p.values, H, axis=-1) for p in (w, u, b))  # gate order o, i, f, g
+    for p in (w_in, u_in, b_in):
+        p[..., :H3] *= 0.5
+    # the input's rows in time-major order: a view at B = 1, else a copy that the node does not keep
+    acts = np.matmul(np.swapaxes(xv, 0, 1).reshape(T * B, n_in), w_in).reshape(T, B, H4)
+    acts += b_in
+    hs = np.empty((B, T, H))
+    hs_t = np.swapaxes(hs, 0, 1)
+    cs = np.empty((T, B, H))
+    tmp = np.empty((B, H))
     h, c = h0.values, c0.values
-    for s in range(T):
-        z = acts[:, s]
-        z += h @ uv
-        g = np.tanh(z[:, 2 * hidden:3 * hidden])
-        _sigmoid(z, out=z)
-        z[:, 2 * hidden:3 * hidden] = g
-        c = z[:, hidden:2 * hidden] * c + z[:, :hidden] * g
-        h = z[:, 3 * hidden:] * np.tanh(c)
-        cs[:, s] = c
-        hs[:, s] = h
+    for z, o, i, f, g, c_s, h_s in zip(acts, acts[..., :H], acts[..., H:2 * H], acts[..., 2 * H:H3],
+                                       acts[..., H3:], cs, hs_t):
+        z += h @ u_in
+        np.tanh(z, out=z)
+        sig = z[:, :H3]
+        sig *= 0.5
+        sig += 0.5
+        np.multiply(f, c, out=c_s)
+        np.multiply(i, g, out=tmp)
+        c_s += tmp
+        np.tanh(c_s, out=tmp)
+        np.multiply(o, tmp, out=h_s)
+        h, c = h_s, c_s
 
-    def vjp(gh: np.ndarray | None, gc: np.ndarray | None) -> None:
-        i, f, g, o = (acts[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    def vjp(gh: np.ndarray | None, gh_last: np.ndarray | None, gc: np.ndarray | None) -> None:
+        o, i, f, g = (acts[..., k * H:(k + 1) * H] for k in range(4))
         # dz starts as the local factors of the four gate pre-activations and
         # is scaled in place, step by step, by the cell-state gradient (i, f
         # and g) or the hidden-state gradient (o). Built with ``out=`` so the
         # factors need no temporary beyond dz and tanh(c).
         dz = np.empty_like(acts)
-        di, df, dg, do = (dz[..., k * hidden:(k + 1) * hidden] for k in range(4))
-        np.subtract(1.0, i, out=di)
-        di *= i
+        do, di, df, dg = (dz[..., k * H:(k + 1) * H] for k in range(4))
+        np.subtract(1.0, acts[..., :H3], out=dz[..., :H3])
+        dz[..., :H3] *= acts[..., :H3]  # s (1 - s) of o, i and f
+        tc = np.tanh(cs)
+        do *= tc
         di *= g
-        np.subtract(1.0, f, out=df)
-        df *= f
-        df[:, 0] *= c0.values
-        df[:, 1:] *= cs[:, :-1]
+        df[0] *= c0.values
+        df[1:] *= cs[:-1]
         np.square(g, out=dg)
         np.subtract(1.0, dg, out=dg)
         dg *= i
-        tc = np.tanh(cs)
-        np.subtract(1.0, o, out=do)
-        do *= o
-        do *= tc
         dc_dh = tc  # turned in place into o * (1 - tanh(c)^2)
         np.square(dc_dh, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
-        dz_gates = dz.reshape(B, T, 4, hidden)
-        ut = np.ascontiguousarray(uv.T)
-        dh = np.zeros((B, hidden))
-        dc = np.zeros((B, hidden)) if gc is None else gc.copy()
+        dz_gates = dz.reshape(T, B, 4, H)
+        ut = np.ascontiguousarray(np.roll(uv, H, axis=1).T)
+        dh = np.zeros((B, H)) if gh_last is None else gh_last.copy()
+        dc = np.zeros((B, H)) if gc is None else gc.copy()
+        dc_step = np.empty((B, H))
         for s in range(T - 1, -1, -1):
             if gh is not None:
                 dh += gh[:, s]
-            dc += dh * dc_dh[:, s]
-            dz_gates[:, s, :3] *= dc[:, None, :]
-            dz_gates[:, s, 3] *= dh
-            dh = dz[:, s] @ ut
-            dc = dc * f[:, s]
-        dz2d = dz.reshape(B * T, H4)
+            np.multiply(dh, dc_dh[s], out=dc_step)
+            dc += dc_step
+            dz_gates[s, :, 1:] *= dc[:, None]
+            dz_gates[s, :, 0] *= dh
+            np.matmul(dz[s], ut, out=dh)
+            dc *= f[s]
+        dz2d = dz.reshape(T * B, H4)
         if x_seq.requires_grad:
-            _accum(x_seq, (dz2d @ w.values.T).reshape(B, T, n_in))
+            _accum(x_seq, np.matmul(np.swapaxes(dz, 0, 1), np.roll(w.values, H, axis=1).T))
         if w.requires_grad:
-            _accum(w, x2d.T @ dz2d)
+            _accum(w, np.roll(np.swapaxes(xv, 0, 1).reshape(T * B, n_in).T @ dz2d, -H, axis=1))
         if u.requires_grad:
-            h_prev = np.concatenate([h0.values[:, None], hs[:, :-1]], axis=1)
-            _accum(u, h_prev.reshape(B * T, hidden).T @ dz2d)
+            h_prev = np.concatenate([h0.values[None], hs_t[:-1]]).reshape(T * B, H)
+            _accum(u, np.roll(h_prev.T @ dz2d, -H, axis=1))
         if b.requires_grad:
-            _accum(b, dz2d.sum(axis=0))
+            _accum(b, np.roll(dz2d.sum(axis=0), -H))
         if h0.requires_grad:
             _accum(h0, dh)
         if c0.requires_grad:
             _accum(c0, dc)
 
-    c_last = Tensor(c)
-    return _emit(Tensor(hs), (x_seq, h0, c0, w, u, b), vjp, c_last), c_last
+    h_last, c_last = Tensor(h), Tensor(c)  # views of the last step of hs and cs
+    return _emit(Tensor(hs), (x_seq, h0, c0, w, u, b), vjp, h_last, c_last), h_last, c_last
 
 
 # ---------------------------------------------------------------------------

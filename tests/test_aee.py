@@ -268,7 +268,7 @@ def test_fused_recurrence_matches_unrolled_cells(layers):
 
 
 @pytest.mark.parametrize("layers", [1, 2])
-def test_encode_and_decode_record_at_most_two_nodes_per_layer(layers):
+def test_encode_and_decode_record_one_node_per_layer(layers):
     cfg = aee.AeeConfig(hidden=4, layers=layers)
     params = random_params(cfg, 2)
     tape = ad.Tape()
@@ -276,8 +276,8 @@ def test_encode_and_decode_record_at_most_two_nodes_per_layer(layers):
         latents = aee.encode(np.ones((2, 2, 50)), params, cfg)
         n_encode = len(tape)
         aee.decode(latents, np.stack([aee.timestamp_features(0, 20)] * 2), params, cfg)
-    assert n_encode <= 2 * layers
-    assert len(tape) - n_encode <= 2 * layers
+    assert n_encode == layers
+    assert len(tape) - n_encode == layers
 
 
 class TestAuxHead:
