@@ -15,13 +15,16 @@ consumers, so those gradients are final when the node runs. ``vjp`` adds
 into each input with :func:`_accum`, which keeps a first gradient without
 a copy: every op hands over arrays it allocated for that input alone,
 except :func:`add` and :func:`reshape`, which copy the output gradient
-they pass on.
+they pass on, and :func:`add_layer_norm`, which hands its residual a
+copy of the gradient it hands x.
 
-A fused op records one node for a whole computation: :func:`linear`
-runs a dense layer (product and bias), :func:`attention` every head of a
-multi-head attention block, and :func:`lstm_sequence` a whole LSTM layer,
-whose node serves its three outputs: the hidden sequence and the last
-step's hidden and cell states.
+A fused op records one node for a whole computation, with a hand-written
+backward: :func:`linear` runs a dense layer (product and bias),
+:func:`add_layer_norm` a residual sum and the layer norm after it,
+:func:`ffn` a position-wise feed-forward layer (product, ReLU, dropout,
+product), :func:`attention` every head of a multi-head attention block,
+and :func:`lstm_sequence` a whole LSTM layer, whose node serves its three
+outputs: the hidden sequence and the last step's hidden and cell states.
 
 :func:`attention` runs its heads, forward and backward, on one
 process-wide pool of threads, one per usable CPU, when two or more CPUs
@@ -288,66 +291,103 @@ def activation(kind: str, x: Tensor) -> Tensor:
         raise ContractError(f"unknown activation {kind!r}; expected one of {sorted(ACTIVATIONS)}") from None
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Backward uses the closed form: with xh the normalized values, s the
-    per-row std and gy = grad * gain,
-        dx = (gy - mean(gy) - xh * mean(gy * xh)) / s.
-    """
-    if eps <= 0:
-        raise ContractError("layer_norm: eps must be > 0")
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    d = x.values.shape[-1]
-    if gain.values.shape != (d,) or bias.values.shape != (d,):
-        raise DimensionError(
-            f"layer_norm: gain/bias shapes {gain.values.shape}/{bias.values.shape} do not match last axis {d}")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = ((x.values - mu) ** 2).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
-    xh = (x.values - mu) / s
-
-    def vjp(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            _accum(gain, (g * xh).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gy = g * gain.values
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xh).mean(axis=-1, keepdims=True)
-            _accum(x, (gy - m1 - xh * m2) / s)
-
-    return _emit(Tensor(xh * gain.values + bias.values), (x, gain, bias), vjp)
-
-
 def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
     """Boolean dropout keep mask: one uint16 draw per element, kept when at
     or above round(rate * 65536), so the drop rate holds to within 1/65,536."""
     return rng.integers(0, 65536, shape, dtype=np.uint16) >= round(rate * 65536)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0. The keep mask follows
-    :func:`_keep_mask`, the rule :func:`attention` uses too."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout: dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ContractError("dropout: rng must be a numpy Generator, got None")
-    if rate == 0.0:
-        return x
-    x = _as_tensor(x)
-    keep = _keep_mask(rng, x.values.shape, rate)
-    keep_scale = 1.0 / (1.0 - rate)
-    y = x.values * keep
-    y *= keep_scale
+# ---------------------------------------------------------------------------
+# fused sublayers
+
+
+def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """xh * gain + bias, where xh = (z - mean(z)) / sqrt(var(z) + eps) over
+    the last axis of z = x + residual: x and residual are (..., d), gain and
+    bias (d,), and eps is finite and > 0. One node keeps xh and the row
+    scales; backward builds dz = (gy - mean(gy) - xh * mean(gy * xh)) / s
+    in place in gy = grad * gain, and hands x dz and the residual a copy."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError(f"add_layer_norm: eps must be finite and > 0, got {eps}")
+    x, residual, gain, bias = (_as_tensor(t) for t in (x, residual, gain, bias))
+    _same_shape(x, residual, "add_layer_norm")
+    d = x.shape[-1] if x.values.ndim else 0
+    if not d or gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(f"add_layer_norm: gain {gain.shape} and bias {bias.shape} do not fit x {x.shape}")
+    xh = x.values + residual.values
+    xh -= xh.mean(axis=-1, keepdims=True)
+    s = np.sqrt(np.square(xh).mean(axis=-1, keepdims=True) + eps)
+    xh /= s
+    y = xh * gain.values
+    y += bias.values
 
     def vjp(g: np.ndarray) -> None:
-        gx = g * keep
-        gx *= keep_scale
-        _accum(x, gx)
+        if gain.requires_grad:
+            _accum(gain, (g * xh).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.reshape(-1, d).sum(axis=0))
+        gy = g * gain.values
+        m2 = (gy * xh).mean(axis=-1, keepdims=True)
+        gy -= gy.mean(axis=-1, keepdims=True)
+        gy -= xh * m2
+        gy /= s
+        if x.requires_grad:
+            _accum(x, gy)
+        if residual.requires_grad:
+            _accum(residual, gy.copy())
 
-    return _emit(Tensor(y), (x,), vjp)
+    return _emit(Tensor(y), (x, residual, gain, bias), vjp)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float = 0.0,
+        rng: np.random.Generator | None = None) -> Tensor:
+    """Feed-forward layer dropout(relu(x w1 + b1)) w2 + b2 on the last axis:
+    x (..., n), w1 (n, f), b1 (f,), w2 (f, k) and b2 (k,) give (..., k).
+    Inverted dropout runs when rate > 0 and then needs ``rng``: one
+    :func:`_keep_mask` draw after the first product; rate 0 draws nothing.
+    One node keeps the hidden activations and one boolean mask, ReLU's
+    (the gradient at exactly 0 is 0) and dropout's joined."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    xv, w1v, w2v = x.values, w1.values, w2.values
+    if (xv.ndim < 1 or w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1] != w1v.shape[0]
+            or w2v.shape[0] != w1v.shape[1] or b1.shape != (w1v.shape[1],) or b2.shape != (w2v.shape[1],)):
+        raise DimensionError(f"ffn: x {xv.shape}, w1 {w1v.shape}, b1 {b1.shape}, w2 {w2v.shape}, b2 {b2.shape} "
+                             f"do not fit (..., n), (n, f), (f,), (f, k), (k,)")
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"ffn: dropout rate must be in [0, 1), got {rate}")
+    drop = rate > 0.0
+    if drop and rng is None:
+        raise ContractError("ffn: rng must be a numpy Generator when rate > 0, got None")
+    keep_scale = 1.0 / (1.0 - rate)
+    x2d = xv.reshape(-1, w1v.shape[0])
+    h = x2d @ w1v
+    h += b1.values
+    np.fmax(h, 0.0, out=h)  # ReLU; a NaN pre-activation gives 0
+    if drop:
+        h *= _keep_mask(rng, h.shape, rate)
+        h *= keep_scale
+    mask = h > 0  # ReLU's mask and dropout's keep mask joined
+    y = h @ w2v
+    y += b2.values
+
+    def vjp(g: np.ndarray) -> None:
+        g2d = g.reshape(y.shape)
+        if w2.requires_grad:
+            _accum(w2, h.T @ g2d)
+        if b2.requires_grad:
+            _accum(b2, g2d.sum(axis=0))
+        gh = g2d @ w2v.T
+        gh *= mask
+        if drop:
+            gh *= keep_scale
+        if x.requires_grad:
+            _accum(x, (gh @ w1v.T).reshape(xv.shape))
+        if w1.requires_grad:
+            _accum(w1, x2d.T @ gh)
+        if b1.requires_grad:
+            _accum(b1, gh.sum(axis=0))
+
+    return _emit(Tensor(y.reshape(*xv.shape[:-1], y.shape[1])), (x, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +862,6 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
 # reductions and losses
 
 
-def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    return _emit(Tensor(x.values.sum()), (x,), lambda g: _accum(x, np.full_like(x.values, float(g))))
-
-
 def rmse(pred: Tensor, truth: Tensor) -> Tensor:
     """Root mean square error as a scalar tensor.
 
@@ -852,7 +887,7 @@ def rmse(pred: Tensor, truth: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward pass and the finite-difference oracle
+# backward pass
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -869,42 +904,3 @@ def backward(tape: Tape, root: Tensor) -> None:
     for node in reversed(tape.nodes):
         node()
         tape.visits += 1
-
-
-def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
-    """Analytic gradient of scalar-valued ``f`` at ``x`` via a fresh tape."""
-    was = x.requires_grad
-    x.requires_grad = True
-    x.zero_grad()
-    tape = Tape()
-    with record(tape):
-        out = f(x)
-    backward(tape, out)
-    g = np.zeros_like(x.values) if x.grad is None else x.grad.copy()
-    x.requires_grad = was
-    x.zero_grad()
-    return g
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Per coordinate: |analytic - numeric| / max(1, |analytic|). Function
-    evaluations for the differences run untraced.
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ContractError(f"finite_diff_check: eps {eps} outside [1e-7, 1e-3]")
-    analytic = _grad_of(f, x)
-    flat = x.values.reshape(-1)
-    numeric = np.empty_like(analytic).reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x).item()
-        flat[i] = orig - eps
-        fm = f(x).item()
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * eps)
-    numeric = numeric.reshape(analytic.shape)
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(rel.max())

@@ -6,6 +6,11 @@ ties the two together. No attention mask exists anywhere; the decoder
 emits all h steps in one pass and its per-step linear head is fused with
 the autoencoder's short-term head by element-wise addition.
 
+Encoder and decoder layers are post-norm: one fused op,
+:func:`autodiff.add_layer_norm`, adds each sublayer's output to its input
+and normalises the sum, and the feed-forward sublayer is one fused op,
+:func:`autodiff.ffn`. Training drops out attention weights and FFN units.
+
 Two ablation embedding modes replace the learned embeddings with a plain
 token embedding, optionally plus the classic sinusoidal positional term.
 Only the embedding step differs between modes; encoder, decoder and head
@@ -236,14 +241,12 @@ def multi_head_attention(
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: PfConfig,
          rng: np.random.Generator | None) -> Tensor:
-    hidden = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    if rng is not None:
-        hidden = ad.dropout(hidden, cfg.dropout_rate, rng)
-    return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    weights = (params[f"{prefix}.{key}"] for key in ("w1", "b1", "w2", "b2"))
+    return ad.ffn(x, *weights, 0.0 if rng is None else cfg.dropout_rate, rng)
 
 
 def _add_norm(x: Tensor, residual: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return ad.layer_norm(ad.add(x, residual), params[f"{prefix}.g"], params[f"{prefix}.b"])
+    return ad.add_layer_norm(x, residual, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
 def encoder_forward(

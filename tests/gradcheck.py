@@ -1,0 +1,55 @@
+"""Test helpers for gradient checks: a summing op and the finite-difference
+oracle that every autodiff op is checked against."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from peakcast import autodiff as ad
+from peakcast.autodiff import ContractError, Tensor
+
+
+def sum_all(x: Tensor) -> Tensor:
+    x = ad._as_tensor(x)
+    return ad._emit(Tensor(x.values.sum()), (x,), lambda g: ad._accum(x, np.full_like(x.values, float(g))))
+
+
+def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
+    """Analytic gradient of scalar-valued ``f`` at ``x`` via a fresh tape."""
+    was = x.requires_grad
+    x.requires_grad = True
+    x.zero_grad()
+    tape = ad.Tape()
+    with ad.record(tape):
+        out = f(x)
+    ad.backward(tape, out)
+    g = np.zeros_like(x.values) if x.grad is None else x.grad.copy()
+    x.requires_grad = was
+    x.zero_grad()
+    return g
+
+
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Per coordinate: |analytic - numeric| / max(1, |analytic|). Function
+    evaluations for the differences run untraced.
+    """
+    if not 1e-7 <= eps <= 1e-3:
+        raise ContractError(f"finite_diff_check: eps {eps} outside [1e-7, 1e-3]")
+    analytic = _grad_of(f, x)
+    flat = x.values.reshape(-1)
+    numeric = np.empty_like(analytic).reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f(x).item()
+        flat[i] = orig - eps
+        fm = f(x).item()
+        flat[i] = orig
+        numeric[i] = (fp - fm) / (2.0 * eps)
+    numeric = numeric.reshape(analytic.shape)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    return float(rel.max())

@@ -8,6 +8,8 @@ from peakcast import aee
 from peakcast import autodiff as ad
 from peakcast.data import DEFAULT_SYNTH_START
 
+from gradcheck import finite_diff_check, sum_all
+
 STEP = timedelta(minutes=15)
 
 
@@ -249,9 +251,9 @@ def test_fused_recurrence_matches_unrolled_cells(layers):
                 out_values = np.stack([h.values for h in tops], axis=1)
             terms += [ad.mul(t, ad.tensor(w_lat[layer, j]))
                       for layer, state in enumerate(latents) for j, t in enumerate(state)]
-            loss = ad.sum_all(terms[0])
+            loss = sum_all(terms[0])
             for t in terms[1:]:
-                loss = ad.add(loss, ad.sum_all(t))
+                loss = ad.add(loss, sum_all(t))
         ad.backward(tape, loss)
         lat_values = [t.values for state in latents for t in state]
         return loss.item(), out_values, lat_values, {k: p.grad.copy() for k, p in params.items()}
@@ -315,7 +317,7 @@ def test_gradients_through_full_autoencoder():
         return ad.rmse(pred, ad.tensor(target))
 
     head_w = ad.parameter(np.random.default_rng(10).normal(0, 0.5, size=(3, 1)))
-    assert ad.finite_diff_check(loss_for, head_w) < 1e-4
+    assert finite_diff_check(loss_for, head_w) < 1e-4
 
     # and through a recurrent weight, the long path
     w_key = "aee.enc.0.u"
@@ -327,4 +329,4 @@ def test_gradients_through_full_autoencoder():
         pred = aee.aux_head(emb, head_w, head_b)
         return ad.rmse(pred, ad.tensor(target))
 
-    assert ad.finite_diff_check(loss_for_recurrent, params[w_key]) < 1e-4
+    assert finite_diff_check(loss_for_recurrent, params[w_key]) < 1e-4

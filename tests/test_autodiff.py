@@ -21,9 +21,10 @@ from peakcast.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_diff_check,
     record,
 )
+
+from gradcheck import finite_diff_check, sum_all
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -83,7 +84,7 @@ def test_linear_gradient_vs_finite_difference(operand, bias, layout):
     def loss(t: Tensor) -> Tensor:
         args = {k: (None if v is None else ad.tensor(v)) for k, v in ops.items()}
         args[operand] = t
-        return ad.sum_all(ad.mul(ad.tanh(ad.linear(**args)), wy))
+        return sum_all(ad.mul(ad.tanh(ad.linear(**args)), wy))
 
     x = ad.parameter(ops[operand].copy())
     assert finite_diff_check(loss, x, eps=1e-6) < 1e-8
@@ -173,30 +174,205 @@ def test_softmax_rows_sum_to_one(x):
     assert np.all(out >= 0)
 
 
+def _zero_residual_norm(x, gain, bias, **kw):
+    """add_layer_norm of x plus a zero residual: the layer norm of x alone."""
+    x = ad.tensor(x)
+    return ad.add_layer_norm(x, ad.tensor(np.zeros(x.shape)), ad.tensor(gain), ad.tensor(bias), **kw)
+
+
 def test_layer_norm_constant_row_zeroed():
-    x = ad.tensor([[5.0, 5.0, 5.0]])
-    out = ad.layer_norm(x, ad.tensor(np.ones(3)), ad.tensor(np.zeros(3)))
+    out = _zero_residual_norm([[5.0, 5.0, 5.0]], np.ones(3), np.zeros(3))
     assert np.allclose(out.values, 0.0)
 
 
 def test_layer_norm_two_point_row():
-    out = ad.layer_norm(ad.tensor([[1.0, 3.0]]), ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), eps=1e-12)
+    out = _zero_residual_norm([[1.0, 3.0]], np.ones(2), np.zeros(2), eps=1e-12)
     assert np.allclose(out.values, [[-1.0, 1.0]], atol=1e-5)
 
 
 def test_layer_norm_zero_gain_gives_bias():
     rng = np.random.default_rng(2)
-    x = ad.tensor(rng.normal(size=(4, 3)))
     bias = np.array([1.0, -2.0, 0.5])
-    out = ad.layer_norm(x, ad.tensor(np.zeros(3)), ad.tensor(bias))
+    out = _zero_residual_norm(rng.normal(size=(4, 3)), np.zeros(3), bias)
     assert np.allclose(out.values, np.broadcast_to(bias, (4, 3)))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-5], ids=["nan", "inf", "zero", "negative"])
+def test_add_layer_norm_rejects_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(ContractError, match="eps must be finite and > 0"):
+        _zero_residual_norm(np.ones((2, 3)), np.ones(3), np.zeros(3), eps=eps)
+
+
+@pytest.mark.parametrize("x, residual, gain, bias", [
+    ((2, 3), (3, 2), (3,), (3,)),  # residual differs from x
+    ((2, 3), (2, 3), (2,), (3,)),
+    ((2, 3), (2, 3), (3,), (1, 3)),
+    ((), (), (1,), (1,)),  # x has no feature axis
+], ids=["residual", "gain", "bias", "scalar"])
+def test_add_layer_norm_rejects_bad_shapes(x, residual, gain, bias):
+    with pytest.raises(DimensionError, match="add_layer_norm"):
+        ad.add_layer_norm(*(ad.tensor(np.ones(shape)) for shape in (x, residual, gain, bias)))
+
+
+def _grads_through(op, inputs: dict, g: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``op(**inputs)`` on a tape, every input a parameter; backward with
+    ``g`` as the output's gradient. Returns the output and each input's
+    gradient."""
+    params = {k: ad.parameter(v.copy()) for k, v in inputs.items()}
+    tape = Tape()
+    with record(tape):
+        out = op(**params)
+        root = sum_all(ad.mul(out, ad.tensor(g)))  # the output's gradient is 1.0 * g: exactly g
+    backward(tape, root)
+    return out.values, {k: p.grad for k, p in params.items()}
+
+
+def reference_add_layer_norm(x, residual, gain, bias, g, eps=1e-5):
+    """The composition that add_layer_norm replaces, ``add`` then
+    ``layer_norm``, with both backward passes, in plain numpy."""
+    z = x + residual
+    d = z.shape[-1]
+    mu = z.mean(axis=-1, keepdims=True)
+    var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
+    s = np.sqrt(var + eps)
+    xh = (z - mu) / s
+    gy = g * gain
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xh).mean(axis=-1, keepdims=True)
+    dz = (gy - m1 - xh * m2) / s
+    grads = {"x": dz, "residual": dz, "gain": (g * xh).reshape(-1, d).sum(axis=0), "bias": g.reshape(-1, d).sum(axis=0)}
+    return xh * gain + bias, grads
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_add_layer_norm_matches_add_then_layer_norm_bit_for_bit(B):
+    rng = np.random.default_rng(10 + B)
+    inputs = {"x": rng.normal(size=(B, 5, 8)), "residual": rng.normal(size=(B, 5, 8)),
+              "gain": rng.uniform(0.5, 1.5, size=8), "bias": rng.normal(size=8)}
+    g = rng.normal(size=(B, 5, 8))
+    out, grads = _grads_through(ad.add_layer_norm, inputs, g)
+    want, want_grads = reference_add_layer_norm(**inputs, g=g)
+    assert np.array_equal(out, want)
+    for name, grad in want_grads.items():
+        assert np.array_equal(grads[name], grad), name
+    assert not np.shares_memory(grads["x"], grads["residual"])
+
+
+@pytest.mark.parametrize("operand", ["x", "residual", "gain", "bias"])
+def test_add_layer_norm_gradient_vs_finite_difference(operand):
+    rng = np.random.default_rng(3)
+    ops = {"x": rng.normal(size=(2, 3, 4)), "residual": rng.normal(size=(2, 3, 4)),
+           "gain": rng.uniform(0.5, 1.5, size=4), "bias": rng.normal(size=4)}
+    wy = ad.tensor(rng.normal(size=(2, 3, 4)))
+
+    def loss(t: Tensor) -> Tensor:
+        args = {k: ad.tensor(v) for k, v in ops.items()}
+        args[operand] = t
+        return sum_all(ad.mul(ad.tanh(ad.add_layer_norm(**args)), wy))
+
+    assert finite_diff_check(loss, ad.parameter(ops[operand].copy()), eps=1e-6) < 1e-7
+
+
+def _ffn_weights(seed: int, n: int = 4, f: int = 6, k: int = 4) -> dict:
+    rng = np.random.default_rng(seed)
+    return {"w1": rng.normal(size=(n, f)), "b1": rng.normal(scale=0.1, size=f),
+            "w2": rng.normal(size=(f, k)), "b2": rng.normal(scale=0.1, size=k)}
+
+
+def reference_ffn(x, w1, b1, w2, b2, g, rate, rng):
+    """The composition that ffn replaces, ``linear``, ``relu``, ``dropout``
+    (when ``rng`` is given and rate > 0) and ``linear``, with every backward
+    pass, in plain numpy."""
+    n, f, k = w1.shape[0], w1.shape[1], w2.shape[1]
+    x2d = x.reshape(-1, n)
+    pre = (x2d @ w1 + b1).reshape(*x.shape[:-1], f)
+    relu = pre > 0
+    hidden = np.where(relu, pre, 0.0)
+    drop = rng is not None and rate > 0
+    if drop:
+        keep = rng.integers(0, 65536, hidden.shape, dtype=np.uint16) >= round(rate * 65536)
+        hidden = hidden * keep
+        hidden *= 1.0 / (1.0 - rate)
+    h2d = hidden.reshape(-1, f)
+    out = (h2d @ w2 + b2).reshape(*x.shape[:-1], k)
+    g2d = g.reshape(-1, k)
+    gh = (g2d @ w2.T).reshape(hidden.shape)
+    if drop:
+        gh = gh * keep
+        gh *= 1.0 / (1.0 - rate)
+    gpre = (gh * relu).reshape(-1, f)
+    grads = {"x": (gpre @ w1.T).reshape(x.shape), "w1": x2d.T @ gpre, "b1": gpre.sum(axis=0),
+             "w2": h2d.T @ g2d, "b2": g2d.sum(axis=0)}
+    return out, grads
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_ffn_matches_linear_relu_dropout_linear_bit_for_bit(B, rate):
+    rng = np.random.default_rng(20 + B)
+    inputs = {"x": rng.normal(size=(B, 5, 8)), **_ffn_weights(B, n=8, f=12, k=6)}
+    g = rng.normal(size=(B, 5, 6))
+    op_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    out, grads = _grads_through(lambda **t: ad.ffn(**t, rate=rate, rng=op_rng), inputs, g)
+    want, want_grads = reference_ffn(**inputs, g=g, rate=rate, rng=ref_rng)
+    assert np.array_equal(out, want)
+    for name, grad in want_grads.items():
+        assert np.array_equal(grads[name], grad), name
+    assert op_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _ffn_loss(ops: dict, operand: str, rate: float, wy: Tensor):
+    """Probe of one ffn operand; a fresh generator per evaluation, so every
+    evaluation drops the same hidden units."""
+
+    def loss(t: Tensor) -> Tensor:
+        args = {k: ad.tensor(v) for k, v in ops.items()}
+        args[operand] = t
+        return sum_all(ad.mul(ad.ffn(**args, rate=rate, rng=np.random.default_rng(0)), wy))
+
+    return loss
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("operand", ["x", "w1", "b1", "w2", "b2"])
+def test_ffn_gradient_vs_finite_difference(operand, rate):
+    rng = np.random.default_rng(4)
+    ops = {"x": rng.normal(size=(2, 3, 4)), **_ffn_weights(4)}
+    pre = ops["x"] @ ops["w1"] + ops["b1"]
+    # a step of 1e-6 in any operand moves a pre-activation by far less
+    # than this, so no difference straddles the ReLU kink
+    assert np.abs(pre).min() > 1e-3
+    wy = ad.tensor(rng.normal(size=(2, 3, 4)))
+    assert finite_diff_check(_ffn_loss(ops, operand, rate, wy), ad.parameter(ops[operand].copy()), eps=1e-6) < 1e-7
+
+
+@pytest.mark.parametrize("x, w1, b1, w2, b2", [
+    ((2, 3), (4, 6), (6,), (6, 4), (4,)),  # x's width differs from w1's rows
+    ((2, 4), (4, 6), (5,), (6, 4), (4,)),
+    ((2, 4), (4, 6), (6,), (5, 4), (4,)),  # w2's rows differ from the hidden width
+    ((2, 4), (4, 6), (6,), (6, 4), (3,)),
+    ((2, 4), (4,), (6,), (6, 4), (4,)),  # w1 is not a matrix
+    ((2, 4), (4, 6), (6,), (1, 6, 4), (4,)),
+    ((), (1, 6), (6,), (6, 4), (4,)),  # x has no feature axis
+], ids=["x_width", "b1_width", "w2_rows", "b2_width", "w1_vector", "w2_stack", "x_scalar"])
+def test_ffn_rejects_bad_shapes(x, w1, b1, w2, b2):
+    with pytest.raises(DimensionError, match="ffn"):
+        ad.ffn(*(ad.tensor(np.ones(shape)) for shape in (x, w1, b1, w2, b2)))
+
+
+def _identity_ffn(x, rate, rng):
+    """ffn with identity weights and zero biases: on a non-negative x it
+    returns the kept entries of x scaled by 1 / (1 - rate), zeros elsewhere."""
+    n = x.shape[-1]
+    eye, zero = ad.tensor(np.eye(n)), ad.tensor(np.zeros(n))
+    return ad.ffn(ad.tensor(x), eye, zero, eye, zero, rate, rng).values
 
 
 def test_backward_sum_gives_ones():
     x = ad.parameter(np.arange(6.0).reshape(2, 3))
     tape = Tape()
     with record(tape):
-        out = ad.sum_all(x)
+        out = sum_all(x)
     backward(tape, out)
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
@@ -205,7 +381,7 @@ def test_backward_square_sum():
     x = ad.parameter([1.0, 2.0])
     tape = Tape()
     with record(tape):
-        out = ad.sum_all(ad.mul(x, x))
+        out = sum_all(ad.mul(x, x))
     backward(tape, out)
     assert np.allclose(x.grad, [2.0, 4.0])
 
@@ -235,7 +411,7 @@ def test_backward_visits_each_node_once():
         y = ad.mul(x, x)        # node 1
         z = ad.add(y, x)        # node 2
         w = ad.tanh(z)          # node 3
-        out = ad.sum_all(w)     # node 4
+        out = sum_all(w)     # node 4
     assert len(tape) == 4
     backward(tape, out)
     assert tape.visits == 4
@@ -245,8 +421,8 @@ def test_backward_rejects_root_of_another_tape():
     x = ad.parameter([1.0, 2.0])
     tape, other = Tape(), Tape()
     with record(tape):
-        out = ad.sum_all(ad.mul(x, x))
-    for wrong_tape, root in ((other, out), (tape, ad.sum_all(x))):
+        out = sum_all(ad.mul(x, x))
+    for wrong_tape, root in ((other, out), (tape, sum_all(x))):
         with pytest.raises(ContractError, match="^backward root was not recorded on this tape$"):
             backward(wrong_tape, root)
 
@@ -268,20 +444,20 @@ def test_forward_determinism():
 
 def test_finite_diff_exact_for_linear():
     x = ad.parameter(np.random.default_rng(4).normal(size=(3, 2)))
-    err = finite_diff_check(ad.sum_all, x, eps=1e-5)
+    err = finite_diff_check(sum_all, x, eps=1e-5)
     assert err < 1e-9
 
 
 def test_finite_diff_tanh_sum():
     x = ad.parameter(np.random.default_rng(5).uniform(-1, 1, size=5))
-    err = finite_diff_check(lambda t: ad.sum_all(ad.tanh(t)), x, eps=1e-5)
+    err = finite_diff_check(lambda t: sum_all(ad.tanh(t)), x, eps=1e-5)
     assert err < 1e-5
 
 
 def test_finite_diff_eps_bounds():
     x = ad.parameter(np.ones(2))
     with pytest.raises(ContractError):
-        finite_diff_check(ad.sum_all, x, eps=1e-2)
+        finite_diff_check(sum_all, x, eps=1e-2)
 
 
 def _op_cases():
@@ -291,33 +467,45 @@ def _op_cases():
         return build
 
     return {
-        "add": wrap(lambda x: ad.sum_all(ad.add(x, ad.tanh(x)))),
-        "mul": wrap(lambda x: ad.sum_all(ad.mul(x, x))),
-        "relu": wrap(lambda x: ad.sum_all(ad.relu(x))),
-        "tanh": wrap(lambda x: ad.sum_all(ad.tanh(x))),
-        "sigmoid": wrap(lambda x: ad.sum_all(ad.sigmoid(x))),
-        "layer_norm": wrap(
-            lambda x: ad.sum_all(
-                ad.mul(ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)), eps=1e-3), x))),
-        "reshape": wrap(lambda x: ad.sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
-        "tile_leading": wrap(lambda x: ad.sum_all(
+        "add": wrap(lambda x: sum_all(ad.add(x, ad.tanh(x)))),
+        "mul": wrap(lambda x: sum_all(ad.mul(x, x))),
+        "relu": wrap(lambda x: sum_all(ad.relu(x))),
+        "tanh": wrap(lambda x: sum_all(ad.tanh(x))),
+        "sigmoid": wrap(lambda x: sum_all(ad.sigmoid(x))),
+        "add_layer_norm": wrap(lambda x: sum_all(ad.mul(ad.add_layer_norm(
+            x, ad.tanh(x), ad.tensor(np.linspace(0.5, 1.5, 4)), ad.tensor(np.linspace(-1.0, 1.0, 4)), eps=1e-3), x))),
+        "ffn": wrap(lambda x: sum_all(ad.mul(ad.ffn(x, *_OP_CASE_FFN), x))),
+        "reshape": wrap(lambda x: sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
+        "tile_leading": wrap(lambda x: sum_all(
             ad.tanh(ad.mul(ad.tile_leading(x, 3), ad.tensor(np.linspace(-2.0, 2.0, 48).reshape(3, 4, 4)))))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
         # a fresh generator per evaluation, so every evaluation drops the same entries
-        "dropout": wrap(lambda x: ad.sum_all(ad.mul(ad.dropout(x, 0.4, np.random.default_rng(0)), x))),
+        "ffn_dropout": wrap(lambda x: sum_all(ad.mul(ad.ffn(x, *_OP_CASE_FFN, 0.4, np.random.default_rng(0)), x))),
     }
+
+
+_OP_CASE_FFN = [ad.tensor(v) for v in _ffn_weights(5).values()]
+
+
+def _op_case_inputs() -> list[np.ndarray]:
+    """The (4, 4) points at which every op case is checked: 10 random seeds."""
+    return [np.random.default_rng(100 + seed).uniform(-1.0, 1.0, size=(4, 4)) + 0.1 for seed in range(10)]
 
 
 @pytest.mark.parametrize("name", sorted(_op_cases()))
 def test_every_op_gradient_vs_finite_difference(name):
-    # 10 random seeds per op, relative error under 1e-4 at eps=1e-5.
+    # relative error under 1e-4 at eps=1e-5
     build = _op_cases()[name]
-    worst = 0.0
-    for seed in range(10):
-        rng = np.random.default_rng(100 + seed)
-        x = ad.parameter(rng.uniform(-1.0, 1.0, size=(4, 4)) + 0.1)
-        worst = max(worst, finite_diff_check(build, x, eps=1e-5))
+    worst = max(finite_diff_check(build, ad.parameter(x), eps=1e-5) for x in _op_case_inputs())
     assert worst < 1e-4, f"{name}: max rel err {worst}"
+
+
+def test_ffn_op_cases_stay_clear_of_the_relu_kink():
+    # a central difference that straddles a ReLU kink is wrong, so the
+    # ffn cases' pre-activations keep more than 10 eps away from 0
+    w1, b1 = _OP_CASE_FFN[0].values, _OP_CASE_FFN[1].values
+    for x in _op_case_inputs():
+        assert np.abs(x @ w1 + b1).min() > 10 * 1e-5
 
 
 def test_every_recording_op_has_a_finite_difference_check():
@@ -329,7 +517,6 @@ def test_every_recording_op_has_a_finite_difference_check():
         "linear": test_linear_gradient_vs_finite_difference,
         "attention": test_attention_gradient_vs_finite_difference,
         "lstm_sequence": test_lstm_sequence_gradient_vs_finite_difference,
-        "sum_all": test_finite_diff_exact_for_linear,  # sum_all alone
     }
     assert recording - set(dedicated) - set(_op_cases()) == set()
 
@@ -342,7 +529,7 @@ def test_first_gradient_is_a_copy():
     with record(tape):
         p = ad.mul(a, ad.tensor(np.full(3, 3.0)))  # recorded first, so its gradient reaches a last
         s = ad.add(a, b)
-        out = ad.sum_all(ad.add(s, p))
+        out = sum_all(ad.add(s, p))
     backward(tape, out)
     assert np.array_equal(a.grad, np.full(3, 4.0))
     assert np.array_equal(b.grad, np.ones(3))
@@ -354,7 +541,7 @@ def test_first_gradient_is_a_copy():
     with record(tape):
         p = ad.mul(x, ad.tensor(np.full(4, 3.0)))  # recorded first, so its gradient reaches x last
         r = ad.reshape(x, (2, 2))
-        out = ad.add(ad.sum_all(r), ad.sum_all(p))
+        out = ad.add(sum_all(r), sum_all(p))
     backward(tape, out)
     assert np.array_equal(x.grad, np.full(4, 4.0))
     assert np.array_equal(r.grad, np.ones((2, 2)))
@@ -395,7 +582,7 @@ def test_lstm_sequence_gradient_vs_finite_difference(operand, outputs):
         terms = {"h_seq": [ad.mul(h_seq, wh)], "h_T": [ad.mul(h_T, wl)], "c_T": [ad.mul(c_T, wc)]}
         terms["both"] = terms["h_seq"] + terms["c_T"]
         terms["all"] = terms["both"] + terms["h_T"]
-        parts = [ad.sum_all(t) for t in terms[outputs]]
+        parts = [sum_all(t) for t in terms[outputs]]
         total = parts[0]
         for part in parts[1:]:
             total = ad.add(total, part)
@@ -483,9 +670,9 @@ def test_lstm_sequence_matches_exp_sigmoid_loop(seed, log_scale, B, T, hidden, n
     tape = Tape()
     with record(tape):
         got = ad.lstm_sequence(**params)
-        loss = ad.sum_all(ad.mul(got[0], ad.tensor(gh)))
+        loss = sum_all(ad.mul(got[0], ad.tensor(gh)))
         for out, weight in zip(got[1:], (gh_T, gc)):
-            loss = ad.add(loss, ad.sum_all(ad.mul(out, ad.tensor(weight))))
+            loss = ad.add(loss, sum_all(ad.mul(out, ad.tensor(weight))))
     backward(tape, loss)
     # at T = 1 the op forms each pre-activation from the same products as
     # the reference, so only the gate functions differ; at T > 1 its one
@@ -512,7 +699,7 @@ def _attention_fd_error(operand, t_k, rate):
     def loss(x: Tensor) -> Tensor:
         # a fresh generator per evaluation, so every evaluation drops the same weights
         out = ad.attention(**{**ops, operand: x}, n_heads=2, rate=rate, rng=np.random.default_rng(2))
-        return ad.sum_all(ad.mul(out, wy))
+        return sum_all(ad.mul(out, wy))
 
     x = ad.parameter(ops[operand].values.copy())
     return finite_diff_check(loss, x, eps=1e-6)
@@ -579,12 +766,13 @@ def test_attention_untaped_forward_matches_taped(rate):
 @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
 def test_keep_fraction_within_binomial_bound(rate):
     # attention: with q = 0 every weight is 1/t_k, and each head's v is the
-    # identity, so column j of head i's output is the keep mask of key j
+    # identity, so column j of head i's output is the keep mask of key j;
+    # ffn: with identity weights, the output is the keep mask of the hidden units
     B, t, heads = 2, 128, 2
     q = ad.tensor(np.zeros((B, t, heads * t)))
     v = ad.tensor(np.tile(np.eye(t), (B, 1, heads)))
     attended = ad.attention(q, v, v, heads, rate, np.random.default_rng(5)).values
-    dropped = ad.dropout(ad.tensor(np.ones((B * heads * t, t))), rate, np.random.default_rng(6)).values
+    dropped = _identity_ffn(np.ones((B * heads * t, t)), rate, np.random.default_rng(6))
     for out, kept_value in ((attended, 1.0 / t), (dropped, 1.0)):
         n = out.size
         kept = np.count_nonzero(out)
@@ -620,7 +808,7 @@ def test_attention_gradient_through_one_shared_operand():
     wy = ad.tensor(np.random.default_rng(1).normal(size=x0.shape))
 
     def loss(x: Tensor) -> Tensor:
-        return ad.sum_all(ad.mul(ad.attention(x, x, x, 4, 0.4, np.random.default_rng(2)), wy))
+        return sum_all(ad.mul(ad.attention(x, x, x, 4, 0.4, np.random.default_rng(2)), wy))
 
     assert finite_diff_check(loss, ad.parameter(x0), eps=1e-6) < 1e-6
 
@@ -716,7 +904,7 @@ def test_attention_gradient_with_loose_bound(operand, rate):
 
     def loss(x: Tensor) -> Tensor:
         out = ad.attention(**{**ops, operand: x}, n_heads=2, rate=rate, rng=np.random.default_rng(2))
-        return ad.sum_all(ad.mul(out, wy))
+        return sum_all(ad.mul(out, wy))
 
     x = ad.parameter(ops[operand].values.copy())
     assert finite_diff_check(loss, x, eps=1e-6) < 1e-6
@@ -776,14 +964,14 @@ def test_attention_rejects_bad_shapes(operand, shape, n_heads):
 
 @pytest.mark.parametrize("op, rate", [
     ("attention", -0.1), ("attention", 1.0), ("attention", math.nan),
-    ("dropout", -0.5), ("dropout", 1.0), ("dropout", math.nan),
-], ids=["-0.1", "1.0", "nan", "dropout--0.5", "dropout-1.0", "dropout-nan"])
+    ("ffn", -0.5), ("ffn", 1.0), ("ffn", math.nan),
+], ids=["-0.1", "1.0", "nan", "ffn--0.5", "ffn-1.0", "ffn-nan"])
 def test_attention_rejects_rate_outside_unit_interval(op, rate):
     with pytest.raises(ContractError, match="dropout rate"):
         if op == "attention":
             ad.attention(*(ad.tensor(v) for v in _attention_operands(5).values()), 2, rate, np.random.default_rng(0))
         else:
-            ad.dropout(ad.tensor(np.ones((2, 3))), rate, np.random.default_rng(0))
+            _identity_ffn(np.ones((2, 3)), rate, np.random.default_rng(0))
 
 
 def _head_pool_calls(monkeypatch, cpus):
@@ -953,24 +1141,26 @@ def test_gradients_accumulate_across_shared_use():
     x = ad.parameter([2.0])
     tape = Tape()
     with record(tape):
-        out = ad.sum_all(ad.add(ad.mul(x, x), ad.mul(x, ad.tensor([3.0]))))
+        out = sum_all(ad.add(ad.mul(x, x), ad.mul(x, ad.tensor([3.0]))))
     backward(tape, out)
     assert np.allclose(x.grad, [7.0])  # 2x + 3
 
 
-def test_dropout_identity_at_zero_rate_and_scales_expectation():
-    x = ad.tensor(np.ones((100, 10)))
+def test_ffn_draws_nothing_at_zero_rate_and_scales_expectation():
+    x = np.ones((100, 10))
     rng = np.random.default_rng(7)
-    assert ad.dropout(x, 0.0, rng) is x
-    out = ad.dropout(x, 0.5, rng).values
+    state = rng.bit_generator.state
+    assert np.array_equal(_identity_ffn(x, 0.0, rng), x)
+    assert rng.bit_generator.state == state
+    out = _identity_ffn(x, 0.5, rng)
     kept = out[out > 0]
     assert np.allclose(kept, 2.0)
     assert abs(out.mean() - 1.0) < 0.1
 
 
 def test_dropout_rejects_missing_generator():
-    with pytest.raises(ContractError, match="dropout: rng"):
-        ad.dropout(ad.tensor(np.ones((2, 3))), 0.1, None)
+    with pytest.raises(ContractError, match="ffn: rng"):
+        _identity_ffn(np.ones((2, 3)), 0.1, None)
 
 
 def test_no_tape_means_no_graph():

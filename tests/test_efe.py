@@ -4,6 +4,8 @@ import pytest
 from peakcast import autodiff as ad
 from peakcast import efe
 
+from gradcheck import finite_diff_check, sum_all
+
 
 def build_subsequence(window, j, s_efe, include_target_lags=False):
     """Per-point oracle for ``efe.subsequence_matrix``: the feature vector of
@@ -164,5 +166,5 @@ class TestEmbedSequence:
         rng = np.random.default_rng(9)
         w = ad.parameter(rng.normal(0, 0.4, size=(cfg.input_width(2), 4)))
         b = ad.parameter(rng.normal(0, 0.4, size=4))
-        err = ad.finite_diff_check(lambda p: ad.sum_all(ad.tanh(efe.embed_sequence(win, p, b, cfg))), w)
+        err = finite_diff_check(lambda p: sum_all(ad.tanh(efe.embed_sequence(win, p, b, cfg))), w)
         assert err < 1e-4

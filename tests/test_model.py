@@ -12,6 +12,8 @@ from peakcast.aee import AeeConfig
 from peakcast.efe import EfeConfig
 from peakcast.model import CheckpointError, PfConfig
 
+from gradcheck import finite_diff_check
+
 
 def toy_cfg(mode="efe_aee", **kw):
     """Small geometry; AEE hidden != d_model so the projection runs too."""
@@ -150,7 +152,7 @@ class TestForward:
         batch = toy_batch(cfg)
         worst = 0.0
         for p in params.values():
-            worst = max(worst, ad.finite_diff_check(lambda _: loss_of(params, cfg, batch), p, eps=1e-5))
+            worst = max(worst, finite_diff_check(lambda _: loss_of(params, cfg, batch), p, eps=1e-5))
         assert worst < 1e-6, f"{mode}: max rel err {worst}"
 
     @pytest.mark.parametrize("mode", model.EMBEDDING_MODES)
@@ -161,6 +163,18 @@ class TestForward:
         assert yhat.shape == (3, cfg.h) and yaux.shape == (3, cfg.h)
         if mode != "efe_aee":
             assert np.array_equal(yaux.values, np.zeros((3, cfg.h)))
+
+    def test_default_training_tape_has_42_nodes(self):
+        # each sublayer's residual add and layer norm is one node, and so is
+        # each feed-forward layer: 8 nodes per encoder layer and 14 per
+        # decoder layer, where linear, relu, dropout, linear, add and
+        # layer_norm nodes would take 13 and 20
+        cfg = PfConfig()
+        params = model.init_params(cfg, 0)
+        tape = ad.Tape()
+        with ad.record(tape):
+            loss_of(params, cfg, toy_batch(cfg, batch=1), np.random.default_rng(5), training=True)
+        assert len(tape) == 42
 
     def test_training_forward_is_seeded(self):
         cfg = toy_cfg(dropout_rate=0.3)
