@@ -3,7 +3,10 @@
 Define-by-run: while a :class:`Tape` is active (see :func:`record`), every
 operation involving a grad-enabled tensor appends one backward closure to the
 tape. :func:`backward` replays the tape in reverse, visiting each node exactly
-once, and accumulates ``d root / d leaf`` into ``Tensor.grad``.
+once, and accumulates ``d root / d leaf`` into ``Tensor.grad``. A tape is
+single-use: backward takes each node off the tape and then runs it, so what
+a node kept, and the gradients of outputs that only it read, are freed while
+backward goes on, and a second backward on the same tape raises.
 
 Every op follows one pattern: it computes its output values on plain
 arrays and hands its outputs, its inputs and a vector-Jacobian product
@@ -69,6 +72,10 @@ _TAPE_SERIALS = itertools.count(1)
 
 class Tape:
     """Ordered record of backward closures, parents always before children.
+
+    ``len(tape)`` counts the nodes not yet run: the recorded length until
+    :func:`backward` runs the tape, and 0 after it. ``visits`` counts the
+    nodes that backward ran, so it is 0 until the tape has been used.
 
     Tensors name the tape that produced them by its ``serial``, not by a
     reference: the closures hold their outputs, so a back-reference would
@@ -345,8 +352,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
     x (..., n), w1 (n, f), b1 (f,), w2 (f, k) and b2 (k,) give (..., k).
     Inverted dropout runs when rate > 0 and then needs ``rng``: one
     :func:`_keep_mask` draw after the first product; rate 0 draws nothing.
-    One node keeps the hidden activations and one boolean mask, ReLU's
-    (the gradient at exactly 0 is 0) and dropout's joined."""
+    One node keeps the hidden activations h, after ReLU and dropout, and no
+    mask: backward rebuilds ReLU's and dropout's masks, joined, as h > 0
+    (the gradient at exactly 0 is 0)."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     xv, w1v, w2v = x.values, w1.values, w2.values
     if (xv.ndim < 1 or w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1] != w1v.shape[0]
@@ -366,7 +374,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
     if drop:
         h *= _keep_mask(rng, h.shape, rate)
         h *= keep_scale
-    mask = h > 0  # ReLU's mask and dropout's keep mask joined
     y = h @ w2v
     y += b2.values
 
@@ -377,7 +384,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
         if b2.requires_grad:
             _accum(b2, g2d.sum(axis=0))
         gh = g2d @ w2v.T
-        gh *= mask
+        gh *= h > 0  # ReLU's mask and dropout's keep mask joined
         if drop:
             gh *= keep_scale
         if x.requires_grad:
@@ -540,12 +547,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     Each head runs over blocks of rows of q, so that a block's
     (B, rows, t_k) scores take about 1 MB (``_BLOCK_ELEMS``); one reused
     buffer holds a block of E_i, masked in place under dropout. No
-    (t_q, t_k) float array outlives its block: the tape keeps ``stats``, of shape
-    (2, n_heads, B, t_q, 1), with each row's shift (bound or exact max) in
-    stats[0] and its sum of E_i in stats[1], and the keep masks. Backward
-    rebuilds [Q_i, -c] and [K_i, 1] from the kept values and shift, and
-    runs the same product and exp on the same block shapes, so its E_i
-    equals the forward's bit for bit and matches the kept row sums. It
+    (t_q, t_k) float array outlives its block. Besides the operands and the
+    output, the tape keeps ``stats``, of shape (2, n_heads, B, t_q, 1), with
+    each row's shift (bound or exact max) in stats[0] and its sum of E_i in
+    stats[1], and under dropout each head's keep mask packed to one bit per
+    weight: ``np.packbits`` along t_k at the end of the head's forward, so
+    ceil(t_k / 8) bytes per row. It keeps no scaled copy of q: backward
+    rebuilds q * scale from q's values, which gives the same bits, then
+    [Q_i, -c] and [K_i, 1] from it and the kept shift, and runs the same
+    product and exp on the same block shapes, so its E_i equals the
+    forward's bit for bit and matches the kept row sums. It unpacks a
+    head's mask one row block at a time, once per block. It
     folds 1 / rowsum and the dropout scale into g_i and into the softmax
     row term rowsum(dP_i * P_i) = g_i . out_i, so the scores' gradient is
     dS_i = E_i * (g'_i V_i^T [* M_i] - rowdot'_i) without forming P_i. It
@@ -610,8 +622,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     stats = np.empty((2, n_heads, B, t_q, 1))  # each row's shift and sum of E, kept for backward
     stats[0] = _score_bounds(qs, kv, n_heads)
 
-    def shifted(i: int) -> tuple[np.ndarray, np.ndarray]:
-        """[Q_i, -shift] and [K_i, 1]^T of head i: their product is S_i - shift."""
+    def shifted(qs: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """[Q_i, -shift] and [K_i, 1]^T of head i, from the scaled q: their
+        product is S_i - shift."""
         cols = heads[i]
         return np.concatenate([qs[..., cols], -stats[0, i]], axis=-1), np.swapaxes(_with_ones(kv[..., cols]), -1, -2)
 
@@ -625,7 +638,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     def head_pass(e_buf: np.ndarray, i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
         """Head i's unnormalised output into y and its row sums into stats[1]."""
         cols, row_sum = heads[i], stats[1, i]
-        qa, kat = shifted(i)
+        qa, kat = shifted(qs, i)
         va = None if drop else _with_ones(vv[..., cols])
         for r in row_blocks:
             e = exps(e_buf, qa, kat, r)
@@ -642,7 +655,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
 
     def head_forward(e_buf: np.ndarray, i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
         """Head i's output into column block i of y, with the exact-max rerun
-        when its bound underflows, and its P_i into ``full`` when traced."""
+        when its bound underflows, and its P_i into ``full`` when traced.
+        The keep mask is packed into ``keeps`` at the end."""
         cols = heads[i]
         head_pass(e_buf, i, keep, full)
         if np.any(stats[1, i] < _MIN_ROW_SUM):
@@ -654,6 +668,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         y[..., cols] /= stats[1, i]
         if drop:
             y[..., cols] *= keep_scale
+            keeps[i] = np.packbits(keep, axis=-1)
         if full is not None:
             full /= stats[1, i]
 
@@ -674,6 +689,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
 
     def vjp(g: np.ndarray) -> None:
         dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
+        qs = q.values * scale
 
         def head_backward(bufs: tuple[np.ndarray, np.ndarray, np.ndarray], i: int) -> None:
             """Head i's column blocks of dq (unscaled), dk and dv."""
@@ -684,7 +700,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
             row_dot = (gi * y[..., cols]).sum(axis=-1, keepdims=True)  # rowsum(dP_i * P_i)
             row_dot *= inv_sum
             gi = gi * (inv_sum * keep_scale if drop else inv_sum)  # g'_i: dP_i * P_i = (g'_i V_i^T [* M_i]) * E_i
-            qa, kat = shifted(i)
+            qa, kat = shifted(qs, i)
             ki, vi = kv[..., cols], vv[..., cols]
             prod, dk_i, dv_i = kv_buf  # one block's product, and dk and dv summed over the blocks
             kv_buf[1:] = 0.0
@@ -693,11 +709,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
                 # ds: the scores' gradient, built in place
                 ds = np.matmul(gi[:, r], np.swapaxes(vi, -1, -2), out=block(ds_buf, r))
                 if drop:
-                    ds *= keeps[i][:, r]
+                    keep = np.unpackbits(keeps[i][:, r], axis=-1, count=t_k).view(bool)
+                    ds *= keep
                 ds -= row_dot[:, r]
                 ds *= e
                 if drop:
-                    e *= keeps[i][:, r]
+                    e *= keep
                 dv_i += np.matmul(np.swapaxes(e, -1, -2), gi[:, r], out=prod)
                 if dq is not None:
                     dq[:, r, cols] = np.matmul(ds, ki)
@@ -893,14 +910,21 @@ def rmse(pred: Tensor, truth: Tensor) -> Tensor:
 def backward(tape: Tape, root: Tensor) -> None:
     """Accumulate d root / d leaf into every grad-enabled ancestor of root.
 
-    Each tape node is executed exactly once, in reverse recording order;
-    ``tape.visits`` counts executed nodes.
+    Each tape node is executed exactly once, in reverse recording order, and
+    taken off the tape before it runs, so its saved arrays, and the
+    gradients of outputs that no earlier node reads, are freed as soon as it
+    returns. ``tape.visits`` counts executed nodes, and ``len(tape)`` reads 0
+    afterwards. The tape is then used up: a second call on it raises
+    ContractError.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if root.tape_id != tape.serial:
         raise ContractError("backward root was not recorded on this tape")
+    if tape.visits:
+        raise ContractError("backward already ran on this tape; a tape is single-use, record a new one")
     root.grad = np.ones_like(root.values)
-    for node in reversed(tape.nodes):
-        node()
+    nodes = tape.nodes
+    while nodes:
+        nodes.pop()()
         tape.visits += 1

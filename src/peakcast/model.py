@@ -373,11 +373,14 @@ def _checksum(config_blob: str, entries: list[dict]) -> str:
 
 
 def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
-    """Self-describing JSON container: config, named float64 tensors, checksum."""
+    """Self-describing JSON container: config, named float64 tensors, checksum.
+    A parameter with a NaN or infinite value raises CheckpointError, and no
+    file is written."""
     config_blob = json.dumps(cfg.to_dict(), sort_keys=True)
     entries = []
     for name in sorted(params):
         values = params[name].values
+        _check_finite(name, values)
         entries.append({
             "name": name,
             "shape": list(values.shape),
@@ -394,6 +397,11 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
         json.dump(doc, fh)
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"parameter {name} has non-finite values")
+
+
 def _is_entry(e) -> bool:
     return (isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("data"), str)
             and isinstance(e.get("shape"), list) and all(isinstance(n, int) for n in e["shape"]))
@@ -401,7 +409,8 @@ def _is_entry(e) -> bool:
 
 def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
     """Load and verify a checkpoint; a corrupted, malformed or mismatched
-    file raises CheckpointError."""
+    file, or one with a NaN or infinite parameter value, raises
+    CheckpointError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -433,5 +442,6 @@ def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
             buf = np.frombuffer(base64.b64decode(e["data"], validate=True), dtype="<f8").reshape(shape)
         except ValueError as exc:
             raise CheckpointError(f"parameter {name} data does not decode to shape {shape}: {exc}") from None
+        _check_finite(name, buf)
         params[name] = ad.parameter(buf.copy())
     return cfg, params

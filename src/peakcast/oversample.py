@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -198,15 +199,17 @@ def expand_peaks(
 def cap_kept_count(n_base: int, n_extra: int, os_pct: float) -> int:
     """Largest kept count with kept <= os_pct% of the final set size.
 
-    Solves kept = floor(r * (n_base + kept)) for r = os_pct / 100; keeping
-    everything when the cap is not binding.
+    Solves kept = floor(r * n_base / (1 - r)) for r = os_pct / 100 in exact
+    rational arithmetic on the value of ``os_pct``, so a kept count that
+    meets the cap exactly is kept; keeping everything when the cap is not
+    binding.
     """
     if not 0 < os_pct <= 100:
         raise PolicyError(f"os_pct must be in (0, 100], got {os_pct}")
-    r = os_pct / 100.0
-    if r >= 1.0:
+    pct = Fraction(os_pct)
+    if pct == 100:
         return n_extra
-    return min(n_extra, int(math.floor(r * n_base / (1.0 - r))))
+    return min(n_extra, pct * n_base // (100 - pct))
 
 
 def cap_oversample(

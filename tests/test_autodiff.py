@@ -417,6 +417,21 @@ def test_backward_visits_each_node_once():
     assert tape.visits == 4
 
 
+def test_used_tape_rejects_a_second_backward():
+    # backward takes every node off the tape, so a second call would find
+    # nothing to run; it must raise instead of returning as if it had
+    x = ad.parameter(np.arange(3.0))
+    tape = Tape()
+    with record(tape):
+        out = sum_all(ad.mul(x, x))
+    backward(tape, out)
+    assert len(tape) == 0 and tape.visits == 2
+    with pytest.raises(ContractError, match="already ran"):
+        backward(tape, out)
+    assert np.array_equal(x.grad, [0.0, 2.0, 4.0])
+    assert tape.visits == 2
+
+
 def test_backward_rejects_root_of_another_tape():
     x = ad.parameter([1.0, 2.0])
     tape, other = Tape(), Tape()
@@ -782,8 +797,8 @@ def test_keep_fraction_within_binomial_bound(rate):
 
 def test_attention_keeps_no_score_map_for_backward():
     # dropout off: what the tape keeps between forward and backward (the
-    # output, the scaled q and each row's max and sum) stays below one
-    # float64 (t_q, t_k) map of one head
+    # output and each row's shift and sum) stays below one float64
+    # (t_q, t_k) map of one head
     B, t, heads = 2, 256, 4
     rng = np.random.default_rng(0)
     q, k, v = (ad.parameter(rng.normal(size=(B, t, 8))) for _ in range(3))
@@ -800,6 +815,33 @@ def test_attention_keeps_no_score_map_for_backward():
     out.grad = np.ones(out.shape)
     tape.nodes[-1]()
     assert all(np.isfinite(x.grad).all() for x in (q, k, v))
+
+
+def test_attention_keeps_each_keep_mask_packed_to_one_bit_per_weight():
+    # under dropout the tape keeps, on top of what it keeps without dropout,
+    # each head's keep mask as ceil(t_k / 8) bytes per row, not one byte a weight
+    B, t_q, t_k, heads = 2, 200, 301, 4
+    rng = np.random.default_rng(0)
+    ops = [ad.parameter(rng.normal(size=(B, t, 8))) for t in (t_q, t_k, t_k)]
+
+    def kept(rate):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            with record(tape):
+                out = ad.attention(*ops, heads, rate, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[0] - before, tape, out
+        finally:
+            tracemalloc.stop()
+
+    plain, *_ = kept(0.0)
+    dropped, tape, out = kept(0.3)
+    packed = heads * B * t_q * math.ceil(t_k / 8)
+    assert packed <= dropped - plain <= 1.1 * packed + 4096, (dropped - plain, packed)
+    out.grad = np.ones(out.shape)
+    tape.nodes[-1]()
+    assert all(np.isfinite(x.grad).all() for x in ops)
 
 
 def test_attention_gradient_through_one_shared_operand():
@@ -1135,6 +1177,40 @@ def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch)
         os.waitpid(pid, 0)
         pytest.fail("the forked child's pooled attention call did not finish within 60 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "serial"])
+def test_backward_matches_a_replay_of_a_copy_of_the_nodes(cpus, monkeypatch):
+    # backward drops each node once it has run; the gradients must equal a
+    # replay that keeps every node alive, with dropout on in attention and ffn
+    calls = _head_pool_calls(monkeypatch, cpus)
+    ops = _pool_sized_operands(1, fallback=False)
+    d = ops["q"].shape[-1]
+    init = np.random.default_rng(4).normal(size=(6, d, d)) / math.sqrt(d)
+
+    def grads(run):
+        x, kv, *ws = (ad.parameter(v) for v in (ops["q"], ops["k"], *init))
+        bias = ad.tensor(np.zeros(d))
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        with record(tape):
+            q, k, v = (ad.linear(a, w) for a, w in ((x, ws[0]), (kv, ws[1]), (kv, ws[2])))
+            a = ad.linear(ad.attention(q, k, v, 4, 0.3, rng), ws[3])
+            y = ad.ffn(a, ws[4], bias, ws[5], bias, 0.3, rng)
+            out = ad.rmse(y, ad.tensor(ops["v"]))
+        run(tape, out)
+        return [t.grad for t in (x, kv, *ws)]
+
+    def replay(tape, root):
+        root.grad = np.ones_like(root.values)
+        for node in reversed(list(tape.nodes)):
+            node()
+
+    want = grads(replay)
+    got = grads(backward)
+    assert len(calls) == (4 if cpus == 2 else 0)  # forward and backward, per run
+    for w, g in zip(want, got, strict=True):
+        assert np.array_equal(w, g)
 
 
 def test_gradients_accumulate_across_shared_use():

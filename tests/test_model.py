@@ -1,6 +1,8 @@
+import base64
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -271,6 +273,27 @@ class TestForward:
         with pytest.raises(ad.ContractError):
             model.forward(windows, ts, model.init_params(cfg, 0), cfg)
 
+    def test_backward_frees_the_tape_as_it_runs(self):
+        # backward drops each node once it has run, so its saved arrays go
+        # while the gradients grow: the traced peak during backward stays
+        # close to what the forward left alive, not that plus every gradient
+        cfg = toy_cfg(dropout_rate=0.3, t=24, h=8, d_model=8, ffn_width=16)
+        params = model.init_params(cfg, 0)
+        batch = toy_batch(cfg, batch=4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = ad.Tape()
+            with ad.record(tape):
+                loss = loss_of(params, cfg, batch, np.random.default_rng(5), training=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            ad.backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * held, (peak, held)
+
     def test_step_tape_freed_without_cyclic_gc(self):
         class WeakTape(ad.Tape):
             __slots__ = ("__weakref__",)
@@ -386,6 +409,30 @@ class TestCheckpoint:
         path = saved[0]
         self.rewrite(path, edit, rechecksum=True)
         with pytest.raises(CheckpointError, match="aee.dec.0.u"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+    def test_non_finite_parameter_rejected_on_save(self, tmp_path, value):
+        cfg = toy_cfg()
+        params = model.init_params(cfg, 7)
+        params["head.w"].values[1, 0] = value
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(CheckpointError, match="head.w"):
+            model.save_checkpoint(path, cfg, params)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+    def test_non_finite_parameter_rejected_on_load(self, saved, value):
+        path = saved[0]
+
+        def poison(doc):
+            entry = next(e for e in doc["params"] if e["name"] == "head.w")
+            values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+            values[1] = value
+            entry["data"] = base64.b64encode(values.tobytes()).decode()
+
+        self.rewrite(path, poison, rechecksum=True)
+        with pytest.raises(CheckpointError, match="head.w"):
             model.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

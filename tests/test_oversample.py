@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peakcast import oversample as ov
@@ -280,10 +281,15 @@ class TestCapOversample:
     @given(st.integers(1, 2000), st.integers(0, 2000),
            st.floats(min_value=0.5, max_value=100.0, allow_nan=False))
     @settings(max_examples=200)
+    @example(97, 100, 3.0)  # 3 of a final 100 is exactly 3%; float arithmetic kept 2
     def test_cap_ratio_property(self, n_base, n_extra, os_pct):
         kept = ov.cap_kept_count(n_base, n_extra, os_pct)
         assert 0 <= kept <= n_extra
         assert kept / (n_base + kept) <= os_pct / 100.0 + 1.0 / (n_base + kept)
+        # exactly: within the cap, and keeping one more would break it
+        pct = Fraction(os_pct)
+        assert 100 * kept <= pct * (n_base + kept)
+        assert kept == n_extra or 100 * (kept + 1) > pct * (n_base + kept + 1)
 
     def test_policy_validation(self):
         with pytest.raises(ov.PolicyError):
