@@ -12,15 +12,19 @@ not recursive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DEFAULT_SYNTH_START
+from .data import DEFAULT_SYNTH_START, AlignmentError, WindowError
 
 TIMESTAMP_FEATURE_WIDTH = 5
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_US = timedelta(microseconds=1)
+_US_PER_DAY = 86_400_000_000
 
 
 @dataclass
@@ -61,7 +65,7 @@ def encode(windows: np.ndarray, params: dict[str, Tensor], cfg: AeeConfig) -> li
 
 
 def timestamp_features(
-    issue_index: int,
+    issue_index: int | np.ndarray,
     horizon: int,
     step: timedelta = timedelta(minutes=15),
     start: datetime | None = None,
@@ -74,18 +78,54 @@ def timestamp_features(
     timestamp's wall clock and truncated to whole seconds. Without a start
     timestamp the calendar features fall back to a fixed epoch so the
     encoding stays total.
+
+    ``issue_index`` may also be an int array of B issue indices; the result
+    is then (B, horizon, 5), equal bit for bit to stacking the B
+    single-window calls, so a batch's features take one call.
+
+    The timestamps are int64 wall-clock microseconds since 1970-01-01,
+    floor-divided to whole seconds and then to a day number and the seconds
+    of that day. Day-of-year subtracts the start of the day's year, looked
+    up among the starts of the few years the call covers, so no calendar
+    conversion runs per step. Raises ``WindowError`` for a horizon below 1
+    or an ``issue_index`` that is neither an int nor a non-empty 1-D int
+    array, and ``AlignmentError`` for a step that is not positive.
     """
+    if horizon < 1:
+        raise WindowError(f"horizon must be >= 1, got {horizon}")
+    if step <= timedelta(0):
+        raise AlignmentError(f"grid step must be positive, got {step}")
+    issue = np.asarray(issue_index)
+    if issue.ndim > 1 or issue.size == 0 or issue.dtype.kind not in "iu":
+        raise WindowError(f"issue_index must be an int or a non-empty 1-D int array, got {issue.dtype} {issue.shape}")
     anchor = start if start is not None else DEFAULT_SYNTH_START
-    us = timedelta(microseconds=1)
-    k = np.arange(horizon)
-    wall = np.datetime64(anchor.replace(tzinfo=None), "us")
-    ts = wall + (issue_index + 1 + k) * np.timedelta64(step // us, "us")
-    day = ts.astype("datetime64[D]")
-    tod = (ts - day).astype("timedelta64[s]").astype(np.int64) / 86400.0
-    doy = ((day - day.astype("datetime64[Y]")).astype(np.int64) + tod) / 366.0
-    return np.stack([k / horizon,
-                     np.sin(2 * np.pi * tod), np.cos(2 * np.pi * tod),
-                     np.sin(2 * np.pi * doy), np.cos(2 * np.pi * doy)], axis=-1)
+    step_us = step // _US
+    first_us = (anchor.replace(tzinfo=None) - _EPOCH) // _US + step_us  # wall clock of grid index 1
+    if issue.ndim:  # each row increases, so its first and last steps bound it
+        us = np.add.outer(issue.astype(np.int64) * step_us, np.arange(first_us, first_us + horizon * step_us, step_us))
+        ends = us[:, 0].min(), us[:, -1].max()
+    else:
+        lo = first_us + int(issue) * step_us
+        us = np.arange(lo, lo + horizon * step_us, step_us)
+        ends = lo, us[-1]
+    day, sec = np.divmod(us // 1_000_000, 86400)
+    lo_year, hi_year = (date.fromordinal(_EPOCH_ORDINAL + int(e) // _US_PER_DAY).year for e in ends)
+    year_starts = np.array([date(y, 1, 1).toordinal() - _EPOCH_ORDINAL for y in range(lo_year, hi_year + 1)])
+    if lo_year == hi_year:
+        yday = day - year_starts[0]
+    else:
+        yday = day - year_starts[np.searchsorted(year_starts, day, side="right") - 1]
+
+    # filled feature-major, so each ufunc writes contiguous rows, then transposed once
+    out = np.empty((TIMESTAMP_FEATURE_WIDTH,) + day.shape)
+    out[0] = np.arange(horizon) / horizon
+    angle = np.empty((2,) + day.shape)  # fractional time-of-day and day-of-year
+    tod = np.divide(sec, 86400.0, out=angle[0])
+    np.divide(np.add(yday, tod, out=angle[1]), 366.0, out=angle[1])
+    angle *= 2 * np.pi
+    np.sin(angle, out=out[1::2])
+    np.cos(angle, out=out[2::2])
+    return out.reshape(TIMESTAMP_FEATURE_WIDTH, -1).T.copy().reshape(day.shape + (TIMESTAMP_FEATURE_WIDTH,))
 
 
 def decode(

@@ -520,15 +520,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     q is (B, t_q, d); k and v are (B, t_k, d) with t_k >= 1. Head i owns
     column block i, of width d_head = d / n_heads, of all three and computes
         P_i = softmax(Q_i K_i^T / sqrt(d_head)),  out_i = (P_i * M_i) V_i / (1 - rate)
-    into column block i of the output. M_i is 1 everywhere unless ``rng``
-    is given and ``rate`` > 0; then each head draws its boolean keep mask
-    once, in head order, as uint16 draws at or above round(rate * 65536)
+    into column block i of the output. M_i is 1 everywhere when ``rate`` is
+    0; when ``rate`` > 0, ``rng`` must be given (``ContractError``
+    otherwise) and each head draws its boolean keep mask once, in head
+    order, as uint16 draws at or above round(rate * 65536)
     (:func:`_keep_mask`), so the drop rate holds to within 1/65,536. The
     scale 1 / (1 - rate) multiplies the output, not P_i. This rule fixes
     which weights a seeded generator drops: a float rule such as
     ``rng.random(shape) >= rate`` drops others at the same rate, so a
-    training run repeats for a seed only under the same rule. Eval mode and
-    dropout off draw nothing from ``rng``.
+    training run repeats for a seed only under the same rule. Rate 0 draws
+    nothing from ``rng``.
 
     The softmax shifts each row of scores S_i = Q_i K_i^T / sqrt(d_head) by
     an upper bound of the row, c_r = sum_c max(q_rc max_j k_jc, q_rc min_j
@@ -602,9 +603,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         raise DimensionError(f"attention: width {d} does not split into n_heads = {n_heads} heads")
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"attention: dropout rate must be in [0, 1), got {rate}")
+    drop = rate > 0.0
+    if drop and rng is None:
+        raise ContractError("attention: rng must be a numpy Generator when rate > 0, got None")
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
-    drop = rng is not None and rate > 0.0
     keep_scale = 1.0 / (1.0 - rate)
     qs, kv, vv = q.values * scale, k.values, v.values
     heads = [slice(lo, lo + d_head) for lo in range(0, d, d_head)]

@@ -97,7 +97,7 @@ class AlignedSeries:
         return max(0, math.ceil((ts - self.start) / self.step))
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowSample:
     """One training/eval instance: (m, t) inputs and an h-step target."""
 

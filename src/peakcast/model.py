@@ -235,7 +235,7 @@ def multi_head_attention(
     q = ad.linear(x, params[f"{prefix}.wq"])
     k = ad.linear(source, params[f"{prefix}.wk"])
     v = ad.linear(source, params[f"{prefix}.wv"])
-    heads = ad.attention(q, k, v, cfg.n_heads, cfg.dropout_rate, rng, trace)
+    heads = ad.attention(q, k, v, cfg.n_heads, 0.0 if rng is None else cfg.dropout_rate, rng, trace)
     return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 

@@ -3,14 +3,17 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peakcast import aee
 from peakcast import autodiff as ad
-from peakcast.data import DEFAULT_SYNTH_START
+from peakcast.data import DEFAULT_SYNTH_START, AlignmentError, WindowError
 
 from gradcheck import finite_diff_check, sum_all
 
 STEP = timedelta(minutes=15)
+SPAN_US = 60 * 365 * 86_400_000_000  # grid offsets stay within ~60 years of the anchor
 
 
 def timestamp_features_loop(issue_index, horizon, step=STEP, start=None):
@@ -162,6 +165,50 @@ class TestTimestampFeatures:
     def test_matches_per_step_loop(self, issue_index, horizon, step, start):
         got = aee.timestamp_features(issue_index, horizon, step=step, start=start)
         assert np.array_equal(got, timestamp_features_loop(issue_index, horizon, step, start))
+
+    # naive, UTC and non-UTC anchors from 1900 to 2100, with microseconds;
+    # steps of 1 us to 3 days; issue indices up to ~60 years either side
+    @given(
+        start=st.none() | st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1), timezones=st.none() | st.sampled_from(
+            [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-9))])),
+        step_issue=st.integers(1, 3 * 86_400_000_000).flatmap(
+            lambda us: st.tuples(st.just(timedelta(microseconds=us)), st.integers(-SPAN_US // us, SPAN_US // us))),
+        horizon=st.integers(1, 600),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_step_loop_property(self, start, step_issue, horizon):
+        step, issue_index = step_issue
+        got = aee.timestamp_features(issue_index, horizon, step=step, start=start)
+        assert np.array_equal(got, timestamp_features_loop(issue_index, horizon, step, start))
+
+    @pytest.mark.parametrize("issues, horizon, step, start", [
+        ([0, 7, 3, 7, -2], 96, STEP, None),  # unordered, repeated and negative indices
+        ([80, 95, 100, 130], 48, STEP, datetime(2020, 12, 31, tzinfo=timezone.utc)),  # across a year boundary
+        ([0, 20, 23, 40], 30, timedelta(hours=1), datetime(2024, 2, 28, tzinfo=timezone.utc)),  # over a leap day
+        ([-40_000, 0, 35_000, 105_000], 288, STEP, datetime(2021, 6, 1, 7, 30)),  # a batch spanning four years
+        ([5], 1, timedelta(days=400), datetime(1969, 12, 31, 23, 59, 59, 999_999)),
+    ])
+    def test_batch_matches_stacked_calls(self, issues, horizon, step, start):
+        got = aee.timestamp_features(np.array(issues), horizon, step=step, start=start)
+        want = np.stack([aee.timestamp_features(i, horizon, step=step, start=start) for i in issues])
+        assert got.shape == (len(issues), horizon, aee.TIMESTAMP_FEATURE_WIDTH) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_horizon_below_one(self, horizon):
+        with pytest.raises(WindowError, match="horizon"):
+            aee.timestamp_features(0, horizon)
+
+    @pytest.mark.parametrize("step", [timedelta(0), timedelta(minutes=-15)])
+    def test_rejects_step_that_is_not_positive(self, step):
+        with pytest.raises(AlignmentError, match="step"):
+            aee.timestamp_features(0, 8, step=step)
+
+    @pytest.mark.parametrize("issue_index", [np.zeros((2, 3), dtype=int), np.array([], dtype=int), 1.5,
+                                             np.array([1.0, 2.0])], ids=["2d", "empty", "float", "float_array"])
+    def test_rejects_issue_index_that_is_not_int_or_int_vector(self, issue_index):
+        with pytest.raises(WindowError, match="issue_index"):
+            aee.timestamp_features(issue_index, 8)
 
 
 class TestDecode:

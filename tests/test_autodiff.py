@@ -1239,6 +1239,12 @@ def test_dropout_rejects_missing_generator():
         _identity_ffn(np.ones((2, 3)), 0.1, None)
 
 
+def test_attention_dropout_rejects_missing_generator():
+    ops = (ad.tensor(v) for v in _attention_operands(5).values())
+    with pytest.raises(ContractError, match="attention: rng"):
+        ad.attention(*ops, 2, 0.1)
+
+
 def test_no_tape_means_no_graph():
     x = ad.parameter(np.ones(3))
     out = ad.mul(x, x)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -214,6 +214,13 @@ class TestWindows:
             for f in fields(d.WindowSample):
                 assert np.array_equal(getattr(w, f.name), getattr(windows[origin], f.name)), f.name
         assert d.window_at_origin(series, 5, 6, 3, oversampled=True).is_oversampled
+
+    def test_window_sample_has_slots_and_replaces(self):
+        series = self.make_series(40)
+        w = d.window_at_origin(series, 3, 6, 3)
+        assert not hasattr(w, "__dict__")
+        flagged = replace(w, is_oversampled=True)
+        assert flagged.is_oversampled and flagged.input is w.input and flagged.issue_index == w.issue_index
 
     def test_windows_are_views_of_the_matrix(self):
         series = self.make_series(40)

@@ -113,6 +113,15 @@ class TestAttention:
             model.multi_head_attention(x, x, params, "dec.0.self", cfg, np.random.default_rng(3))
         assert len(tape) <= 5
 
+    def test_no_generator_means_no_dropout(self):
+        # eval forwards pass no rng: attention then runs at rate 0, bit for bit
+        x = ad.tensor(np.random.default_rng(2).normal(size=(2, 5, 8)))
+        outs = []
+        for rate in (0.0, 0.3):
+            cfg = PfConfig(d_model=8, n_heads=2, t=7, h=5, dropout_rate=rate)
+            outs.append(model.multi_head_attention(x, x, model.init_params(cfg, 1), "dec.0.self", cfg).values)
+        assert np.array_equal(outs[0], outs[1])
+
     def test_width_mismatch_rejected(self):
         cfg = PfConfig(d_model=8, n_heads=2, t=7, h=5)
         params = model.init_params(cfg, 1)
