@@ -85,11 +85,12 @@ def timestamp_features(
 
     The timestamps are int64 wall-clock microseconds since 1970-01-01,
     floor-divided to whole seconds and then to a day number and the seconds
-    of that day. Day-of-year subtracts the start of the day's year, looked
-    up among the starts of the few years the call covers, so no calendar
-    conversion runs per step. Raises ``WindowError`` for a horizon below 1
-    or an ``issue_index`` that is neither an int nor a non-empty 1-D int
-    array, and ``AlignmentError`` for a step that is not positive.
+    of that day. Day-of-year subtracts the start of the call's first year
+    and, from each later year start the call covers on, the length of the
+    year before it, so no calendar conversion runs per step. Raises
+    ``WindowError`` for a horizon below 1 or an ``issue_index`` that is
+    neither an int nor a non-empty 1-D int array, and ``AlignmentError`` for
+    a step that is not positive.
     """
     if horizon < 1:
         raise WindowError(f"horizon must be >= 1, got {horizon}")
@@ -101,20 +102,17 @@ def timestamp_features(
     anchor = start if start is not None else DEFAULT_SYNTH_START
     step_us = step // _US
     first_us = (anchor.replace(tzinfo=None) - _EPOCH) // _US + step_us  # wall clock of grid index 1
-    if issue.ndim:  # each row increases, so its first and last steps bound it
-        us = np.add.outer(issue.astype(np.int64) * step_us, np.arange(first_us, first_us + horizon * step_us, step_us))
-        ends = us[:, 0].min(), us[:, -1].max()
-    else:
-        lo = first_us + int(issue) * step_us
-        us = np.arange(lo, lo + horizon * step_us, step_us)
-        ends = lo, us[-1]
+    # a (horizon,) grid for one issue index, (B, horizon) for B of them
+    us = np.arange(first_us, first_us + horizon * step_us, step_us) + issue.astype(np.int64)[..., None] * step_us
     day, sec = np.divmod(us // 1_000_000, 86400)
-    lo_year, hi_year = (date.fromordinal(_EPOCH_ORDINAL + int(e) // _US_PER_DAY).year for e in ends)
-    year_starts = np.array([date(y, 1, 1).toordinal() - _EPOCH_ORDINAL for y in range(lo_year, hi_year + 1)])
-    if lo_year == hi_year:
-        yday = day - year_starts[0]
-    else:
-        yday = day - year_starts[np.searchsorted(year_starts, day, side="right") - 1]
+    # each row increases, so the smallest index's first step and the largest's last bound the call
+    indices = issue.reshape(-1).tolist()
+    ends = first_us + min(indices) * step_us, first_us + (max(indices) + horizon - 1) * step_us
+    lo_year, hi_year = (date.fromordinal(_EPOCH_ORDINAL + e // _US_PER_DAY).year for e in ends)
+    year_starts = [date(y, 1, 1).toordinal() - _EPOCH_ORDINAL for y in range(lo_year, hi_year + 1)]
+    yday = day - year_starts[0]
+    for prev, year_start in zip(year_starts, year_starts[1:]):  # from each later year on, less the year before
+        yday -= (day >= year_start) * (year_start - prev)
 
     # filled feature-major, so each ufunc writes contiguous rows, then transposed once
     out = np.empty((TIMESTAMP_FEATURE_WIDTH,) + day.shape)
