@@ -27,6 +27,25 @@ _US = timedelta(microseconds=1)
 _US_PER_DAY = 86_400_000_000
 
 
+def _time_of_day_table() -> np.ndarray:
+    """Read-only (2, 86400) sine and cosine of every whole second of a day.
+
+    Built with the same float64 operations, in the same order, as a
+    per-step angle 2*pi * (second / 86400), so a lookup equals computing it.
+    """
+    table = np.arange(2 * 86400.0).reshape(2, 86400)
+    table[1] -= 86400.0  # both rows 0, 1, ..., 86399, exactly; no temporary is made or freed
+    table /= 86400.0
+    table *= 2 * np.pi
+    np.sin(table[0], out=table[0])
+    np.cos(table[1], out=table[1])
+    table.flags.writeable = False
+    return table
+
+
+_TIME_OF_DAY = _time_of_day_table()
+
+
 @dataclass
 class AeeConfig:
     hidden: int = 64
@@ -85,9 +104,13 @@ def timestamp_features(
 
     The timestamps are int64 wall-clock microseconds since 1970-01-01,
     floor-divided to whole seconds and then to a day number and the seconds
-    of that day. Day-of-year subtracts the start of the call's first year
-    and, from each later year start the call covers on, the length of the
-    year before it, so no calendar conversion runs per step. Raises
+    of that day. Time-of-day sine and cosine are read by that second from a
+    read-only (2, 86400) float64 table (1.38 MB, built once at import with
+    the same float64 operations, in the same order, as a per-step angle, so
+    a lookup is exact); only day-of-year runs ``np.sin``/``np.cos`` per
+    call. Day-of-year subtracts the start of the call's first year and, from
+    each later year start the call covers on, the length of the year before
+    it, so no calendar conversion runs per step. Raises
     ``WindowError`` for a horizon below 1 or an ``issue_index`` that is
     neither an int nor a non-empty 1-D int array, and ``AlignmentError`` for
     a step that is not positive.
@@ -116,13 +139,15 @@ def timestamp_features(
 
     # filled feature-major, so each ufunc writes contiguous rows, then transposed once
     out = np.empty((TIMESTAMP_FEATURE_WIDTH,) + day.shape)
-    out[0] = np.arange(horizon) / horizon
-    angle = np.empty((2,) + day.shape)  # fractional time-of-day and day-of-year
-    tod = np.divide(sec, 86400.0, out=angle[0])
-    np.divide(np.add(yday, tod, out=angle[1]), 366.0, out=angle[1])
-    angle *= 2 * np.pi
-    np.sin(angle, out=out[1::2])
-    np.cos(angle, out=out[2::2])
+    np.divide(np.arange(horizon), horizon, out=out[0])
+    # sec is in [0, 86400) by the divmod, so "clip" never moves an index; it only skips a buffered copy
+    np.take(_TIME_OF_DAY, sec, axis=1, out=out[1:3], mode="clip")
+    doy = np.divide(sec, 86400.0)  # fractional time-of-day, then the day-of-year angle
+    np.add(yday, doy, out=doy)
+    doy /= 366.0
+    doy *= 2 * np.pi
+    np.sin(doy, out=out[3])
+    np.cos(doy, out=out[4])
     return out.reshape(TIMESTAMP_FEATURE_WIDTH, -1).T.copy().reshape(day.shape + (TIMESTAMP_FEATURE_WIDTH,))
 
 

@@ -5,7 +5,9 @@ All series live on a uniform 15-minute UTC grid after :func:`align`. An
 float64 matrix with the target in row 0 and the auxiliary series (rain
 gauges and the like) in the remaining rows; ``matrix()`` returns it
 without copying. Every window's input and target are views into that
-matrix, so no window copies the series.
+matrix, so no window copies the series; :func:`make_windows` slices all
+of them from one sliding-window view of it, with the matrix's own
+strides. CSV files are read and written as UTF-8.
 """
 
 from __future__ import annotations
@@ -133,14 +135,16 @@ def _parse_timestamp(text: str, line: int) -> datetime:
 
 
 def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = None) -> RawSeries:
-    """Read a (timestamp, value) CSV into a timestamp-sorted RawSeries.
+    """Read a UTF-8 (timestamp, value) CSV into a timestamp-sorted RawSeries.
+
+    A leading byte-order mark is dropped, whatever the locale.
 
     ``column_map`` maps the roles "timestamp" and "value" to actual column
     names when the file does not use the default header.
     """
     cmap = {"timestamp": "timestamp", "value": "value", **(column_map or {})}
     records: list[tuple[datetime, float]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         columns = {col: i for i, col in enumerate(next(reader, []))}
         if not {cmap["timestamp"], cmap["value"]} <= columns.keys():
@@ -174,19 +178,36 @@ def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = 
 
 def write_csv(path, start: datetime, step: timedelta, values: np.ndarray) -> None:
     """Write one series in the canonical ``timestamp,value`` format."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "value"])
         for i, v in enumerate(values):
             writer.writerow([(start + i * step).isoformat(), repr(float(v))])
 
 
+def _offsets_us(series: RawSeries, start: datetime) -> np.ndarray:
+    """int64 microseconds from ``start`` to each timestamp of the series.
+
+    Raises DataError unless the timestamps strictly increase and each has
+    one value.
+    """
+    if len(series.values) != len(series.timestamps):
+        raise DataError(f"series {series.name!r} has {len(series.values)} values for {len(series.timestamps)} timestamps")
+    us = timedelta(microseconds=1)
+    offsets = np.array([(ts - start) // us for ts in series.timestamps], dtype=np.int64)
+    bad = np.flatnonzero(np.diff(offsets) <= 0)
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise DataError(f"series {series.name!r} timestamps must strictly increase: "
+                        f"{series.timestamps[i].isoformat()} follows {series.timestamps[i - 1].isoformat()}")
+    return offsets
+
+
 def _grid_fill(series: RawSeries, start: datetime, step: timedelta, n: int) -> np.ndarray:
     """Sample a raw series onto the grid: last observation at or before each
     grid point, zeros before the first observation (leading-gap policy)."""
     us = timedelta(microseconds=1)
-    offsets = np.array([(ts - start) // us for ts in series.timestamps], dtype=np.int64)
-    last = np.searchsorted(offsets, np.arange(n, dtype=np.int64) * (step // us), side="right") - 1
+    last = np.searchsorted(_offsets_us(series, start), np.arange(n, dtype=np.int64) * (step // us), side="right") - 1
     return np.where(last >= 0, series.values[np.maximum(last, 0)], 0.0)
 
 
@@ -200,7 +221,9 @@ def align(
 
     The grid spans the intersection of the series' time ranges unless an
     explicit ``start``/``end`` is given. Gaps are forward-filled; positions
-    before a series' first observation become zero.
+    before a series' first observation become zero. A series whose
+    timestamps do not strictly increase, or whose value count differs from
+    its timestamp count, raises DataError.
     """
     if not series_list:
         raise AlignmentError("no series to align")
@@ -212,6 +235,8 @@ def align(
     lo = start if start is not None else max(s.timestamps[0] for s in series_list)
     hi = end if end is not None else min(s.timestamps[-1] for s in series_list)
     if hi < lo:
+        for s in series_list:  # disordered timestamps make a false range; name them instead
+            _offsets_us(s, lo)
         raise AlignmentError(f"series time ranges do not overlap ({lo.isoformat()} > {hi.isoformat()})")
     n = int((hi - lo) / step) + 1
     grids = [_grid_fill(s, lo, step, n) for s in series_list]
@@ -235,8 +260,12 @@ def make_windows(series: AlignedSeries, t: int, h: int, stride: int = 1) -> list
         raise WindowError(f"series length {L} < t + h = {t + h}")
     if stride < 1:
         raise WindowError(f"stride must be >= 1, got {stride}")
-    mat = series.matrix()
-    return [_window(mat, origin, t, h) for origin in range(0, L - t - h + 1, stride)]
+    # one (m, L - t - h + 1, t + h) view holds every window; each window's
+    # input and target are slices of it with the matrix's own strides
+    spans = np.lib.stride_tricks.sliding_window_view(series.matrix(), t + h, axis=1)[:, ::stride]
+    inputs = np.moveaxis(spans[:, :, :t], 1, 0)
+    targets = spans[0, :, t:]
+    return list(map(WindowSample, inputs, targets, range(t - 1, L - h, stride)))
 
 
 def window_at_origin(series: AlignedSeries, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
@@ -245,22 +274,13 @@ def window_at_origin(series: AlignedSeries, origin: int, t: int, h: int, oversam
     L = len(series)
     if not 0 <= origin <= L - t - h:
         raise WindowError(f"origin {origin} outside [0, {L - t - h}]")
-    return _window(series.matrix(), origin, t, h, oversampled)
+    mat = series.matrix()
+    return WindowSample(mat[:, origin:origin + t], mat[0, origin + t:origin + t + h], origin + t - 1, oversampled)
 
 
 def _check_geometry(t: int, h: int) -> None:
     if t < 1 or h < 1:
         raise WindowError(f"history t and horizon h must be >= 1, got t={t}, h={h}")
-
-
-def _window(mat: np.ndarray, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
-    """The window at ``origin``, as views into the series matrix."""
-    return WindowSample(
-        input=mat[:, origin:origin + t],
-        target=mat[0, origin + t:origin + t + h],
-        issue_index=origin + t - 1,
-        is_oversampled=oversampled,
-    )
 
 
 def chrono_split(

@@ -181,6 +181,32 @@ class TestTimestampFeatures:
         got = aee.timestamp_features(issue_index, horizon, step=step, start=start)
         assert np.array_equal(got, timestamp_features_loop(issue_index, horizon, step, start))
 
+    def test_every_second_of_a_day_matches_loop(self):
+        # each of the time-of-day table's 86,400 entries, read once
+        start = datetime(2023, 5, 17, tzinfo=timezone.utc)  # midnight
+        got = aee.timestamp_features(-1, 86_400, step=timedelta(seconds=1), start=start)
+        assert np.array_equal(got, timestamp_features_loop(-1, 86_400, timedelta(seconds=1), start))
+
+    # anchors before 1970 with microsecond fractions, steps that do not divide
+    # a day, negative issue indices; a batch against the oracle and single calls
+    @given(
+        start=st.datetimes(datetime(1900, 1, 1), datetime(1970, 1, 1), timezones=st.none() | st.just(timezone.utc)),
+        step=st.sampled_from([timedelta(seconds=7, microseconds=3), timedelta(minutes=37), timedelta(milliseconds=333)]),
+        issues=st.lists(st.integers(-300_000, 300_000), min_size=1, max_size=5),
+        horizon=st.integers(1, 150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_loop_at_steps_that_do_not_divide_a_day(self, start, step, issues, horizon):
+        got = aee.timestamp_features(np.array(issues), horizon, step=step, start=start)
+        assert np.array_equal(got, np.stack([timestamp_features_loop(i, horizon, step, start) for i in issues]))
+        assert np.array_equal(got, np.stack([aee.timestamp_features(i, horizon, step, start) for i in issues]))
+
+    def test_time_of_day_table_is_read_only(self):
+        table = aee._TIME_OF_DAY
+        assert table.shape == (2, 86_400) and table.dtype == np.float64 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     @pytest.mark.parametrize("issues, horizon, step, start", [
         ([0, 7, 3, 7, -2], 96, STEP, None),  # unordered, repeated and negative indices
         ([80, 95, 100, 130], 48, STEP, datetime(2020, 12, 31, tzinfo=timezone.utc)),  # across a year boundary

@@ -72,6 +72,13 @@ class TestLoadCsv:
         with pytest.raises(d.DataError):
             d.load_csv(p)
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # spreadsheet exports often start the file with a UTF-8 byte-order mark
+        p = tmp_path / "bom.csv"
+        p.write_bytes("\ufefftimestamp,value\n2021-09-01T00:00,1.5\n2021-09-01T00:15,2.5\n".encode("utf-8"))
+        s = d.load_csv(p)
+        assert s.timestamps == [T0, T0 + STEP] and list(s.values) == [1.5, 2.5]
+
     def test_column_map_and_z_suffix(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text("time,flow\n2021-09-01T00:00:00Z,4.5\n")
@@ -164,6 +171,25 @@ class TestAlign:
         with pytest.raises(d.AlignmentError):
             d.align([a, empty], start=T0, end=T0 + 3 * STEP)
 
+    def test_unordered_timestamps_rejected(self):
+        a = d.RawSeries("gauge", [T0 + 2 * STEP, T0, T0 + STEP, T0 + 3 * STEP], np.array([3.0, 1.0, 2.0, 4.0]))
+        with pytest.raises(d.DataError, match="'gauge'.*strictly increase"):
+            d.align([a])
+        # disorder that also crosses the ranges is named, not reported as no overlap
+        b = d.RawSeries("rain", [T0 + 3 * STEP, T0], np.array([1.0, 2.0]))
+        with pytest.raises(d.DataError, match="'rain'"):
+            d.align([grid_series("t", T0 + STEP, [1, 2, 3]), b])
+
+    def test_duplicated_timestamp_rejected(self):
+        a = d.RawSeries("gauge", [T0, T0 + STEP, T0 + STEP, T0 + 2 * STEP], np.array([1.0, 2.0, 5.0, 3.0]))
+        with pytest.raises(d.DataError, match="'gauge'.*strictly increase"):
+            d.align([grid_series("t", T0, [1, 2, 3]), a])
+
+    def test_value_count_must_match_timestamps(self):
+        a = d.RawSeries("gauge", [T0, T0 + STEP, T0 + 2 * STEP], np.array([1.0, 2.0]))
+        with pytest.raises(d.DataError, match="'gauge' has 2 values for 3 timestamps"):
+            d.align([a])
+
     @given(st.lists(st.integers(-3_600_000, 20_000_000), min_size=1, max_size=40, unique=True),
            st.integers(-2_000, 15_000), st.sampled_from([timedelta(seconds=7.5), timedelta(minutes=1), STEP]),
            st.integers(1, 300), st.booleans())
@@ -208,11 +234,19 @@ class TestWindows:
 
     def test_window_at_origin_equals_make_windows(self):
         series = self.make_series(40)
-        windows = d.make_windows(series, t=6, h=3)
-        for origin in (0, 7, len(windows) - 1):
-            w = d.window_at_origin(series, origin, 6, 3)
-            for f in fields(d.WindowSample):
-                assert np.array_equal(getattr(w, f.name), getattr(windows[origin], f.name)), f.name
+        flags = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+        for stride in (1, 3, 16):
+            windows = d.make_windows(series, t=6, h=3, stride=stride)
+            origins = range(0, 40 - 6 - 3 + 1, stride)
+            assert len(windows) == len(origins)
+            for origin, w in zip(origins, windows):
+                ref = d.window_at_origin(series, origin, 6, 3)
+                for f in fields(d.WindowSample):
+                    got, want = getattr(w, f.name), getattr(ref, f.name)
+                    assert np.array_equal(got, want) and type(got) is type(want), f.name
+                    if isinstance(got, np.ndarray):
+                        assert got.strides == want.strides, f.name
+                        assert [got.flags[k] for k in flags] == [want.flags[k] for k in flags], f.name
         assert d.window_at_origin(series, 5, 6, 3, oversampled=True).is_oversampled
 
     def test_window_sample_has_slots_and_replaces(self):
