@@ -26,6 +26,7 @@ version 1 files (one q/k/v matrix per head) are rejected.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -185,7 +186,7 @@ def init_params(cfg: PfConfig, seed: int) -> dict[str, Tensor]:
             values = np.zeros(shape)
             if ".ln" in name and name.endswith(".g"):
                 values = np.ones(shape)
-            if name.startswith("aee.") and name.endswith(".b") and ".head." not in name:
+            if name.startswith(("aee.enc.", "aee.dec.")) and name.endswith(".b"):
                 hidden = shape[0] // 4
                 values[hidden:2 * hidden] = 1.0  # forget gate
         else:
@@ -203,13 +204,18 @@ def param_count(params: dict[str, Tensor]) -> int:
 # network blocks
 
 
+@functools.cache
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
-    """Classic fixed positional encoding table, (length, d_model)."""
+    """Classic fixed positional encoding table, (length, d_model).
+
+    Built once per (length, d_model) and returned read-only, so every
+    forward of the ``position_token`` ablation shares one table."""
     pe = np.zeros((length, d_model))
     pos = np.arange(length)[:, None]
     div = np.exp(np.arange(0, d_model, 2) * (-math.log(10000.0) / d_model))
     pe[:, 0::2] = np.sin(pos * div)
     pe[:, 1::2] = np.cos(pos * div[: d_model // 2])
+    pe.flags.writeable = False
     return pe
 
 
@@ -331,7 +337,8 @@ def forward(
 
     Returns (yhat, yaux), both (B, h). In the ablation modes yaux is a
     constant zero tensor and the fused output is the decoder head alone.
-    Dropout runs only when ``training`` and ``rng`` are both given.
+    Dropout runs only when ``training``; it then draws from ``rng``, and
+    without a generator a nonzero ``cfg.dropout_rate`` raises ContractError.
     Inputs of another shape raise DimensionError, in every embedding mode;
     non-finite inputs raise ContractError.
     """
@@ -346,6 +353,8 @@ def forward(
         raise ad.DimensionError(f"time-stamp features {ts_features.shape} do not match (B, h, width) = {want}")
     if not (np.isfinite(windows).all() and np.isfinite(ts_features).all()):
         raise ad.ContractError("forward: windows and time-stamp features must be finite")
+    if training and rng is None and cfg.dropout_rate > 0:
+        raise ad.ContractError("forward: training with dropout needs a numpy Generator, got None")
     rng = rng if training else None
 
     enc_in, dec_in, yaux = _embed(windows, ts_features, params, cfg)
@@ -374,12 +383,20 @@ def _checksum(config_blob: str, entries: list[dict]) -> str:
 
 def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
     """Self-describing JSON container: config, named float64 tensors, checksum.
-    A parameter with a NaN or infinite value raises CheckpointError, and no
-    file is written."""
+    A parameter of the config missing from ``params``, one its config does
+    not name or shape, or one with a NaN or infinite value raises
+    CheckpointError naming it, and no file is written."""
+    shapes = _param_shapes(cfg)
+    stray = sorted(params.keys() ^ shapes.keys())
+    if stray:
+        where = "is not in its config" if stray[0] in params else "of its config is missing"
+        raise CheckpointError(f"parameter {stray[0]} {where}")
     config_blob = json.dumps(cfg.to_dict(), sort_keys=True)
     entries = []
     for name in sorted(params):
         values = params[name].values
+        if values.shape != shapes[name]:
+            raise CheckpointError(f"parameter {name} has shape {values.shape}, its config gives {shapes[name]}")
         _check_finite(name, values)
         entries.append({
             "name": name,

@@ -5,6 +5,10 @@ extreme-value cluster (the one with the highest mean, z). Points above
 eta * z are marked, thinned to one peak per event, and each peak is
 expanded into extra window origins so the event lands inside the forecast
 horizon. The extra volume is capped at os% of the final training set.
+
+Both run as whole-array operations: thinning takes one ``argmax`` per
+candidate over a ``sliding_window_view`` of the -inf-padded series, and
+expansion broadcasts peaks against issue offsets, merged by ``np.unique``.
 """
 
 from __future__ import annotations
@@ -153,17 +157,12 @@ def mark_important(values: np.ndarray, eta: float, z: float, nu: int = 8) -> np.
     if nu < 0:
         raise PolicyError(f"nu must be >= 0, got {nu}")
     x = np.asarray(values, dtype=np.float64)
-    threshold = eta * z
-    candidates = np.flatnonzero(x > threshold)
-    half = nu // 2
-    peaks = []
-    for i in candidates:
-        lo = max(0, i - half)
-        hi = min(len(x), i + half + 1)
-        seg = x[lo:hi]
-        if lo + int(np.argmax(seg)) == i:
-            peaks.append(i)
-    return np.array(peaks, dtype=np.intp)
+    candidates = np.flatnonzero(x > eta * z)
+    if candidates.size == 0:
+        return candidates
+    half = nu // 2  # the -inf padding never wins argmax, so spans at the edges act truncated
+    spans = np.lib.stride_tricks.sliding_window_view(np.pad(x, half, constant_values=-np.inf), 2 * half + 1)
+    return candidates[np.argmax(spans[candidates], axis=1) == half]
 
 
 def expand_peaks(
@@ -184,16 +183,9 @@ def expand_peaks(
         raise PolicyError(f"s_step must be >= 1, got {s_step}")
     if nu < s_step:
         raise PolicyError(f"nu ({nu}) must be >= s_step ({s_step})")
-    count = nu // s_step
-    max_origin = series_len - t - h
-    origins: set[int] = set()
-    for p in np.asarray(peaks, dtype=np.intp):
-        first_issue = int(p) - nu // 2
-        for k in range(count):
-            origin = first_issue + k * s_step - (t - 1)
-            if 0 <= origin <= max_origin:
-                origins.add(origin)
-    return np.array(sorted(origins), dtype=np.intp)
+    issues = np.asarray(peaks, dtype=np.intp)[:, None] - nu // 2 + s_step * np.arange(nu // s_step)
+    origins = issues.ravel() - (t - 1)
+    return np.unique(origins[(origins >= 0) & (origins <= series_len - t - h)])
 
 
 def cap_kept_count(n_base: int, n_extra: int, os_pct: float) -> int:
@@ -232,20 +224,3 @@ def cap_oversample(
         chosen = list(extra_windows)
     flagged = [w if w.is_oversampled else replace(w, is_oversampled=True) for w in chosen]
     return list(base_windows) + flagged
-
-
-def policy_report(g: GmmParams, eta: float) -> str:
-    """Human-readable fit summary with the eta * z threshold."""
-    z = highest_mean(g)
-    lines = [
-        f"components: {g.n_components}",
-        "weights:    " + " ".join(f"{w:.6f}" for w in g.weights),
-        "means:      " + " ".join(f"{m:.6f}" for m in g.means),
-        "variances:  " + " ".join(f"{v:.6f}" for v in g.variances),
-        f"log_likelihood: {g.log_likelihood:.6f}",
-        f"iterations: {len(g.ll_history)}",
-        f"z (highest mean): {z:.6f}",
-        f"eta: {eta:.6f}",
-        f"threshold eta*z: {eta * z:.6f}",
-    ]
-    return "\n".join(lines)

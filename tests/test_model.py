@@ -154,6 +154,23 @@ class TestParameters:
         a, b = model.init_params(toy_cfg(), 3), model.init_params(toy_cfg(), 3)
         assert all(np.array_equal(a[k].values, b[k].values) for k in a)
 
+    @pytest.mark.parametrize("cfg", [toy_cfg(), PfConfig(aee=AeeConfig(hidden=32))], ids=["toy", "hidden_32"])
+    def test_vector_init(self, cfg):
+        # zeros, except layer-norm gains (one) and LSTM forget-gate biases
+        # (one on [H, 2H)); the projection to d_model is not an LSTM
+        params = model.init_params(cfg, 0)
+        assert "aee.proj.b" in params
+        H = cfg.aee.hidden
+        for name, p in params.items():
+            if p.values.ndim != 1:
+                continue
+            want = np.zeros(p.shape)
+            if ".ln" in name and name.endswith(".g"):
+                want[:] = 1.0
+            elif name.startswith(("aee.enc.", "aee.dec.")):
+                want[H:2 * H] = 1.0
+            assert np.array_equal(p.values, want), name
+
 
 class TestForward:
     @pytest.mark.parametrize("mode", model.EMBEDDING_MODES)
@@ -200,6 +217,16 @@ class TestForward:
         eval_out = model.forward(windows, ts, params, cfg)[0].values
         assert np.array_equal(run(5, training=False), eval_out)
         assert not np.array_equal(run(5), eval_out)
+
+    def test_training_without_generator_rejected(self):
+        cfg = toy_cfg(dropout_rate=0.3)
+        windows, ts, _ = toy_batch(cfg)
+        params = model.init_params(cfg, 0)
+        with pytest.raises(ad.ContractError, match="Generator"):
+            model.forward(windows, ts, params, cfg, training=True)
+        # without dropout there is nothing to draw, so no generator is needed
+        cfg = toy_cfg(dropout_rate=0.0)
+        model.forward(windows, ts, model.init_params(cfg, 0), cfg, training=True)
 
     def test_gradients_equal_with_every_first_gradient_copied(self, monkeypatch):
         # every op hands the gradients it allocates to _accum without a copy;
@@ -332,6 +359,15 @@ class TestPositions:
                 angle = pos / 10000.0 ** ((col - col % 2) / 5)
                 assert pe[pos, col] == pytest.approx(math.sin(angle) if col % 2 == 0 else math.cos(angle), abs=1e-12)
 
+    def test_table_is_built_once_and_read_only(self):
+        pe = model.sinusoidal_positions(6, 4)
+        values = pe.copy()
+        assert model.sinusoidal_positions(6, 4) is pe
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+        assert np.array_equal(pe, values)
+
     def test_position_token_mode_at_odd_width(self):
         cfg = toy_cfg("position_token", d_model=5, n_heads=1)
         windows, ts, _ = toy_batch(cfg)
@@ -419,6 +455,20 @@ class TestCheckpoint:
         self.rewrite(path, edit, rechecksum=True)
         with pytest.raises(CheckpointError, match="aee.dec.0.u"):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda params: params.update(extra=ad.parameter(np.zeros(3))), "extra"),
+        (lambda params: params.pop("aee.dec.0.u"), "aee.dec.0.u"),
+        (lambda params: params.update({"head.w": ad.parameter(np.zeros((1, 4)))}), "head.w"),
+    ], ids=["extra", "missing", "transposed"])
+    def test_params_not_matching_config_rejected_on_save(self, tmp_path, edit, name):
+        cfg = toy_cfg()
+        params = model.init_params(cfg, 7)
+        edit(params)
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(CheckpointError, match=name):
+            model.save_checkpoint(path, cfg, params)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
     def test_non_finite_parameter_rejected_on_save(self, tmp_path, value):

@@ -176,6 +176,66 @@ class TestHighestMean:
         assert ov.highest_mean(g) == 7.0
 
 
+def mark_important_loop(values, eta, z, nu=8):
+    """Per-candidate oracle for ``mark_important``: a candidate is kept when
+    it is the leftmost maximum of its span, truncated at the series ends."""
+    x = np.asarray(values, dtype=np.float64)
+    half = nu // 2
+    peaks = []
+    for i in np.flatnonzero(x > eta * z):
+        lo = max(0, i - half)
+        hi = min(len(x), i + half + 1)
+        if lo + int(np.argmax(x[lo:hi])) == i:
+            peaks.append(i)
+    return np.array(peaks, dtype=np.intp)
+
+
+def expand_peaks_loop(peaks, s_step, nu, series_len, t, h):
+    """Per-peak, per-issue-point oracle for ``expand_peaks``."""
+    max_origin = series_len - t - h
+    origins = set()
+    for p in np.asarray(peaks, dtype=np.intp):
+        first_issue = int(p) - nu // 2
+        for k in range(nu // s_step):
+            origin = first_issue + k * s_step - (t - 1)
+            if 0 <= origin <= max_origin:
+                origins.add(origin)
+    return np.array(sorted(origins), dtype=np.intp)
+
+
+def assert_same_indices(got, want):
+    assert got.dtype == want.dtype == np.intp
+    assert np.array_equal(got, want)
+
+
+# small integers make plateaus and ties; the non-finite values test the argmax
+# rules (NaN wins, -inf never does) at the padded ends of the spans
+series_values = st.lists(st.integers(0, 5).map(float) | st.sampled_from([np.nan, np.inf, -np.inf]),
+                         min_size=0, max_size=60)
+
+
+class TestArrayOpsMatchLoops:
+    @given(series_values, st.integers(0, 70), st.sampled_from([0.5, 1.0, 1.2]), st.integers(-3, 8))
+    @settings(max_examples=400)
+    @example([], 8, 1.2, -3)
+    @example([3.0] * 10, 0, 1.0, -1)  # threshold below every value, no neighborhood
+    @example([3.0] * 10, 25, 1.0, -1)  # a plateau spanning the series, nu past its length
+    @example([1.0, 4.0, 4.0, 2.0, 4.0], 2, 1.0, 5)  # threshold above every value
+    def test_mark_important(self, values, nu, eta, z):
+        assert_same_indices(ov.mark_important(np.array(values), eta, z, nu),
+                            mark_important_loop(values, eta, z, nu))
+
+    @given(st.lists(st.integers(-20, 100), max_size=8), st.integers(1, 5), st.integers(0, 15),
+           st.integers(0, 80), st.integers(1, 10), st.integers(1, 10))
+    @settings(max_examples=400)
+    @example([], 1, 0, 50, 5, 5)  # no peaks
+    @example([-20, 3, 99, 100], 3, 2, 60, 4, 6)  # peaks before 0 and past L; s_step does not divide nu
+    def test_expand_peaks(self, peaks, s_step, extra_nu, series_len, t, h):
+        nu = s_step + extra_nu
+        assert_same_indices(ov.expand_peaks(np.array(peaks, dtype=np.intp), s_step, nu, series_len, t, h),
+                            expand_peaks_loop(peaks, s_step, nu, series_len, t, h))
+
+
 class TestMarkImportant:
     def test_all_below_threshold(self):
         assert ov.mark_important(np.ones(50), eta=1.2, z=5.0).size == 0
@@ -298,22 +358,3 @@ class TestCapOversample:
             ov.OversamplePolicy(os_pct=0.0)
         with pytest.raises(ov.PolicyError):
             ov.cap_kept_count(10, 10, 101.0)
-
-
-def test_policy_report_fields():
-    g = ov.fit_gmm(two_component_sample(1), 2)
-    eta = 0.8
-    report = {}
-    for line in ov.policy_report(g, eta).splitlines():
-        key, value = line.split(":", 1)
-        report[key] = [float(v) for v in value.split()]
-    assert report["components"] == [2]
-    assert report["iterations"] == [len(g.ll_history)]
-    for key, want in (("weights", g.weights), ("means", g.means), ("variances", g.variances)):
-        assert np.allclose(report[key], want, rtol=0.0, atol=1e-6), key
-    assert report["log_likelihood"][0] == pytest.approx(g.log_likelihood, abs=1e-6)
-    z = ov.highest_mean(g)
-    assert z == max(g.means) and z == pytest.approx(10.0, abs=0.2)
-    assert report["z (highest mean)"][0] == pytest.approx(z, abs=1e-6)
-    assert report["eta"] == [eta]
-    assert report["threshold eta*z"][0] == pytest.approx(eta * z, abs=1e-6)
