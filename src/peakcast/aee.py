@@ -72,8 +72,6 @@ def encode(windows: np.ndarray, params: dict[str, Tensor], cfg: AeeConfig) -> li
 
     Returns the final (h, c) of each layer, bottom first.
     """
-    if windows.ndim == 2:
-        windows = windows[None, ...]
     zeros = ad.tensor(np.zeros((windows.shape[0], cfg.hidden)))
     inp = ad.tensor(np.swapaxes(windows, 1, 2))  # (B, t, m)
     states = []
@@ -164,8 +162,6 @@ def decode(
     """
     if len(latents) != cfg.layers:
         raise ad.DimensionError(f"decode: {len(latents)} latent states for {cfg.layers} layers")
-    if ts_features.ndim == 2:
-        ts_features = ts_features[None, ...]
     inp = ad.tensor(ts_features)
     for layer, (h, c) in enumerate(latents):
         inp, _, _ = ad.lstm_sequence(inp, h, c, *_layer(params, "dec", layer))

@@ -429,9 +429,16 @@ def gen_synthetic(
     baseline plus each impulse's lagged exponential-decay response plus
     small Gaussian noise, clipped at zero. Default parameters give target
     skewness well above 5 once length reaches a few tens of thousands.
+    A series no longer than ``lag`` is the baseline plus noise. A length
+    below 1, a negative lag or a decay that is not finite and positive
+    raises DataError.
     """
     if m < 2:
         raise DataError("need at least one auxiliary series (m >= 2)")
+    if length < 1 or lag < 0:
+        raise DataError(f"need length >= 1 and lag >= 0, got length {length}, lag {lag}")
+    if not (math.isfinite(decay) and decay > 0):
+        raise DataError(f"decay must be finite and > 0, got {decay}")
     rng = np.random.default_rng(seed)
     kernel_len = max(1, int(math.ceil(6.0 / decay)))
     kernel = np.exp(-decay * np.arange(kernel_len))
@@ -443,7 +450,7 @@ def gen_synthetic(
         rain[hits] = rng.lognormal(mean=1.0, sigma=1.0, size=int(hits.sum()))
         auxiliaries.append(rain)
         response = np.convolve(rain, kernel)[:length] * gain
-        target[lag:] += response[:length - lag]
+        target[lag:] += response[:max(length - lag, 0)]
     target += rng.normal(0.0, noise_sd, size=length)
     np.maximum(target, 0.0, out=target)
     names = ["flow"] + [f"rain{i + 1}" for i in range(m - 1)]

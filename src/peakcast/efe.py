@@ -39,29 +39,26 @@ class EfeConfig:
 
 
 def subsequence_matrix(windows: np.ndarray, s_efe: int, include_target_lags: bool = False) -> np.ndarray:
-    """All-j feature matrix, vectorized: (..., m, t) -> (..., t, width).
+    """All-j feature matrix, vectorized: (B, m, t) -> (B, t, width).
 
     Row j is [x1_j, x2_j .. xm_j, lags of x2, lags of x3, ...] where each
     lag block is [x_i(j-s) .. x_i(j-1)]; target lags come last when asked
     for. Indices before the window start repeat the earliest value.
     """
-    batched = windows.ndim == 3
-    w = windows if batched else windows[None, ...]
-    B, m, t = w.shape
+    B, m, t = windows.shape
     lag_idx = np.maximum(np.arange(t)[:, None] + np.arange(-s_efe, 0)[None, :], 0)  # (t, s)
-    parts = [np.swapaxes(w, 1, 2)]  # concurrent values, (B, t, m) with target first
+    parts = [np.swapaxes(windows, 1, 2)]  # concurrent values, (B, t, m) with target first
     for i in range(1, m):
-        parts.append(w[:, i, :][:, lag_idx])  # (B, t, s)
+        parts.append(windows[:, i, :][:, lag_idx])  # (B, t, s)
     if include_target_lags:
-        parts.append(w[:, 0, :][:, lag_idx])
-    out = np.concatenate(parts, axis=-1)
-    return out if batched else out[0]
+        parts.append(windows[:, 0, :][:, lag_idx])
+    return np.concatenate(parts, axis=-1)
 
 
 def embed_sequence(windows: np.ndarray, weight: Tensor, bias: Tensor, cfg: EfeConfig) -> Tensor:
     """Map every time point through the shared dense layer.
 
-    (..., m, t) windows -> (..., t, d_model) embeddings. Raises a
+    (B, m, t) windows -> (B, t, d_model) embeddings. Raises a
     dimension error when the layer does not match the configured width.
     """
     m = windows.shape[-2]

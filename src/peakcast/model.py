@@ -19,8 +19,12 @@ are shared.
 Parameter layout: every attention block ``{prefix}`` holds ``.wq``,
 ``.wk``, ``.wv`` and ``.wo``, each (d_model, d_model), and ``.bo``. Head
 i owns column block [i * d_head, (i + 1) * d_head) of ``wq``, ``wk`` and
-``wv``, and the same row block of ``wo``. Checkpoints are format version 2;
-version 1 files (one q/k/v matrix per head) are rejected.
+``wv``, and the same row block of ``wo``. Checkpoints are format version 3:
+one JSON object of the format name and version, ``config``
+(``PfConfig.to_dict()``), ``params`` (each name mapped to the base64 of its
+little-endian float64 values, shaped by the config) and ``checksum``, the
+sha256 of ``json.dumps([config, params], sort_keys=True)``. Version 1 and 2
+files are rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -44,11 +48,35 @@ from .efe import EfeConfig
 EMBEDDING_MODES = ("efe_aee", "position_token", "token_only")
 
 CHECKPOINT_FORMAT = "peakcast-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
     """Unreadable or corrupted checkpoint file."""
+
+
+def _config_from_dict(cls, d: dict):
+    """A ``cls`` config from a dict of exactly its fields' keys, a nested
+    config from a nested dict. Each scalar must have the type of its field's
+    default, except that an int passes for a float (a bool for neither);
+    ``__post_init__`` then checks the ranges. Raises TypeError or ValueError."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} needs a dict, got {type(d).__name__}")
+    defaults = cls()
+    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
+    if d.keys() != kinds.keys():
+        raise ValueError(f"{cls.__name__} needs the keys {sorted(kinds)}, got {sorted(d)}")
+    kwargs = {}
+    for name, value in d.items():
+        kind = kinds[name]
+        if is_dataclass(kind):
+            value = _config_from_dict(kind, value)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not kind:
+            raise TypeError(f"{cls.__name__}.{name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -80,44 +108,9 @@ class PfConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_enc_layers": self.n_enc_layers,
-            "n_dec_layers": self.n_dec_layers,
-            "ffn_width": self.ffn_width,
-            "t": self.t,
-            "h": self.h,
-            "m": self.m,
-            "efe.s": self.efe.s_efe,
-            "efe.activation": self.efe.activation,
-            "efe.target_lags": self.efe.include_target_lags,
-            "aee.hidden": self.aee.hidden,
-            "aee.layers": self.aee.layers,
-            "embedding_mode": self.embedding_mode,
-            "dropout_rate": self.dropout_rate,
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PfConfig":
-        return cls(
-            d_model=int(d["d_model"]),
-            n_heads=int(d["n_heads"]),
-            n_enc_layers=int(d["n_enc_layers"]),
-            n_dec_layers=int(d["n_dec_layers"]),
-            ffn_width=int(d["ffn_width"]),
-            t=int(d["t"]),
-            h=int(d["h"]),
-            m=int(d["m"]),
-            efe=EfeConfig(
-                s_efe=int(d["efe.s"]),
-                activation=str(d["efe.activation"]),
-                include_target_lags=bool(d["efe.target_lags"]),
-            ),
-            aee=AeeConfig(hidden=int(d["aee.hidden"]), layers=int(d["aee.layers"])),
-            embedding_mode=str(d["embedding_mode"]),
-            dropout_rate=float(d["dropout_rate"]),
-        )
+    from_dict = classmethod(_config_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +364,20 @@ def forward(
 # checkpoints
 
 
-def _checksum(config_blob: str, entries: list[dict]) -> str:
-    digest = hashlib.sha256()
-    digest.update(config_blob.encode())
-    for e in entries:
-        digest.update(e["name"].encode())
-        digest.update(json.dumps(e["shape"]).encode())
-        digest.update(e["data"].encode())
-    return digest.hexdigest()
+def _check_params(cfg: PfConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError naming the first parameter, in name order, that
+    ``cfg`` gives and ``arrays`` lacks or the reverse, whose shape is not the
+    one ``cfg`` gives, or that holds a NaN or infinite value."""
+    shapes = _param_shapes(cfg)
+    stray = sorted(arrays.keys() ^ shapes.keys())
+    if stray:
+        where = "is not in its config" if stray[0] in arrays else "of its config is missing"
+        raise CheckpointError(f"parameter {stray[0]} {where}")
+    for name in sorted(arrays):
+        if arrays[name].shape != shapes[name]:
+            raise CheckpointError(f"parameter {name} has shape {arrays[name].shape}, its config gives {shapes[name]}")
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"parameter {name} has non-finite values")
 
 
 def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
@@ -386,42 +385,19 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
     A parameter of the config missing from ``params``, one its config does
     not name or shape, or one with a NaN or infinite value raises
     CheckpointError naming it, and no file is written."""
-    shapes = _param_shapes(cfg)
-    stray = sorted(params.keys() ^ shapes.keys())
-    if stray:
-        where = "is not in its config" if stray[0] in params else "of its config is missing"
-        raise CheckpointError(f"parameter {stray[0]} {where}")
-    config_blob = json.dumps(cfg.to_dict(), sort_keys=True)
-    entries = []
-    for name in sorted(params):
-        values = params[name].values
-        if values.shape != shapes[name]:
-            raise CheckpointError(f"parameter {name} has shape {values.shape}, its config gives {shapes[name]}")
-        _check_finite(name, values)
-        entries.append({
-            "name": name,
-            "shape": list(values.shape),
-            "data": base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode(),
-        })
+    _check_params(cfg, {name: p.values for name, p in params.items()})
+    config = cfg.to_dict()
+    data = {name: base64.b64encode(np.ascontiguousarray(params[name].values, dtype="<f8").tobytes()).decode()
+            for name in sorted(params)}
     doc = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_VERSION,
-        "config": cfg.to_dict(),
-        "params": entries,
-        "checksum": _checksum(config_blob, entries),
+        "config": config,
+        "params": data,
+        "checksum": hashlib.sha256(json.dumps([config, data], sort_keys=True).encode()).hexdigest(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise CheckpointError(f"parameter {name} has non-finite values")
-
-
-def _is_entry(e) -> bool:
-    return (isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("data"), str)
-            and isinstance(e.get("shape"), list) and all(isinstance(n, int) for n in e["shape"]))
 
 
 def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
@@ -438,27 +414,21 @@ def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
     try:
-        cfg = PfConfig.from_dict(doc["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed config in {path}: {exc!r}") from None
-    entries = doc.get("params")
-    if not isinstance(entries, list) or not all(_is_entry(e) for e in entries):
+        cfg = PfConfig.from_dict(doc.get("config"))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed config in {path}: {exc}") from None
+    data = doc.get("params")
+    if not isinstance(data, dict) or not all(isinstance(text, str) for text in data.values()):
         raise CheckpointError(f"malformed parameter list in {path}")
-    config_blob = json.dumps(cfg.to_dict(), sort_keys=True)
-    if _checksum(config_blob, entries) != doc.get("checksum"):
+    if hashlib.sha256(json.dumps([doc["config"], data], sort_keys=True).encode()).hexdigest() != doc.get("checksum"):
         raise CheckpointError(f"checksum mismatch in {path}: file is corrupted")
     shapes = _param_shapes(cfg)
-    if sorted(e["name"] for e in entries) != sorted(shapes):
-        raise CheckpointError("checkpoint parameters do not match its config")
-    params: dict[str, Tensor] = {}
-    for e in entries:
-        name, shape = e["name"], tuple(e["shape"])
-        if shape != shapes[name]:
-            raise CheckpointError(f"parameter {name} has shape {shape}, its config gives {shapes[name]}")
+    arrays = {}
+    for name, text in data.items():
+        shape = shapes.get(name, -1)  # a name the config lacks stays flat, for _check_params to name
         try:
-            buf = np.frombuffer(base64.b64decode(e["data"], validate=True), dtype="<f8").reshape(shape)
+            arrays[name] = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").reshape(shape)
         except ValueError as exc:
             raise CheckpointError(f"parameter {name} data does not decode to shape {shape}: {exc}") from None
-        _check_finite(name, buf)
-        params[name] = ad.parameter(buf.copy())
-    return cfg, params
+    _check_params(cfg, arrays)
+    return cfg, {name: ad.parameter(values.copy()) for name, values in arrays.items()}

@@ -56,6 +56,8 @@ class OversamplePolicy:
     n_components: int = 3
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise PolicyError(f"eta must be finite and > 0, got {self.eta}")
         if self.s_step < 1:
             raise PolicyError(f"s_step must be >= 1, got {self.s_step}")
         if self.nu < self.s_step:
@@ -91,6 +93,8 @@ def fit_gmm(
         raise GmmFitError("n_components must be >= 1")
     if max_iter < 1:
         raise GmmFitError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GmmFitError(f"tol must be finite and >= 0, got {tol}")
     if x.size < M:
         raise GmmFitError(f"need at least {M} values, got {x.size}")
     if not np.isfinite(x).all():
@@ -152,12 +156,16 @@ def mark_important(values: np.ndarray, eta: float, z: float, nu: int = 8) -> np.
 
     Super-threshold indices inside one extreme event form contiguous runs;
     thinning keeps the index that is the leftmost maximum within its
-    nu-wide neighborhood, so each event contributes one peak.
+    nu-wide neighborhood, so each event contributes one peak. A NaN or
+    infinite threshold eta * z raises PolicyError.
     """
     if nu < 0:
         raise PolicyError(f"nu must be >= 0, got {nu}")
+    threshold = eta * z
+    if not math.isfinite(threshold):
+        raise PolicyError(f"threshold eta * z must be finite, got {eta} * {z}")
     x = np.asarray(values, dtype=np.float64)
-    candidates = np.flatnonzero(x > eta * z)
+    candidates = np.flatnonzero(x > threshold)
     if candidates.size == 0:
         return candidates
     half = nu // 2  # the -inf padding never wins argmax, so spans at the edges act truncated

@@ -93,7 +93,7 @@ class TestEncode:
     def test_zero_params_zero_states(self):
         cfg = aee.AeeConfig(hidden=4, layers=2)
         win = np.random.default_rng(0).normal(size=(2, 12))
-        states = aee.encode(win, zero_params(cfg, 2), cfg)
+        states = aee.encode(win[None], zero_params(cfg, 2), cfg)
         for h, c in states:
             assert np.array_equal(h.values, np.zeros((1, 4)))
             assert np.array_equal(c.values, np.zeros((1, 4)))
@@ -112,7 +112,7 @@ class TestEncode:
         params = zero_params(cfg, 1)
         params["aee.enc.0.w"] = ad.tensor(np.ones((1, 4)))
         params["aee.enc.0.u"] = ad.tensor(np.ones((1, 4)))
-        (h, c), = aee.encode(np.ones((1, 1)), params, cfg)
+        (h, c), = aee.encode(np.ones((1, 1))[None], params, cfg)
         sig = 1.0 / (1.0 + math.exp(-1.0))
         c_exp = sig * math.tanh(1.0)  # f*0 + i*g
         h_exp = sig * math.tanh(c_exp)
@@ -125,8 +125,8 @@ class TestEncode:
         params = zero_params(cfg, 1)
         params["aee.enc.0.w"] = ad.tensor(np.ones((1, 4)))
         params["aee.enc.0.u"] = ad.tensor(np.zeros((1, 4)))
-        (h1, c1), = aee.encode(np.ones((1, 1)), params, cfg)
-        (h2, c2), = aee.encode(np.ones((1, 2)), params, cfg)
+        (h1, c1), = aee.encode(np.ones((1, 1))[None], params, cfg)
+        (h2, c2), = aee.encode(np.ones((1, 2))[None], params, cfg)
         sig = 1.0 / (1.0 + math.exp(-1.0))
         c2_exp = sig * c1.values[0, 0] + sig * math.tanh(1.0)
         assert c2.values[0, 0] == pytest.approx(c2_exp, abs=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
@@ -453,6 +454,27 @@ class TestSynthetic:
         s = d.gen_synthetic(0, 2_000, m=4)
         assert s.m == 4
         assert s.names == ["flow", "rain1", "rain2", "rain3"]
+
+    @pytest.mark.parametrize("seed, length, digest", [
+        (0, 35_040, "9aa6921ca879b272"), (0, 105_120, "79028e99cf7f3c51"),
+        (1, 35_040, "66ed3236416dfbb0"), (1, 105_120, "5369cbbfecfe63ae"),
+    ])
+    def test_series_bits_pinned(self, seed, length, digest):
+        matrix = d.gen_synthetic(seed, length).matrix()
+        assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("length", [1, 3, 4])
+    def test_no_longer_than_lag_is_baseline_plus_noise(self, length):
+        s = d.gen_synthetic(0, length, lag=4, noise_sd=0.05)
+        assert s.target.shape == (length,)
+        assert np.allclose(s.target, 5.0, atol=0.5)
+
+    @pytest.mark.parametrize("kw", [dict(length=0), dict(lag=-1), dict(decay=0.0), dict(decay=-0.1),
+                                    dict(decay=np.nan)], ids=["empty", "negative_lag", "zero_decay",
+                                                              "negative_decay", "nan_decay"])
+    def test_bad_arguments_rejected(self, kw):
+        with pytest.raises(d.DataError):
+            d.gen_synthetic(**{"seed": 0, "length": 100, **kw})
 
     def test_csv_round_trip(self, tmp_path):
         s = d.gen_synthetic(0, 200)

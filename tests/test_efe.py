@@ -67,7 +67,7 @@ class TestBuildSubsequence:
 
     def test_matrix_matches_per_point_builder(self):
         w = demo_window(m=3, t=12)
-        mat = efe.subsequence_matrix(w, s_efe=4)
+        mat = efe.subsequence_matrix(w[None], s_efe=4)[0]
         for j in range(12):
             assert np.array_equal(mat[j], build_subsequence(w, j, 4))
 
@@ -75,7 +75,7 @@ class TestBuildSubsequence:
         batch = np.stack([demo_window(seed=1), demo_window(seed=2)])
         mat = efe.subsequence_matrix(batch, s_efe=3)
         assert mat.shape[:2] == (2, 10)
-        assert np.array_equal(mat[1], efe.subsequence_matrix(batch[1], s_efe=3))
+        assert np.array_equal(mat[1], efe.subsequence_matrix(batch[1][None], s_efe=3)[0])
 
 
 class TestEfeConfig:
@@ -100,40 +100,40 @@ class TestEmbedSequence:
         cfg = efe.EfeConfig(s_efe=3, activation="relu")
         w = ad.tensor(np.zeros((cfg.input_width(2), 8)))
         b = ad.tensor(np.zeros(8))
-        out = efe.embed_sequence(demo_window(), w, b, cfg)
-        assert np.array_equal(out.values, np.zeros((10, 8)))
+        out = efe.embed_sequence(demo_window()[None], w, b, cfg)
+        assert np.array_equal(out.values, np.zeros((1, 10, 8)))
 
     def test_output_shape(self):
         cfg = efe.EfeConfig(s_efe=5)
         w, b = make_layer(cfg, 2, 16)
-        out = efe.embed_sequence(demo_window(t=40), w, b, cfg)
-        assert out.shape == (40, 16)
+        out = efe.embed_sequence(demo_window(t=40)[None], w, b, cfg)
+        assert out.shape == (1, 40, 16)
 
     def test_locality_future_perturbation(self):
         cfg = efe.EfeConfig(s_efe=3, activation="tanh")
         w, b = make_layer(cfg, 2, 8)
-        win = demo_window()
-        base = efe.embed_sequence(win, w, b, cfg).values
+        win = demo_window()[None]
+        base = efe.embed_sequence(win, w, b, cfg).values[0]
         pert = win.copy()
         j = 5
-        pert[1, j + 1] += 10.0
-        out = efe.embed_sequence(pert, w, b, cfg).values
+        pert[0, 1, j + 1] += 10.0
+        out = efe.embed_sequence(pert, w, b, cfg).values[0]
         assert np.array_equal(out[j], base[j])
 
     def test_locality_at_random_sites(self):
         # row j depends only on x1[j] and aux values in [j - s, j]
         cfg = efe.EfeConfig(s_efe=4, activation="tanh")
         w, b = make_layer(cfg, 3, 8, seed=3)
-        win = demo_window(m=3, t=30, seed=4)
-        base = efe.embed_sequence(win, w, b, cfg).values
+        win = demo_window(m=3, t=30, seed=4)[None]
+        base = efe.embed_sequence(win, w, b, cfg).values[0]
         rng = np.random.default_rng(5)
         for _ in range(20):
             j = int(rng.integers(0, 30))
             k = int(rng.integers(0, 30))
             row = int(rng.integers(1, 3))
             pert = win.copy()
-            pert[row, k] += 3.0
-            out = efe.embed_sequence(pert, w, b, cfg).values
+            pert[0, row, k] += 3.0
+            out = efe.embed_sequence(pert, w, b, cfg).values[0]
             inside = j - cfg.s_efe <= k <= j or (k == 0 and j - cfg.s_efe < 0)
             if not inside:
                 assert np.array_equal(out[j], base[j]), (j, k)
@@ -143,15 +143,15 @@ class TestEmbedSequence:
         w, b = make_layer(cfg, 2, 6)
         win = demo_window(t=12, seed=6)
         win[:, 8:11] = win[:, 2:5]  # make points 4 and 10 see identical subsequences
-        mat = efe.subsequence_matrix(win, cfg.s_efe)
+        mat = efe.subsequence_matrix(win[None], cfg.s_efe)[0]
         assert np.array_equal(mat[4], mat[10])
-        out = efe.embed_sequence(win, w, b, cfg).values
+        out = efe.embed_sequence(win[None], w, b, cfg).values[0]
         assert np.array_equal(out[4], out[10])
 
     def test_no_nan_on_finite_inputs(self):
         cfg = efe.EfeConfig(s_efe=8)
         w, b = make_layer(cfg, 2, 8)
-        out = efe.embed_sequence(demo_window(t=100, seed=7) * 1e4, w, b, cfg)
+        out = efe.embed_sequence(demo_window(t=100, seed=7)[None] * 1e4, w, b, cfg)
         assert np.isfinite(out.values).all()
 
     def test_mismatched_layer_raises(self):
@@ -162,7 +162,7 @@ class TestEmbedSequence:
 
     def test_gradient_through_embedding(self):
         cfg = efe.EfeConfig(s_efe=3, activation="tanh")
-        win = demo_window(t=6, seed=8)
+        win = demo_window(t=6, seed=8)[None]
         rng = np.random.default_rng(9)
         w = ad.parameter(rng.normal(0, 0.4, size=(cfg.input_width(2), 4)))
         b = ad.parameter(rng.normal(0, 0.4, size=4))

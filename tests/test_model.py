@@ -1,12 +1,19 @@
 import base64
 import gc
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peakcast import autodiff as ad
 from peakcast import model
@@ -375,8 +382,42 @@ class TestPositions:
         assert yhat.shape == (2, cfg.h) and np.isfinite(yhat.values).all()
 
 
-def dec_u(doc):
-    return next(e for e in doc["params"] if e["name"] == "aee.dec.0.u")
+SAVE_SCRIPT = """
+import json, sys
+from peakcast import model
+cfg = model.PfConfig.from_dict(json.loads(sys.argv[2]))
+model.save_checkpoint(sys.argv[1], cfg, model.init_params(cfg, 7))
+"""
+
+
+def configs():
+    """Every embedding mode, activation and flag, over a range of sizes."""
+    sizes = st.integers(1, 10_000)
+    efe = st.builds(EfeConfig, s_efe=sizes, activation=st.sampled_from(sorted(ad.ACTIVATIONS)),
+                    include_target_lags=st.booleans())
+    aee = st.builds(AeeConfig, hidden=sizes, layers=st.sampled_from([1, 2]))
+    heads = st.integers(1, 16)
+    return heads.flatmap(lambda n: st.builds(
+        PfConfig, d_model=st.integers(1, 64).map(lambda k: k * n), n_heads=st.just(n), n_enc_layers=sizes,
+        n_dec_layers=sizes, ffn_width=sizes, t=sizes, h=sizes, m=sizes, efe=efe, aee=aee,
+        embedding_mode=st.sampled_from(model.EMBEDDING_MODES),
+        dropout_rate=st.floats(0.0, 1.0, exclude_max=True)))
+
+
+class TestConfigDict:
+    @settings(max_examples=200, deadline=None)
+    @given(configs())
+    def test_json_round_trip(self, cfg):
+        assert PfConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_nested_configs_are_nested_dicts(self):
+        d = toy_cfg().to_dict()
+        assert d["efe"] == {"s_efe": 2, "activation": "tanh", "include_target_lags": False}
+        assert d["aee"] == {"hidden": 3, "layers": 1}
+
+    def test_int_passes_for_float(self):
+        cfg = PfConfig.from_dict(toy_cfg().to_dict() | {"dropout_rate": 0})
+        assert type(cfg.dropout_rate) is float and cfg.dropout_rate == 0.0
 
 
 class TestCheckpoint:
@@ -392,9 +433,9 @@ class TestCheckpoint:
     def rewrite(path, edit, rechecksum=False):
         doc = json.loads(path.read_text())
         edit(doc)
-        if rechecksum:
-            cfg = PfConfig.from_dict(doc["config"])
-            doc["checksum"] = model._checksum(json.dumps(cfg.to_dict(), sort_keys=True), doc["params"])
+        if rechecksum:  # the format's checksum: sha256 of config and parameters as sorted-key JSON
+            blob = json.dumps([doc["config"], doc["params"]], sort_keys=True)
+            doc["checksum"] = hashlib.sha256(blob.encode()).hexdigest()
         path.write_text(json.dumps(doc))
 
     def test_round_trip_reproduces_forecasts(self, saved):
@@ -407,9 +448,20 @@ class TestCheckpoint:
         assert np.array_equal(got[0].values, want[0].values)
         assert np.array_equal(got[1].values, want[1].values)
 
-    def test_version_one_rejected(self, saved):
+    def test_file_is_independent_of_hash_seed(self, saved, tmp_path):
+        path, cfg, _ = saved
+        src = str(Path(model.__file__).parents[1])
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = tmp_path / f"seed{seed}.json"
+            subprocess.run([sys.executable, "-c", SAVE_SCRIPT, str(out), json.dumps(cfg.to_dict())],
+                           env=env, check=True, timeout=60)
+            assert out.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, saved, version):
         path = saved[0]
-        self.rewrite(path, lambda doc: doc.update(format_version=1))
+        self.rewrite(path, lambda doc: doc.update(format_version=version))
         with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
             model.load_checkpoint(path)
 
@@ -417,8 +469,8 @@ class TestCheckpoint:
         path = saved[0]
 
         def flip(doc):
-            entry = doc["params"][0]
-            entry["data"] = ("A" if entry["data"][0] != "A" else "B") + entry["data"][1:]
+            data = doc["params"]["head.b"]
+            doc["params"]["head.b"] = ("A" if data[0] != "A" else "B") + data[1:]
 
         self.rewrite(path, flip)
         with pytest.raises(CheckpointError, match="checksum"):
@@ -431,9 +483,17 @@ class TestCheckpoint:
         lambda doc: doc["config"].update(t="long"),
         lambda doc: doc["config"].update(n_enc_layers=-1),
         lambda doc: doc["config"].update(n_dec_layers=0),
-        lambda doc: doc["config"].update({"efe.activation": "gelu"}),
+        lambda doc: doc["config"]["efe"].update(activation="gelu"),
+        lambda doc: doc["config"].update(d_model=4.0),
+        lambda doc: doc["config"].update(n_heads=True),
+        lambda doc: doc["config"].update(t="8"),
+        lambda doc: doc["config"]["efe"].update(activation=1),
+        lambda doc: doc["config"].update(extra=1),
+        lambda doc: doc["config"]["aee"].pop("hidden"),
+        lambda doc: doc["config"].update(efe=2),
     ], ids=["missing_key", "null", "zero_heads", "non_numeric", "no_encoder_layer", "no_decoder_layer",
-            "unknown_activation"])
+            "unknown_activation", "float_for_int", "bool_for_int", "numeric_string", "int_for_str", "extra_key",
+            "nested_missing_key", "scalar_for_nested"])
     def test_malformed_config_rejected(self, saved, edit):
         path = saved[0]
         self.rewrite(path, edit)
@@ -442,18 +502,20 @@ class TestCheckpoint:
 
     def test_malformed_param_entry_rejected(self, saved):
         path = saved[0]
-        self.rewrite(path, lambda doc: doc["params"].append({"name": 3}))
-        with pytest.raises(CheckpointError):
+        self.rewrite(path, lambda doc: doc["params"].update({"head.b": 3}))
+        with pytest.raises(CheckpointError, match="malformed parameter list"):
             model.load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: dec_u(doc).update(shape=dec_u(doc)["shape"][::-1]),
-        lambda doc: dec_u(doc).update(data=dec_u(doc)["data"][:-12]),
-    ], ids=["transposed", "truncated"])
-    def test_bad_tensor_rejected_despite_valid_checksum(self, saved, edit):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["params"].update({"aee.dec.0.u": doc["params"]["aee.dec.0.u"][:-12]}),
+         "aee.dec.0.u data does not decode"),
+        (lambda doc: doc["params"].pop("aee.dec.0.u"), "aee.dec.0.u of its config is missing"),
+        (lambda doc: doc["params"].update(extra=doc["params"]["head.b"]), "extra is not in its config"),
+    ], ids=["truncated", "missing", "extra"])
+    def test_bad_tensor_rejected_despite_valid_checksum(self, saved, edit, match):
         path = saved[0]
         self.rewrite(path, edit, rechecksum=True)
-        with pytest.raises(CheckpointError, match="aee.dec.0.u"):
+        with pytest.raises(CheckpointError, match=match):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, name", [
@@ -485,10 +547,9 @@ class TestCheckpoint:
         path = saved[0]
 
         def poison(doc):
-            entry = next(e for e in doc["params"] if e["name"] == "head.w")
-            values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+            values = np.frombuffer(base64.b64decode(doc["params"]["head.w"]), dtype="<f8").copy()
             values[1] = value
-            entry["data"] = base64.b64encode(values.tobytes()).decode()
+            doc["params"]["head.w"] = base64.b64encode(values.tobytes()).decode()
 
         self.rewrite(path, poison, rechecksum=True)
         with pytest.raises(CheckpointError, match="head.w"):

@@ -144,6 +144,11 @@ class TestFitGmm:
         with pytest.raises(ov.GmmFitError, match="max_iter"):
             ov.fit_gmm(two_component_sample(0, n=200), 2, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ov.GmmFitError, match="tol"):
+            ov.fit_gmm(two_component_sample(0, n=200), 2, tol=tol)
+
     def test_constant_data_rejected(self):
         with pytest.raises(ov.GmmFitError):
             ov.fit_gmm(np.full(100, 2.0), 1)
@@ -271,6 +276,13 @@ class TestMarkImportant:
         with pytest.raises(ov.PolicyError, match="nu"):
             ov.mark_important(x, eta=1.2, z=5.0, nu=-2)
 
+    @pytest.mark.parametrize("eta, z", [(np.nan, 5.0), (1.2, np.nan), (np.inf, 5.0), (1.2, -np.inf)])
+    def test_non_finite_threshold_rejected(self, eta, z):
+        x = np.ones(20)
+        x[5] = 100.0
+        with pytest.raises(ov.PolicyError, match="threshold"):
+            ov.mark_important(x, eta, z)
+
 
 class TestExpandPeaks:
     def test_ross_setting_eight_issue_points(self):
@@ -358,3 +370,8 @@ class TestCapOversample:
             ov.OversamplePolicy(os_pct=0.0)
         with pytest.raises(ov.PolicyError):
             ov.cap_kept_count(10, 10, 101.0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(ov.PolicyError, match="eta"):
+            ov.OversamplePolicy(eta=eta)
