@@ -42,7 +42,9 @@ a BLAS that threads each product too competes with it for the CPUs.
 
 Shapes follow numpy row-major conventions. Elementwise ops take equal
 shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
-no silent broadcasting ever happens.
+no silent broadcasting ever happens. The one unfused nonlinearity is
+:func:`relu`, which the lag-feature embedding applies; the tests build
+their smooth oracles from ``tanh`` and ``sigmoid`` in ``tests/gradcheck.py``.
 """
 
 from __future__ import annotations
@@ -272,30 +274,6 @@ def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     mask = x.values > 0  # gradient at exactly 0 is 0
     return _emit(Tensor(np.where(mask, x.values, 0.0)), (x,), lambda g: _accum(x, g * mask))
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.values)
-    return _emit(Tensor(y), (x,), lambda g: _accum(x, g * (1.0 - y * y)))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|x|)."""
-    x = _as_tensor(x)
-    e = np.exp(-np.abs(x.values))
-    y = np.where(x.values >= 0, 1.0, e) / (1.0 + e)
-    return _emit(Tensor(y), (x,), lambda g: _accum(x, g * y * (1.0 - y)))
-
-
-ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    try:
-        return ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ContractError(f"unknown activation {kind!r}; expected one of {sorted(ACTIVATIONS)}") from None
 
 
 def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:

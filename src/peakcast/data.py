@@ -331,8 +331,8 @@ class Transform:
 
     @classmethod
     def fit(cls, train_values: np.ndarray, mode: str = "log1p_standardize") -> "Transform":
-        """Fit on training values; an empty slice, or in log1p_standardize
-        mode a value <= -1, raises DataError."""
+        """Fit on training values; an empty slice, a NaN or infinite value,
+        or in log1p_standardize mode a value <= -1, raises DataError."""
         if mode not in TRANSFORM_MODES:
             raise ValueError(f"unknown transform mode {mode!r}; expected one of {TRANSFORM_MODES}")
         if mode == "none":
@@ -340,6 +340,8 @@ class Transform:
         x = cls(mode=mode).apply(train_values)  # mean 0 and std 1: only the log1p step, if any
         if x.size == 0:
             raise DataError(f"cannot fit a {mode} transform on no values")
+        if not np.isfinite(x).all():
+            raise DataError(f"cannot fit a {mode} transform on NaN or infinite values")
         std = float(x.std())
         return cls(mode=mode, mean=float(x.mean()), std=std if std > 0 else 1.0)
 
@@ -384,11 +386,13 @@ def compute_stats(values: np.ndarray) -> DatasetStats:
     """Sample moment statistics: skewness m3/m2^1.5, kurtosis m4/m2^2.
 
     Kurtosis is the plain (non-excess) standardized fourth moment; the
-    normal distribution scores 3.
+    normal distribution scores 3. A NaN or infinite value raises StatsError.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size < 4:
         raise StatsError(f"need at least 4 values, got {x.size}")
+    if not np.isfinite(x).all():
+        raise StatsError("moments undefined for NaN or infinite values")
     mu = x.mean()
     d = x - mu
     m2 = float((d * d).mean())

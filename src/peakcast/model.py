@@ -407,7 +407,7 @@ def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a checkpoint file")

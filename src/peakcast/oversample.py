@@ -73,7 +73,7 @@ def fit_gmm(
     n_components: int,
     max_iter: int = 200,
     tol: float = 1e-6,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> GmmParams:
     """EM fit of a 1-D Gaussian mixture.
 
@@ -81,7 +81,8 @@ def fit_gmm(
     uniform weights, pooled variance. Variances are floored at
     1e-6 * var(data) so no component can collapse onto a single point.
     ``seed`` only breaks ties when quantile initialization produces
-    duplicate means (heavily discrete data).
+    duplicate means (heavily discrete data); it has a fixed default, so
+    a fit without one is deterministic too.
 
     The per-iteration log-likelihood trace is kept in ``ll_history``; EM
     guarantees it is non-decreasing. Each iteration runs in place on two
@@ -216,7 +217,7 @@ def cap_oversample(
     base_windows: list[WindowSample],
     extra_windows: list[WindowSample],
     os_pct: float,
-    seed: int | None = None,
+    seed: int,
 ) -> list[WindowSample]:
     """Base set plus extras, truncated so extras stay within the os% cap.
 

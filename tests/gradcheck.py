@@ -1,5 +1,6 @@
-"""Test helpers for gradient checks: a summing op and the finite-difference
-oracle that every autodiff op is checked against."""
+"""Test helpers for gradient checks: a summing op, the smooth tanh and
+sigmoid ops that build unfused oracles and finite-difference losses, and
+the finite-difference oracle that every autodiff op is checked against."""
 
 from __future__ import annotations
 
@@ -14,6 +15,20 @@ from peakcast.autodiff import ContractError, Tensor
 def sum_all(x: Tensor) -> Tensor:
     x = ad._as_tensor(x)
     return ad._emit(Tensor(x.values.sum()), (x,), lambda g: ad._accum(x, np.full_like(x.values, float(g))))
+
+
+def tanh(x: Tensor) -> Tensor:
+    x = ad._as_tensor(x)
+    y = np.tanh(x.values)
+    return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * (1.0 - y * y)))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|x|)."""
+    x = ad._as_tensor(x)
+    e = np.exp(-np.abs(x.values))
+    y = np.where(x.values >= 0, 1.0, e) / (1.0 + e)
+    return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * y * (1.0 - y)))
 
 
 def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:

@@ -10,7 +10,7 @@ from peakcast import aee
 from peakcast import autodiff as ad
 from peakcast.data import DEFAULT_SYNTH_START, AlignmentError, WindowError
 
-from gradcheck import finite_diff_check, sum_all
+from gradcheck import finite_diff_check, sigmoid, sum_all, tanh
 
 STEP = timedelta(minutes=15)
 SPAN_US = 60 * 365 * 86_400_000_000  # grid offsets stay within ~60 years of the anchor
@@ -41,12 +41,12 @@ def lstm_cell(x, h, c, w, u, b):
     composed-op oracle for ``ad.lstm_sequence``."""
     hidden = h.shape[-1]
     gates = ad.add(ad.linear(x, w, b), ad.linear(h, u))
-    i = ad.sigmoid(columns(gates, 0, hidden))
-    f = ad.sigmoid(columns(gates, hidden, 2 * hidden))
-    g = ad.tanh(columns(gates, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(columns(gates, 3 * hidden, 4 * hidden))
+    i = sigmoid(columns(gates, 0, hidden))
+    f = sigmoid(columns(gates, hidden, 2 * hidden))
+    g = tanh(columns(gates, 2 * hidden, 3 * hidden))
+    o = sigmoid(columns(gates, 3 * hidden, 4 * hidden))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
+    h_new = ad.mul(o, tanh(c_new))
     return h_new, c_new
 
 

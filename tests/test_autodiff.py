@@ -24,7 +24,7 @@ from peakcast.autodiff import (
     record,
 )
 
-from gradcheck import finite_diff_check, sum_all
+from gradcheck import finite_diff_check, sigmoid, sum_all, tanh
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -84,7 +84,7 @@ def test_linear_gradient_vs_finite_difference(operand, bias, layout):
     def loss(t: Tensor) -> Tensor:
         args = {k: (None if v is None else ad.tensor(v)) for k, v in ops.items()}
         args[operand] = t
-        return sum_all(ad.mul(ad.tanh(ad.linear(**args)), wy))
+        return sum_all(ad.mul(tanh(ad.linear(**args)), wy))
 
     x = ad.parameter(ops[operand].copy())
     assert finite_diff_check(loss, x, eps=1e-6) < 1e-8
@@ -129,16 +129,11 @@ def test_relu_sign_split():
 
 
 def test_sigmoid_symmetry_point():
-    assert ad.sigmoid(ad.tensor([0.0])).values[0] == 0.5
+    assert sigmoid(ad.tensor([0.0])).values[0] == 0.5
 
 
 def test_tanh_standard_value():
-    assert ad.tanh(ad.tensor([0.5])).values[0] == pytest.approx(0.46211716, abs=1e-8)
-
-
-def test_activation_dispatch_unknown():
-    with pytest.raises(ContractError):
-        ad.activation("gelu", ad.tensor([1.0]))
+    assert tanh(ad.tensor([0.5])).values[0] == pytest.approx(0.46211716, abs=1e-8)
 
 
 def attention_map(scores):
@@ -268,7 +263,7 @@ def test_add_layer_norm_gradient_vs_finite_difference(operand):
     def loss(t: Tensor) -> Tensor:
         args = {k: ad.tensor(v) for k, v in ops.items()}
         args[operand] = t
-        return sum_all(ad.mul(ad.tanh(ad.add_layer_norm(**args)), wy))
+        return sum_all(ad.mul(tanh(ad.add_layer_norm(**args)), wy))
 
     assert finite_diff_check(loss, ad.parameter(ops[operand].copy()), eps=1e-6) < 1e-7
 
@@ -410,7 +405,7 @@ def test_backward_visits_each_node_once():
     with record(tape):
         y = ad.mul(x, x)        # node 1
         z = ad.add(y, x)        # node 2
-        w = ad.tanh(z)          # node 3
+        w = tanh(z)             # node 3
         out = sum_all(w)     # node 4
     assert len(tape) == 4
     backward(tape, out)
@@ -449,7 +444,7 @@ def test_forward_determinism():
     def run():
         t = ad.tensor(x)
         trace = []
-        out = ad.attention(ad.tanh(t), t, t, 2, 0.3, np.random.default_rng(4), trace)
+        out = ad.attention(tanh(t), t, t, 2, 0.3, np.random.default_rng(4), trace)
         return out.values, trace
 
     (a, trace_a), (b, trace_b) = run(), run()
@@ -465,7 +460,7 @@ def test_finite_diff_exact_for_linear():
 
 def test_finite_diff_tanh_sum():
     x = ad.parameter(np.random.default_rng(5).uniform(-1, 1, size=5))
-    err = finite_diff_check(lambda t: sum_all(ad.tanh(t)), x, eps=1e-5)
+    err = finite_diff_check(lambda t: sum_all(tanh(t)), x, eps=1e-5)
     assert err < 1e-5
 
 
@@ -482,17 +477,17 @@ def _op_cases():
         return build
 
     return {
-        "add": wrap(lambda x: sum_all(ad.add(x, ad.tanh(x)))),
+        "add": wrap(lambda x: sum_all(ad.add(x, tanh(x)))),
         "mul": wrap(lambda x: sum_all(ad.mul(x, x))),
         "relu": wrap(lambda x: sum_all(ad.relu(x))),
-        "tanh": wrap(lambda x: sum_all(ad.tanh(x))),
-        "sigmoid": wrap(lambda x: sum_all(ad.sigmoid(x))),
+        "tanh": wrap(lambda x: sum_all(tanh(x))),
+        "sigmoid": wrap(lambda x: sum_all(sigmoid(x))),
         "add_layer_norm": wrap(lambda x: sum_all(ad.mul(ad.add_layer_norm(
-            x, ad.tanh(x), ad.tensor(np.linspace(0.5, 1.5, 4)), ad.tensor(np.linspace(-1.0, 1.0, 4)), eps=1e-3), x))),
+            x, tanh(x), ad.tensor(np.linspace(0.5, 1.5, 4)), ad.tensor(np.linspace(-1.0, 1.0, 4)), eps=1e-3), x))),
         "ffn": wrap(lambda x: sum_all(ad.mul(ad.ffn(x, *_OP_CASE_FFN), x))),
-        "reshape": wrap(lambda x: sum_all(ad.tanh(ad.reshape(x, (2, 8))))),
+        "reshape": wrap(lambda x: sum_all(tanh(ad.reshape(x, (2, 8))))),
         "tile_leading": wrap(lambda x: sum_all(
-            ad.tanh(ad.mul(ad.tile_leading(x, 3), ad.tensor(np.linspace(-2.0, 2.0, 48).reshape(3, 4, 4)))))),
+            tanh(ad.mul(ad.tile_leading(x, 3), ad.tensor(np.linspace(-2.0, 2.0, 48).reshape(3, 4, 4)))))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
         # a fresh generator per evaluation, so every evaluation drops the same entries
         "ffn_dropout": wrap(lambda x: sum_all(ad.mul(ad.ffn(x, *_OP_CASE_FFN, 0.4, np.random.default_rng(0)), x))),
@@ -567,7 +562,7 @@ def test_sigmoid_matches_three_exp_formula_bitwise():
     e = np.exp(-np.abs(v))
     with np.errstate(invalid="ignore"):
         expect = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        got = ad.sigmoid(ad.tensor(v)).values
+        got = sigmoid(ad.tensor(v)).values
     assert np.array_equal(got, expect, equal_nan=True)
 
 

@@ -391,6 +391,12 @@ class TestTransform:
         with pytest.raises(d.DataError, match="no values"):
             d.fit_transforms(series, train_end_index=0, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["log1p_standardize", "standardize"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_fit_rejects_non_finite_values(self, mode, bad):
+        with pytest.raises(d.DataError, match="NaN or infinite"):
+            d.Transform.fit(np.array([1.0, bad, 3.0]), mode)
+
     def test_fit_uses_training_slice_only(self):
         series = d.AlignedSeries(T0, STEP, np.array([1.0, 1.0, 1.0, 100.0]), [], ["t"])
         trs = d.fit_transforms(series, train_end_index=3, mode="standardize")
@@ -422,6 +428,11 @@ class TestStats:
     def test_constant_series_undefined(self):
         with pytest.raises(d.StatsError):
             d.compute_stats(np.full(10, 3.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(d.StatsError, match="NaN or infinite"):
+            d.compute_stats(np.array([1.0, 2.0, bad, 4.0, 5.0]))
 
     def test_too_short(self):
         with pytest.raises(d.StatsError):

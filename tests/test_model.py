@@ -27,7 +27,7 @@ from gradcheck import finite_diff_check
 def toy_cfg(mode="efe_aee", **kw):
     """Small geometry; AEE hidden != d_model so the projection runs too."""
     base = dict(d_model=4, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_width=6, t=8, h=3, m=2,
-                efe=EfeConfig(s_efe=2, activation="tanh"), aee=AeeConfig(hidden=3), embedding_mode=mode)
+                efe=EfeConfig(s_efe=2), aee=AeeConfig(hidden=3), embedding_mode=mode)
     base.update(kw)
     return PfConfig(**base)
 
@@ -143,10 +143,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             PfConfig(**{name: value})
 
-    def test_unknown_activation_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="gelu"):
-            toy_cfg(efe=EfeConfig(s_efe=2, activation="gelu"))
-
 
 class TestParameters:
     def test_default_layout(self):
@@ -189,6 +185,29 @@ class TestForward:
         for p in params.values():
             worst = max(worst, finite_diff_check(lambda _: loss_of(params, cfg, batch), p, eps=1e-5))
         assert worst < 1e-6, f"{mode}: max rel err {worst}"
+
+    @pytest.mark.parametrize("mode", model.EMBEDDING_MODES)
+    def test_full_model_gradient_check_stays_clear_of_relu_kinks(self, mode, monkeypatch):
+        # a central difference that straddles a ReLU kink is wrong, so the
+        # EFE and FFN pre-activations of the check above keep more than
+        # 10 eps away from 0
+        pre = []
+        relu, ffn = ad.relu, ad.ffn
+
+        def record_relu(x):
+            pre.append(x.values)
+            return relu(x)
+
+        def record_ffn(x, w1, b1, *rest):
+            pre.append(x.values @ w1.values + b1.values)
+            return ffn(x, w1, b1, *rest)
+
+        monkeypatch.setattr(ad, "relu", record_relu)
+        monkeypatch.setattr(ad, "ffn", record_ffn)
+        cfg = toy_cfg(mode)
+        loss_of(model.init_params(cfg, 4), cfg, toy_batch(cfg))
+        assert len(pre) == (mode == "efe_aee") + cfg.n_enc_layers + cfg.n_dec_layers
+        assert min(np.abs(p).min() for p in pre) > 10 * 1e-5
 
     @pytest.mark.parametrize("mode", model.EMBEDDING_MODES)
     def test_output_shapes(self, mode):
@@ -391,10 +410,9 @@ model.save_checkpoint(sys.argv[1], cfg, model.init_params(cfg, 7))
 
 
 def configs():
-    """Every embedding mode, activation and flag, over a range of sizes."""
+    """Every embedding mode, over a range of sizes."""
     sizes = st.integers(1, 10_000)
-    efe = st.builds(EfeConfig, s_efe=sizes, activation=st.sampled_from(sorted(ad.ACTIVATIONS)),
-                    include_target_lags=st.booleans())
+    efe = st.builds(EfeConfig, s_efe=sizes)
     aee = st.builds(AeeConfig, hidden=sizes, layers=st.sampled_from([1, 2]))
     heads = st.integers(1, 16)
     return heads.flatmap(lambda n: st.builds(
@@ -412,7 +430,7 @@ class TestConfigDict:
 
     def test_nested_configs_are_nested_dicts(self):
         d = toy_cfg().to_dict()
-        assert d["efe"] == {"s_efe": 2, "activation": "tanh", "include_target_lags": False}
+        assert d["efe"] == {"s_efe": 2}
         assert d["aee"] == {"hidden": 3, "layers": 1}
 
     def test_int_passes_for_float(self):
@@ -483,17 +501,18 @@ class TestCheckpoint:
         lambda doc: doc["config"].update(t="long"),
         lambda doc: doc["config"].update(n_enc_layers=-1),
         lambda doc: doc["config"].update(n_dec_layers=0),
-        lambda doc: doc["config"]["efe"].update(activation="gelu"),
+        lambda doc: doc["config"]["efe"].update(activation="relu"),  # a file from before EFE had one field
         lambda doc: doc["config"].update(d_model=4.0),
         lambda doc: doc["config"].update(n_heads=True),
         lambda doc: doc["config"].update(t="8"),
-        lambda doc: doc["config"]["efe"].update(activation=1),
+        lambda doc: doc["config"].update(embedding_mode=1),
         lambda doc: doc["config"].update(extra=1),
         lambda doc: doc["config"]["aee"].pop("hidden"),
         lambda doc: doc["config"].update(efe=2),
+        lambda doc: doc["config"].update(embedding_mode="gelu"),
     ], ids=["missing_key", "null", "zero_heads", "non_numeric", "no_encoder_layer", "no_decoder_layer",
             "unknown_activation", "float_for_int", "bool_for_int", "numeric_string", "int_for_str", "extra_key",
-            "nested_missing_key", "scalar_for_nested"])
+            "nested_missing_key", "scalar_for_nested", "unknown_embedding_mode"])
     def test_malformed_config_rejected(self, saved, edit):
         path = saved[0]
         self.rewrite(path, edit)
@@ -560,3 +579,14 @@ class TestCheckpoint:
         path.write_text("[1, 2]")
         with pytest.raises(CheckpointError):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"{"], ids=["not_utf8", "truncated_json"])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="unreadable checkpoint"):
+            model.load_checkpoint(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="unreadable checkpoint"):
+            model.load_checkpoint(tmp_path / "absent.json")

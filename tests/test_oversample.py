@@ -16,7 +16,7 @@ def two_component_sample(seed, n=5000, mu0=0.0, mu1=10.0):
     return np.where(pick, rng.normal(mu0, 1.0, n), rng.normal(mu1, 1.0, n))
 
 
-def fit_gmm_reference(values, n_components, max_iter=200, tol=1e-6, seed=None):
+def fit_gmm_reference(values, n_components, max_iter=200, tol=1e-6, seed=0):
     """Sample-major (n, M) EM oracle for ``fit_gmm``: the same initialization,
     variance floor and stopping rule, with fresh temporaries each iteration."""
     x = np.asarray(values, dtype=np.float64).ravel()
@@ -159,6 +159,13 @@ class TestFitGmm:
         x[10] = bad
         with pytest.raises(ov.GmmFitError):
             ov.fit_gmm(x, 2)
+
+    def test_unseeded_fits_are_identical(self):
+        # the tie-break jitter of discrete data comes from the default seed
+        x = discrete_sample(5)
+        a, b = ov.fit_gmm(x, 3), ov.fit_gmm(x, 3)
+        for field in ("weights", "means", "variances", "ll_history"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_variance_floor_holds(self):
         x = np.concatenate([np.zeros(500) + 1e-9, np.ones(500), np.full(3, 100.0)])
