@@ -1,17 +1,16 @@
-"""LSTM autoencoder embedding (the aee.* config surface).
+"""LSTM autoencoder embedding.
 
 An LSTM encoder folds the whole input window into latent states (h, c);
-an LSTM decoder, seeded with those latents and driven only by forecast
-time-stamp features, unrolls the horizon. Its hidden-state sequence is
-the decoder-side embedding, and a per-step linear head turns the same
-sequence into the short-term auxiliary prediction. No target value,
-observed or predicted, ever enters the decoder: prediction is direct,
-not recursive.
+an LSTM decoder of the same width, seeded with those latents and driven
+only by forecast time-stamp features, unrolls the horizon. Its
+hidden-state sequence is the decoder-side embedding, and a per-step
+linear head turns the same sequence into the short-term auxiliary
+prediction. No target value, observed or predicted, ever enters the
+decoder: prediction is direct, not recursive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -46,39 +45,13 @@ def _time_of_day_table() -> np.ndarray:
 _TIME_OF_DAY = _time_of_day_table()
 
 
-@dataclass
-class AeeConfig:
-    hidden: int = 64
-    layers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.layers not in (1, 2):
-            raise ValueError(f"layers must be 1 or 2, got {self.layers}")
-
-
-def lstm_param_shapes(input_width: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    """Gate-stacked cell parameterization: i, f, g, o along the last axis."""
-    return {"w": (input_width, 4 * hidden), "u": (hidden, 4 * hidden), "b": (4 * hidden,)}
-
-
-def _layer(params: dict[str, Tensor], branch: str, layer: int) -> tuple[Tensor, Tensor, Tensor]:
-    return tuple(params[f"aee.{branch}.{layer}.{key}"] for key in ("w", "u", "b"))
-
-
-def encode(windows: np.ndarray, params: dict[str, Tensor], cfg: AeeConfig) -> list[tuple[Tensor, Tensor]]:
-    """Run the encoder stack over all t columns of (B, m, t) windows.
-
-    Returns the final (h, c) of each layer, bottom first.
-    """
-    zeros = ad.tensor(np.zeros((windows.shape[0], cfg.hidden)))
-    inp = ad.tensor(np.swapaxes(windows, 1, 2))  # (B, t, m)
-    states = []
-    for layer in range(cfg.layers):
-        inp, h, c = ad.lstm_sequence(inp, zeros, zeros, *_layer(params, "enc", layer))
-        states.append((h, c))
-    return states
+def encode(windows: np.ndarray, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Run the encoder over all t columns of (B, m, t) windows; returns its
+    final (h, c), each (B, hidden)."""
+    zeros = ad.tensor(np.zeros((windows.shape[0], params["aee.enc.u"].shape[0])))
+    _, h, c = ad.lstm_sequence(ad.tensor(np.swapaxes(windows, 1, 2)), zeros, zeros,
+                               params["aee.enc.w"], params["aee.enc.u"], params["aee.enc.b"])
+    return h, c
 
 
 def timestamp_features(
@@ -149,23 +122,12 @@ def timestamp_features(
     return out.reshape(TIMESTAMP_FEATURE_WIDTH, -1).T.copy().reshape(day.shape + (TIMESTAMP_FEATURE_WIDTH,))
 
 
-def decode(
-    latents: list[tuple[Tensor, Tensor]],
-    ts_features: np.ndarray,
-    params: dict[str, Tensor],
-    cfg: AeeConfig,
-) -> Tensor:
-    """Unroll the decoder stack over (B, h, 5) time-stamp features.
-
-    Latents map layer-to-layer from the encoder. The result is the
-    top layer's hidden-state sequence, (B, h, hidden).
-    """
-    if len(latents) != cfg.layers:
-        raise ad.DimensionError(f"decode: {len(latents)} latent states for {cfg.layers} layers")
-    inp = ad.tensor(ts_features)
-    for layer, (h, c) in enumerate(latents):
-        inp, _, _ = ad.lstm_sequence(inp, h, c, *_layer(params, "dec", layer))
-    return inp
+def decode(latents: tuple[Tensor, Tensor], ts_features: np.ndarray, params: dict[str, Tensor]) -> Tensor:
+    """Unroll the decoder from the encoder's (h, c) over (B, h, 5) time-stamp
+    features; returns its hidden-state sequence, (B, h, hidden)."""
+    seq, _, _ = ad.lstm_sequence(ad.tensor(ts_features), *latents,
+                                 params["aee.dec.w"], params["aee.dec.u"], params["aee.dec.b"])
+    return seq
 
 
 def aux_head(embedding: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

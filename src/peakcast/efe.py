@@ -1,4 +1,4 @@
-"""Lag-window feature embedding (the efe.* config surface).
+"""Lag-window feature embedding.
 
 Each time point j is embedded from a small cross-series feature vector:
 the target's concurrent value, every auxiliary's concurrent value, and
@@ -9,26 +9,16 @@ information lives entirely in the lag structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 
-@dataclass
-class EfeConfig:
-    """Subsequence geometry; ``s_efe`` counts preceding auxiliary values."""
-
-    s_efe: int = 60
-
-    def __post_init__(self) -> None:
-        if self.s_efe < 1:
-            raise ValueError(f"s_efe must be >= 1, got {self.s_efe}")
-
-    def input_width(self, m: int) -> int:
-        return 1 + (m - 1) * (self.s_efe + 1)
+def input_width(m: int, s_efe: int) -> int:
+    """Features per time point: the target's value, and each of the m - 1
+    auxiliaries' value with its ``s_efe`` preceding values."""
+    return 1 + (m - 1) * (s_efe + 1)
 
 
 def subsequence_matrix(windows: np.ndarray, s_efe: int) -> np.ndarray:
@@ -46,8 +36,8 @@ def subsequence_matrix(windows: np.ndarray, s_efe: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def embed_sequence(windows: np.ndarray, weight: Tensor, bias: Tensor, cfg: EfeConfig) -> Tensor:
+def embed_sequence(windows: np.ndarray, weight: Tensor, bias: Tensor, s_efe: int) -> Tensor:
     """relu(features @ weight + bias) at every time point: (B, m, t)
     windows -> (B, t, d_model) embeddings. A weight whose row count is not
-    ``cfg.input_width(m)`` raises a dimension error."""
-    return ad.relu(ad.linear(ad.tensor(subsequence_matrix(windows, cfg.s_efe)), weight, bias))
+    ``input_width(m, s_efe)`` raises a dimension error."""
+    return ad.relu(ad.linear(ad.tensor(subsequence_matrix(windows, s_efe)), weight, bias))

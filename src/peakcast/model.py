@@ -19,12 +19,13 @@ are shared.
 Parameter layout: every attention block ``{prefix}`` holds ``.wq``,
 ``.wk``, ``.wv`` and ``.wo``, each (d_model, d_model), and ``.bo``. Head
 i owns column block [i * d_head, (i + 1) * d_head) of ``wq``, ``wk`` and
-``wv``, and the same row block of ``wo``. Checkpoints are format version 3:
+``wv``, and the same row block of ``wo``. Checkpoints are format version 4:
 one JSON object of the format name and version, ``config``
-(``PfConfig.to_dict()``), ``params`` (each name mapped to the base64 of its
-little-endian float64 values, shaped by the config) and ``checksum``, the
-sha256 of ``json.dumps([config, params], sort_keys=True)``. Version 1 and 2
-files are rejected.
+(``PfConfig.to_dict()``, one flat dict of scalars), ``params`` (each name
+mapped to the base64 of its little-endian float64 values, shaped by the
+config) and ``checksum``, the sha256 of
+``json.dumps([config, params], sort_keys=True)``. Files of versions 1 to 3
+are rejected.
 """
 
 from __future__ import annotations
@@ -34,21 +35,19 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import aee as aee_mod
 from . import autodiff as ad
 from . import efe as efe_mod
-from .aee import AeeConfig
 from .autodiff import Tensor
-from .efe import EfeConfig
 
 EMBEDDING_MODES = ("efe_aee", "position_token", "token_only")
 
 CHECKPOINT_FORMAT = "peakcast-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -56,10 +55,10 @@ class CheckpointError(ValueError):
 
 
 def _config_from_dict(cls, d: dict):
-    """A ``cls`` config from a dict of exactly its fields' keys, a nested
-    config from a nested dict. Each scalar must have the type of its field's
-    default, except that an int passes for a float (a bool for neither);
-    ``__post_init__`` then checks the ranges. Raises TypeError or ValueError."""
+    """A ``cls`` config from a dict of exactly its fields' keys. Each value
+    must have the type of its field's default, except that an int passes for
+    a float (a bool for neither); ``__post_init__`` then checks the ranges.
+    Raises TypeError or ValueError."""
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} needs a dict, got {type(d).__name__}")
     defaults = cls()
@@ -69,9 +68,7 @@ def _config_from_dict(cls, d: dict):
     kwargs = {}
     for name, value in d.items():
         kind = kinds[name]
-        if is_dataclass(kind):
-            value = _config_from_dict(kind, value)
-        elif kind is float and type(value) is int:
+        if kind is float and type(value) is int:
             value = float(value)
         elif type(value) is not kind:
             raise TypeError(f"{cls.__name__}.{name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
@@ -91,13 +88,12 @@ class PfConfig:
     t: int = 1440
     h: int = 288
     m: int = 2
-    efe: EfeConfig = field(default_factory=EfeConfig)
-    aee: AeeConfig = field(default_factory=AeeConfig)
+    s_efe: int = 60
     embedding_mode: str = "efe_aee"
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "ffn_width", "t", "h", "m"):
+        for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "ffn_width", "t", "h", "m", "s_efe"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
@@ -137,20 +133,15 @@ def _param_shapes(cfg: PfConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}.ln{k + 1}.b"] = (d,)
 
     if cfg.embedding_mode == "efe_aee":
-        shapes["efe.w"] = (cfg.efe.input_width(cfg.m), d)
+        shapes["efe.w"] = (efe_mod.input_width(cfg.m, cfg.s_efe), d)
         shapes["efe.b"] = (d,)
-        hidden = cfg.aee.hidden
-        for layer in range(cfg.aee.layers):
-            enc_in = cfg.m if layer == 0 else hidden
-            dec_in = aee_mod.TIMESTAMP_FEATURE_WIDTH if layer == 0 else hidden
-            for branch, width in (("enc", enc_in), ("dec", dec_in)):
-                for key, shape in aee_mod.lstm_param_shapes(width, hidden).items():
-                    shapes[f"aee.{branch}.{layer}.{key}"] = shape
-        shapes["aee.head.w"] = (hidden, 1)
+        # LSTM gates stacked i, f, g, o along the last axis
+        for branch, width in (("enc", cfg.m), ("dec", aee_mod.TIMESTAMP_FEATURE_WIDTH)):
+            shapes[f"aee.{branch}.w"] = (width, 4 * d)
+            shapes[f"aee.{branch}.u"] = (d, 4 * d)
+            shapes[f"aee.{branch}.b"] = (4 * d,)
+        shapes["aee.head.w"] = (d, 1)
         shapes["aee.head.b"] = (1,)
-        if hidden != d:
-            shapes["aee.proj.w"] = (hidden, d)
-            shapes["aee.proj.b"] = (d,)
     else:
         shapes["tok.w"] = (cfg.m, d)
         shapes["tok.b"] = (d,)
@@ -288,21 +279,16 @@ def _embed(windows: np.ndarray, ts_features: np.ndarray, params: dict[str, Tenso
     """Encoder input, decoder input and the auxiliary forecast of one batch.
 
     efe_aee: lag-feature embedding for the encoder; the autoencoder's
-    hidden sequence (projected to d_model if needed) for the decoder, and
-    its short-term head as the auxiliary forecast. Ablation modes: a
-    per-step linear map of the m-vector for the encoder and learned start
-    tokens for the decoder, plus the sinusoidal table in position_token
-    mode; there is no auxiliary forecast (None).
+    hidden sequence for the decoder, and its short-term head as the
+    auxiliary forecast. Ablation modes: a per-step linear map of the
+    m-vector for the encoder and learned start tokens for the decoder, plus
+    the sinusoidal table in position_token mode; there is no auxiliary
+    forecast (None).
     """
     if cfg.embedding_mode == "efe_aee":
-        enc_in = efe_mod.embed_sequence(windows, params["efe.w"], params["efe.b"], cfg.efe)
-        latents = aee_mod.encode(windows, params, cfg.aee)
-        emb = aee_mod.decode(latents, ts_features, params, cfg.aee)
-        yaux = aee_mod.aux_head(emb, params["aee.head.w"], params["aee.head.b"])
-        dec_in = emb
-        if cfg.aee.hidden != cfg.d_model:
-            dec_in = ad.linear(emb, params["aee.proj.w"], params["aee.proj.b"])
-        return enc_in, dec_in, yaux
+        enc_in = efe_mod.embed_sequence(windows, params["efe.w"], params["efe.b"], cfg.s_efe)
+        dec_in = aee_mod.decode(aee_mod.encode(windows, params), ts_features, params)
+        return enc_in, dec_in, aee_mod.aux_head(dec_in, params["aee.head.w"], params["aee.head.b"])
 
     B = windows.shape[0]
     cols = np.swapaxes(windows, 1, 2)  # (B, t, m)
@@ -326,7 +312,7 @@ def forward(
     trace: list | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass on a (B, m, t) batch and its (B, h, 5) time-stamp
-    features; a single (m, t) window and (h, 5) features are batched.
+    features.
 
     Returns (yhat, yaux), both (B, h). In the ablation modes yaux is a
     constant zero tensor and the fused output is the decoder head alone.
@@ -335,10 +321,6 @@ def forward(
     Inputs of another shape raise DimensionError, in every embedding mode;
     non-finite inputs raise ContractError.
     """
-    if windows.ndim == 2:
-        windows = windows[None, ...]
-    if ts_features.ndim == 2:
-        ts_features = ts_features[None, ...]
     if windows.ndim != 3 or windows.shape[1:] != (cfg.m, cfg.t):
         raise ad.DimensionError(f"window batch {windows.shape} does not match (m, t) = ({cfg.m}, {cfg.t})")
     want = (windows.shape[0], cfg.h, aee_mod.TIMESTAMP_FEATURE_WIDTH)

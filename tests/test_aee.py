@@ -50,69 +50,52 @@ def lstm_cell(x, h, c, w, u, b):
     return h_new, c_new
 
 
-def unrolled(x_seq, layers, states):
-    """Run a stack of ``lstm_cell`` layers step by step over (B, T, n) values.
-
-    ``layers`` holds (w, u, b) per layer and ``states`` the initial (h, c)
-    per layer. Returns the top layer's per-step hidden states and the final
-    (h, c) of every layer.
+def unrolled(x_seq, cell, state):
+    """Run ``lstm_cell`` step by step over (B, T, n) values from the initial
+    (h, c) ``state``; ``cell`` holds (w, u, b). Returns the per-step hidden
+    states and the final (h, c).
     """
-    states = list(states)
-    tops = []
+    hs = []
     for k in range(x_seq.shape[1]):
-        inp = ad.tensor(x_seq[:, k, :])
-        for layer, (w, u, b) in enumerate(layers):
-            states[layer] = lstm_cell(inp, *states[layer], w, u, b)
-            inp = states[layer][0]
-        tops.append(inp)
-    return tops, states
+        state = lstm_cell(ad.tensor(x_seq[:, k, :]), *state, *cell)
+        hs.append(state[0])
+    return hs, state
 
 
-def zero_params(cfg, m, feat=aee.TIMESTAMP_FEATURE_WIDTH):
+def zero_params(hidden, m):
+    """Gate-stacked (i, f, g, o) encoder and decoder weights, all zero."""
     params = {}
-    for layer in range(cfg.layers):
-        enc_in = m if layer == 0 else cfg.hidden
-        dec_in = feat if layer == 0 else cfg.hidden
-        for prefix, width in (("enc", enc_in), ("dec", dec_in)):
-            shapes = aee.lstm_param_shapes(width, cfg.hidden)
-            for key, shape in shapes.items():
-                params[f"aee.{prefix}.{layer}.{key}"] = ad.tensor(np.zeros(shape))
+    for branch, width in (("enc", m), ("dec", aee.TIMESTAMP_FEATURE_WIDTH)):
+        for key, shape in (("w", (width, 4 * hidden)), ("u", (hidden, 4 * hidden)), ("b", (4 * hidden,))):
+            params[f"aee.{branch}.{key}"] = ad.tensor(np.zeros(shape))
     return params
 
 
-def random_params(cfg, m, seed=0, feat=aee.TIMESTAMP_FEATURE_WIDTH):
+def random_params(hidden, m, seed=0):
     rng = np.random.default_rng(seed)
-    params = zero_params(cfg, m, feat)
-    for key, t in params.items():
-        scale = 1.0 / math.sqrt(cfg.hidden)
-        params[key] = ad.parameter(rng.uniform(-scale, scale, size=t.shape))
-    return params
+    scale = 1.0 / math.sqrt(hidden)
+    return {key: ad.parameter(rng.uniform(-scale, scale, size=t.shape))
+            for key, t in zero_params(hidden, m).items()}
 
 
 class TestEncode:
     def test_zero_params_zero_states(self):
-        cfg = aee.AeeConfig(hidden=4, layers=2)
         win = np.random.default_rng(0).normal(size=(2, 12))
-        states = aee.encode(win[None], zero_params(cfg, 2), cfg)
-        for h, c in states:
-            assert np.array_equal(h.values, np.zeros((1, 4)))
-            assert np.array_equal(c.values, np.zeros((1, 4)))
+        h, c = aee.encode(win[None], zero_params(4, 2))
+        assert np.array_equal(h.values, np.zeros((1, 4)))
+        assert np.array_equal(c.values, np.zeros((1, 4)))
 
     def test_state_shapes(self):
-        cfg = aee.AeeConfig(hidden=6, layers=2)
         win = np.zeros((3, 2, 10))  # batch of 3
-        states = aee.encode(win, random_params(cfg, 2), cfg)
-        assert len(states) == 2
-        for h, c in states:
-            assert h.shape == (3, 6) and c.shape == (3, 6)
+        h, c = aee.encode(win, random_params(6, 2))
+        assert h.shape == (3, 6) and c.shape == (3, 6)
 
     def test_single_cell_matches_hand_equations(self):
         # one step, scalar input 1, all weights 1, bias 0
-        cfg = aee.AeeConfig(hidden=1, layers=1)
-        params = zero_params(cfg, 1)
-        params["aee.enc.0.w"] = ad.tensor(np.ones((1, 4)))
-        params["aee.enc.0.u"] = ad.tensor(np.ones((1, 4)))
-        (h, c), = aee.encode(np.ones((1, 1))[None], params, cfg)
+        params = zero_params(1, 1)
+        params["aee.enc.w"] = ad.tensor(np.ones((1, 4)))
+        params["aee.enc.u"] = ad.tensor(np.ones((1, 4)))
+        h, c = aee.encode(np.ones((1, 1))[None], params)
         sig = 1.0 / (1.0 + math.exp(-1.0))
         c_exp = sig * math.tanh(1.0)  # f*0 + i*g
         h_exp = sig * math.tanh(c_exp)
@@ -121,12 +104,11 @@ class TestEncode:
 
     def test_forget_path(self):
         # second step keeps a fraction of c via the forget gate
-        cfg = aee.AeeConfig(hidden=1, layers=1)
-        params = zero_params(cfg, 1)
-        params["aee.enc.0.w"] = ad.tensor(np.ones((1, 4)))
-        params["aee.enc.0.u"] = ad.tensor(np.zeros((1, 4)))
-        (h1, c1), = aee.encode(np.ones((1, 1))[None], params, cfg)
-        (h2, c2), = aee.encode(np.ones((1, 2))[None], params, cfg)
+        params = zero_params(1, 1)
+        params["aee.enc.w"] = ad.tensor(np.ones((1, 4)))
+        params["aee.enc.u"] = ad.tensor(np.zeros((1, 4)))
+        h1, c1 = aee.encode(np.ones((1, 1))[None], params)
+        h2, c2 = aee.encode(np.ones((1, 2))[None], params)
         sig = 1.0 / (1.0 + math.exp(-1.0))
         c2_exp = sig * c1.values[0, 0] + sig * math.tanh(1.0)
         assert c2.values[0, 0] == pytest.approx(c2_exp, abs=1e-12)
@@ -238,73 +220,54 @@ class TestTimestampFeatures:
 
 
 class TestDecode:
-    def run(self, cfg, seed=1, batch=2, horizon=5, m=2):
-        params = random_params(cfg, m, seed)
-        win = np.random.default_rng(seed + 1).normal(size=(batch, m, 9))
-        latents = aee.encode(win, params, cfg)
-        ts = np.stack([aee.timestamp_features(10 + i, horizon) for i in range(batch)])
-        return aee.decode(latents, ts, params, cfg), latents, params
-
     def test_output_shape(self):
-        cfg = aee.AeeConfig(hidden=7, layers=2)
-        out, _, _ = self.run(cfg, horizon=5)
-        assert out.shape == (2, 5, 7)
+        params = random_params(7, 2, seed=1)
+        latents = aee.encode(np.random.default_rng(2).normal(size=(2, 2, 9)), params)
+        ts = np.stack([aee.timestamp_features(10 + i, 5) for i in range(2)])
+        assert aee.decode(latents, ts, params).shape == (2, 5, 7)
 
     def test_zero_params_zero_embedding(self):
-        cfg = aee.AeeConfig(hidden=3, layers=1)
-        params = zero_params(cfg, 2)
-        latents = aee.encode(np.zeros((1, 2, 6)), params, cfg)
+        params = zero_params(3, 2)
+        latents = aee.encode(np.zeros((1, 2, 6)), params)
         ts = aee.timestamp_features(0, 4)[None, ...]
-        out = aee.decode(latents, ts, params, cfg)
+        out = aee.decode(latents, ts, params)
         assert np.array_equal(out.values, np.zeros((1, 4, 3)))
 
     def test_latent_sensitivity_at_first_row(self):
-        cfg = aee.AeeConfig(hidden=4, layers=1)
-        params = random_params(cfg, 2, seed=3)
+        params = random_params(4, 2, seed=3)
         win = np.random.default_rng(4).normal(size=(1, 2, 8))
         ts = aee.timestamp_features(5, 6)[None, ...]
-        base = aee.decode(aee.encode(win, params, cfg), ts, params, cfg).values
-        bumped = aee.encode(win + 1.0, params, cfg)
-        out = aee.decode(bumped, ts, params, cfg).values
+        base = aee.decode(aee.encode(win, params), ts, params).values
+        bumped = aee.encode(win + 1.0, params)
+        out = aee.decode(bumped, ts, params).values
         assert not np.allclose(out[0, 0], base[0, 0])
 
     def test_no_target_values_enter_decoder(self):
         # decoding depends only on latents and time stamps: replaying with a
         # different window but identical latents gives identical output
-        cfg = aee.AeeConfig(hidden=4, layers=1)
-        params = random_params(cfg, 2, seed=5)
+        params = random_params(4, 2, seed=5)
         win = np.random.default_rng(6).normal(size=(1, 2, 8))
-        latents = aee.encode(win, params, cfg)
+        latents = aee.encode(win, params)
         ts = aee.timestamp_features(3, 5)[None, ...]
-        a = aee.decode(latents, ts, params, cfg).values
-        b = aee.decode(latents, ts, params, cfg).values
+        a = aee.decode(latents, ts, params).values
+        b = aee.decode(latents, ts, params).values
         assert np.array_equal(a, b)
 
-    def test_latent_count_must_match_layers(self):
-        cfg = aee.AeeConfig(hidden=3, layers=2)
-        params = random_params(cfg, 2)
-        latents = aee.encode(np.zeros((1, 2, 6)), params, cfg)
-        ts = aee.timestamp_features(0, 4)[None, ...]
-        for wrong in (latents[:1], latents + latents[:1]):
-            with pytest.raises(ad.DimensionError, match="latent"):
-                aee.decode(wrong, ts, params, cfg)
+
+def _cell(params, branch):
+    return tuple(params[f"aee.{branch}.{k}"] for k in ("w", "u", "b"))
 
 
-def _layers(params, branch, cfg):
-    return [tuple(params[f"aee.{branch}.{layer}.{k}"] for k in ("w", "u", "b")) for layer in range(cfg.layers)]
-
-
-@pytest.mark.parametrize("layers", [1, 2])
-def test_fused_recurrence_matches_unrolled_cells(layers):
+def test_fused_recurrence_matches_unrolled_cells():
     # B=3, t=7 encoder steps, h=4 decoder steps; the loss reads the decoder
-    # output and every encoder latent, so h_seq and c_T both carry gradient
-    cfg = aee.AeeConfig(hidden=5, layers=layers)
-    params = random_params(cfg, 2, seed=11)
+    # output and both encoder latents, so h_seq and c_T both carry gradient
+    hidden = 5
+    params = random_params(hidden, 2, seed=11)
     rng = np.random.default_rng(12)
     win = rng.normal(size=(3, 2, 7))
     ts = np.stack([aee.timestamp_features(40 + 9 * i, 4) for i in range(3)])
-    w_out = rng.normal(size=(3, 4, cfg.hidden))
-    w_lat = rng.normal(size=(layers, 2, 3, cfg.hidden))
+    w_out = rng.normal(size=(3, 4, hidden))
+    w_lat = rng.normal(size=(2, 3, hidden))
 
     def run(fused):
         for p in params.values():
@@ -312,23 +275,22 @@ def test_fused_recurrence_matches_unrolled_cells(layers):
         tape = ad.Tape()
         with ad.record(tape):
             if fused:
-                latents = aee.encode(win, params, cfg)
-                out = aee.decode(latents, ts, params, cfg)
+                latents = aee.encode(win, params)
+                out = aee.decode(latents, ts, params)
                 terms = [ad.mul(out, ad.tensor(w_out))]
                 out_values = out.values
             else:
-                zeros = ad.tensor(np.zeros((3, cfg.hidden)))
-                _, latents = unrolled(np.swapaxes(win, 1, 2), _layers(params, "enc", cfg), [(zeros, zeros)] * layers)
-                tops, _ = unrolled(ts, _layers(params, "dec", cfg), latents)
-                terms = [ad.mul(h, ad.tensor(w_out[:, k])) for k, h in enumerate(tops)]
-                out_values = np.stack([h.values for h in tops], axis=1)
-            terms += [ad.mul(t, ad.tensor(w_lat[layer, j]))
-                      for layer, state in enumerate(latents) for j, t in enumerate(state)]
+                zeros = ad.tensor(np.zeros((3, hidden)))
+                _, latents = unrolled(np.swapaxes(win, 1, 2), _cell(params, "enc"), (zeros, zeros))
+                hs, _ = unrolled(ts, _cell(params, "dec"), latents)
+                terms = [ad.mul(h, ad.tensor(w_out[:, k])) for k, h in enumerate(hs)]
+                out_values = np.stack([h.values for h in hs], axis=1)
+            terms += [ad.mul(t, ad.tensor(w_lat[j])) for j, t in enumerate(latents)]
             loss = sum_all(terms[0])
             for t in terms[1:]:
                 loss = ad.add(loss, sum_all(t))
         ad.backward(tape, loss)
-        lat_values = [t.values for state in latents for t in state]
+        lat_values = [t.values for t in latents]
         return loss.item(), out_values, lat_values, {k: p.grad.copy() for k, p in params.items()}
 
     loss_f, out_f, lat_f, grads_f = run(True)
@@ -342,17 +304,15 @@ def test_fused_recurrence_matches_unrolled_cells(layers):
         assert np.abs(grads_f[key] - grads_u[key]).max() <= 1e-10, key
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_encode_and_decode_record_one_node_per_layer(layers):
-    cfg = aee.AeeConfig(hidden=4, layers=layers)
-    params = random_params(cfg, 2)
+def test_encode_and_decode_record_one_node_each():
+    params = random_params(4, 2)
     tape = ad.Tape()
     with ad.record(tape):
-        latents = aee.encode(np.ones((2, 2, 50)), params, cfg)
+        latents = aee.encode(np.ones((2, 2, 50)), params)
         n_encode = len(tape)
-        aee.decode(latents, np.stack([aee.timestamp_features(0, 20)] * 2), params, cfg)
-    assert n_encode == layers
-    assert len(tape) - n_encode == layers
+        aee.decode(latents, np.stack([aee.timestamp_features(0, 20)] * 2), params)
+    assert n_encode == 1
+    assert len(tape) - n_encode == 1
 
 
 class TestAuxHead:
@@ -376,16 +336,15 @@ class TestAuxHead:
 
 def test_gradients_through_full_autoencoder():
     # tiny config: t=8, h=4, hidden=3; finite differences within 1e-4
-    cfg = aee.AeeConfig(hidden=3, layers=2)
-    params = random_params(cfg, 2, seed=7)
+    params = random_params(3, 2, seed=7)
     win = np.random.default_rng(8).normal(size=(1, 2, 8))
     ts = aee.timestamp_features(7, 4)[None, ...]
     head_b = ad.parameter(np.array([0.05]))
     target = np.random.default_rng(9).normal(size=(1, 4))
 
     def loss_for(head_w: ad.Tensor) -> ad.Tensor:
-        latents = aee.encode(win, params, cfg)
-        emb = aee.decode(latents, ts, params, cfg)
+        latents = aee.encode(win, params)
+        emb = aee.decode(latents, ts, params)
         pred = aee.aux_head(emb, head_w, head_b)
         return ad.rmse(pred, ad.tensor(target))
 
@@ -393,12 +352,12 @@ def test_gradients_through_full_autoencoder():
     assert finite_diff_check(loss_for, head_w) < 1e-4
 
     # and through a recurrent weight, the long path
-    w_key = "aee.enc.0.u"
+    w_key = "aee.enc.u"
 
     def loss_for_recurrent(u: ad.Tensor) -> ad.Tensor:
         params[w_key] = u
-        latents = aee.encode(win, params, cfg)
-        emb = aee.decode(latents, ts, params, cfg)
+        latents = aee.encode(win, params)
+        emb = aee.decode(latents, ts, params)
         pred = aee.aux_head(emb, head_w, head_b)
         return ad.rmse(pred, ad.tensor(target))
 

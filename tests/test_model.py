@@ -17,17 +17,15 @@ from hypothesis import strategies as st
 
 from peakcast import autodiff as ad
 from peakcast import model
-from peakcast.aee import AeeConfig
-from peakcast.efe import EfeConfig
 from peakcast.model import CheckpointError, PfConfig
 
 from gradcheck import finite_diff_check
 
 
 def toy_cfg(mode="efe_aee", **kw):
-    """Small geometry; AEE hidden != d_model so the projection runs too."""
-    base = dict(d_model=4, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_width=6, t=8, h=3, m=2,
-                efe=EfeConfig(s_efe=2), aee=AeeConfig(hidden=3), embedding_mode=mode)
+    """Small geometry: every layer and the AEE are 4 wide."""
+    base = dict(d_model=4, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_width=6, t=8, h=3, m=2, s_efe=2,
+                embedding_mode=mode)
     base.update(kw)
     return PfConfig(**base)
 
@@ -157,13 +155,24 @@ class TestParameters:
         a, b = model.init_params(toy_cfg(), 3), model.init_params(toy_cfg(), 3)
         assert all(np.array_equal(a[k].values, b[k].values) for k in a)
 
-    @pytest.mark.parametrize("cfg", [toy_cfg(), PfConfig(aee=AeeConfig(hidden=32))], ids=["toy", "hidden_32"])
+    # the sha256 of every initial value, little-endian float64 in insertion
+    # order: a change of parameter order, shape or init rule changes it
+    @pytest.mark.parametrize("mode, digest", [
+        ("efe_aee", "3fbea45972bca3017e6a6f5b5a2813da850a0401a048c10f0a10872486281aac"),
+        ("position_token", "eb9782e4dd448bfc8c90fa349902ea093da307160655ef8aa4655620bcd92b97"),
+        ("token_only", "eb9782e4dd448bfc8c90fa349902ea093da307160655ef8aa4655620bcd92b97"),
+    ])
+    def test_default_init_is_pinned(self, mode, digest):
+        params = model.init_params(PfConfig(embedding_mode=mode), 0)
+        blob = b"".join(np.ascontiguousarray(p.values, dtype="<f8").tobytes() for p in params.values())
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg", [toy_cfg(), PfConfig(d_model=32)], ids=["toy", "hidden_32"])
     def test_vector_init(self, cfg):
         # zeros, except layer-norm gains (one) and LSTM forget-gate biases
-        # (one on [H, 2H)); the projection to d_model is not an LSTM
+        # (one on [H, 2H), where the AEE width H is d_model)
         params = model.init_params(cfg, 0)
-        assert "aee.proj.b" in params
-        H = cfg.aee.hidden
+        H = cfg.d_model
         for name, p in params.items():
             if p.values.ndim != 1:
                 continue
@@ -300,14 +309,6 @@ class TestForward:
         for probs in trace:
             assert np.allclose(probs.sum(axis=-1), 1.0)
 
-    def test_single_window_is_batched(self):
-        cfg = toy_cfg()
-        windows, ts, _ = toy_batch(cfg, batch=1)
-        params = model.init_params(cfg, 0)
-        batched = model.forward(windows, ts, params, cfg)[0].values
-        single = model.forward(windows[0], ts[0], params, cfg)[0].values
-        assert np.array_equal(batched, single)
-
     def test_window_shape_checked(self):
         cfg = toy_cfg()
         with pytest.raises(ad.DimensionError):
@@ -412,12 +413,10 @@ model.save_checkpoint(sys.argv[1], cfg, model.init_params(cfg, 7))
 def configs():
     """Every embedding mode, over a range of sizes."""
     sizes = st.integers(1, 10_000)
-    efe = st.builds(EfeConfig, s_efe=sizes)
-    aee = st.builds(AeeConfig, hidden=sizes, layers=st.sampled_from([1, 2]))
     heads = st.integers(1, 16)
     return heads.flatmap(lambda n: st.builds(
         PfConfig, d_model=st.integers(1, 64).map(lambda k: k * n), n_heads=st.just(n), n_enc_layers=sizes,
-        n_dec_layers=sizes, ffn_width=sizes, t=sizes, h=sizes, m=sizes, efe=efe, aee=aee,
+        n_dec_layers=sizes, ffn_width=sizes, t=sizes, h=sizes, m=sizes, s_efe=sizes,
         embedding_mode=st.sampled_from(model.EMBEDDING_MODES),
         dropout_rate=st.floats(0.0, 1.0, exclude_max=True)))
 
@@ -428,10 +427,10 @@ class TestConfigDict:
     def test_json_round_trip(self, cfg):
         assert PfConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
-    def test_nested_configs_are_nested_dicts(self):
+    def test_config_dict_is_flat(self):
         d = toy_cfg().to_dict()
-        assert d["efe"] == {"s_efe": 2}
-        assert d["aee"] == {"hidden": 3, "layers": 1}
+        assert len(d) == 11 and d["s_efe"] == 2
+        assert all(type(v) in (int, float, str) for v in d.values())
 
     def test_int_passes_for_float(self):
         cfg = PfConfig.from_dict(toy_cfg().to_dict() | {"dropout_rate": 0})
@@ -476,7 +475,7 @@ class TestCheckpoint:
                            env=env, check=True, timeout=60)
             assert out.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_rejected(self, saved, version):
         path = saved[0]
         self.rewrite(path, lambda doc: doc.update(format_version=version))
@@ -501,18 +500,18 @@ class TestCheckpoint:
         lambda doc: doc["config"].update(t="long"),
         lambda doc: doc["config"].update(n_enc_layers=-1),
         lambda doc: doc["config"].update(n_dec_layers=0),
-        lambda doc: doc["config"]["efe"].update(activation="relu"),  # a file from before EFE had one field
         lambda doc: doc["config"].update(d_model=4.0),
         lambda doc: doc["config"].update(n_heads=True),
         lambda doc: doc["config"].update(t="8"),
         lambda doc: doc["config"].update(embedding_mode=1),
         lambda doc: doc["config"].update(extra=1),
-        lambda doc: doc["config"]["aee"].pop("hidden"),
-        lambda doc: doc["config"].update(efe=2),
+        lambda doc: doc["config"].update(s_efe={"s_efe": 2}),
+        # the version-3 layout, with nested efe and aee configs
+        lambda doc: doc["config"].update(efe={"s_efe": doc["config"].pop("s_efe")}, aee={"hidden": 4, "layers": 1}),
         lambda doc: doc["config"].update(embedding_mode="gelu"),
     ], ids=["missing_key", "null", "zero_heads", "non_numeric", "no_encoder_layer", "no_decoder_layer",
-            "unknown_activation", "float_for_int", "bool_for_int", "numeric_string", "int_for_str", "extra_key",
-            "nested_missing_key", "scalar_for_nested", "unknown_embedding_mode"])
+            "float_for_int", "bool_for_int", "numeric_string", "int_for_str", "extra_key",
+            "dict_for_int", "nested_layout", "unknown_embedding_mode"])
     def test_malformed_config_rejected(self, saved, edit):
         path = saved[0]
         self.rewrite(path, edit)
@@ -526,9 +525,9 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda doc: doc["params"].update({"aee.dec.0.u": doc["params"]["aee.dec.0.u"][:-12]}),
-         "aee.dec.0.u data does not decode"),
-        (lambda doc: doc["params"].pop("aee.dec.0.u"), "aee.dec.0.u of its config is missing"),
+        (lambda doc: doc["params"].update({"aee.dec.u": doc["params"]["aee.dec.u"][:-12]}),
+         "aee.dec.u data does not decode"),
+        (lambda doc: doc["params"].pop("aee.dec.u"), "aee.dec.u of its config is missing"),
         (lambda doc: doc["params"].update(extra=doc["params"]["head.b"]), "extra is not in its config"),
     ], ids=["truncated", "missing", "extra"])
     def test_bad_tensor_rejected_despite_valid_checksum(self, saved, edit, match):
@@ -539,7 +538,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit, name", [
         (lambda params: params.update(extra=ad.parameter(np.zeros(3))), "extra"),
-        (lambda params: params.pop("aee.dec.0.u"), "aee.dec.0.u"),
+        (lambda params: params.pop("aee.dec.u"), "aee.dec.u"),
         (lambda params: params.update({"head.w": ad.parameter(np.zeros((1, 4)))}), "head.w"),
     ], ids=["extra", "missing", "transposed"])
     def test_params_not_matching_config_rejected_on_save(self, tmp_path, edit, name):
