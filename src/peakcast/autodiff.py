@@ -138,9 +138,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.values.shape}{flag})"
@@ -286,14 +283,15 @@ def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) ->
 # fused sublayers
 
 
-def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """xh * gain + bias, where xh = (z - mean(z)) / sqrt(var(z) + eps) over
-    the last axis of z = x + residual: x and residual are (..., d), gain and
-    bias (d,), and eps is finite and > 0. One node keeps xh and the row
-    scales; backward builds dz = (gy - mean(gy) - xh * mean(gy * xh)) / s
-    in place in gy = grad * gain, and hands x dz and the residual a copy."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ContractError(f"add_layer_norm: eps must be finite and > 0, got {eps}")
+LAYER_NORM_EPS = 1e-5  # added to each row's variance before the square root
+
+
+def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """xh * gain + bias, where xh = (z - mean(z)) / sqrt(var(z) + LAYER_NORM_EPS)
+    over the last axis of z = x + residual: x and residual are (..., d), gain
+    and bias (d,). One node keeps xh and the row scales; backward builds
+    dz = (gy - mean(gy) - xh * mean(gy * xh)) / s in place in
+    gy = grad * gain, and hands x dz and the residual a copy."""
     x, residual, gain, bias = (_as_tensor(t) for t in (x, residual, gain, bias))
     _same_shape(x, residual, "add_layer_norm")
     d = x.shape[-1] if x.values.ndim else 0
@@ -301,7 +299,7 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps:
         raise DimensionError(f"add_layer_norm: gain {gain.shape} and bias {bias.shape} do not fit x {x.shape}")
     xh = x.values + residual.values
     xh -= xh.mean(axis=-1, keepdims=True)
-    s = np.sqrt(np.square(xh).mean(axis=-1, keepdims=True) + eps)
+    s = np.sqrt(np.square(xh).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xh /= s
     y = xh * gain.values
     y += bias.values

@@ -1,13 +1,16 @@
 """Series ingestion, alignment, windowing, scaling, and synthetic data.
 
-All series live on a uniform 15-minute UTC grid after :func:`align`. An
+All series live on a uniform 15-minute UTC grid after :func:`align`, which
+spans the intersection of their time ranges and forward-fills gaps. An
 :class:`AlignedSeries` stores its values once, as one read-only (m, L)
 float64 matrix with the target in row 0 and the auxiliary series (rain
 gauges and the like) in the remaining rows; ``matrix()`` returns it
 without copying. Every window's input and target are views into that
 matrix, so no window copies the series; :func:`make_windows` slices all
 of them from one sliding-window view of it, with the matrix's own
-strides. CSV files are read and written as UTF-8.
+strides. CSV files have a ``timestamp,value`` header and are read and
+written as UTF-8. Each series is scaled by one fitted :class:`Transform`,
+log1p then standardize.
 """
 
 from __future__ import annotations
@@ -108,10 +111,6 @@ class WindowSample:
     issue_index: int
     is_oversampled: bool = False
 
-    @property
-    def origin(self) -> int:
-        return self.issue_index - self.input.shape[1] + 1
-
 
 @dataclass
 class DatasetStats:
@@ -134,28 +133,26 @@ def _parse_timestamp(text: str, line: int) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def load_csv(path, column_map: dict[str, str] | None = None, name: str | None = None) -> RawSeries:
-    """Read a UTF-8 (timestamp, value) CSV into a timestamp-sorted RawSeries.
+def load_csv(path, name: str | None = None) -> RawSeries:
+    """Read a UTF-8 CSV into a timestamp-sorted RawSeries.
 
-    A leading byte-order mark is dropped, whatever the locale.
-
-    ``column_map`` maps the roles "timestamp" and "value" to actual column
-    names when the file does not use the default header.
+    The header must name a ``timestamp`` and a ``value`` column, in any
+    order and among any others, as :func:`write_csv` writes it. A leading
+    byte-order mark is dropped, whatever the locale.
     """
-    cmap = {"timestamp": "timestamp", "value": "value", **(column_map or {})}
     records: list[tuple[datetime, float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         columns = {col: i for i, col in enumerate(next(reader, []))}
-        if not {cmap["timestamp"], cmap["value"]} <= columns.keys():
-            raise ParseError(f"header must include {cmap['timestamp']!r} and {cmap['value']!r}", 1)
-        ts_col, value_col = columns[cmap["timestamp"]], columns[cmap["value"]]
+        if not {"timestamp", "value"} <= columns.keys():
+            raise ParseError("header must include 'timestamp' and 'value'", 1)
+        ts_col, value_col = columns["timestamp"], columns["value"]
         for row in filter(None, reader):  # blank lines read as []
             line = reader.line_num
             try:
                 stamp, raw = row[ts_col], row[value_col]
             except IndexError:
-                missing = cmap["timestamp"] if len(row) <= ts_col else cmap["value"]
+                missing = "timestamp" if len(row) <= ts_col else "value"
                 raise ParseError(f"row has no {missing!r} field", line) from None
             ts = _parse_timestamp(stamp, line)
             try:
@@ -204,26 +201,22 @@ def _offsets_us(series: RawSeries, start: datetime) -> np.ndarray:
 
 
 def _grid_fill(series: RawSeries, start: datetime, step: timedelta, n: int) -> np.ndarray:
-    """Sample a raw series onto the grid: last observation at or before each
-    grid point, zeros before the first observation (leading-gap policy)."""
+    """Sample a raw series onto the grid: the last observation at or before
+    each grid point. ``start`` is at or after the first observation."""
     us = timedelta(microseconds=1)
     last = np.searchsorted(_offsets_us(series, start), np.arange(n, dtype=np.int64) * (step // us), side="right") - 1
-    return np.where(last >= 0, series.values[np.maximum(last, 0)], 0.0)
+    return series.values[last]
 
 
-def align(
-    series_list: list[RawSeries],
-    step: timedelta = STEP_15MIN,
-    start: datetime | None = None,
-    end: datetime | None = None,
-) -> AlignedSeries:
+def align(series_list: list[RawSeries], step: timedelta = STEP_15MIN) -> AlignedSeries:
     """Put all series on one uniform grid; first series is the target.
 
-    The grid spans the intersection of the series' time ranges unless an
-    explicit ``start``/``end`` is given. Gaps are forward-filled; positions
-    before a series' first observation become zero. A series whose
-    timestamps do not strictly increase, or whose value count differs from
-    its timestamp count, raises DataError.
+    The grid starts at the latest first observation and ends at or before
+    the earliest last one, so every series has an observation at or before
+    each grid point; gaps are forward-filled. A series whose timestamps do
+    not strictly increase, or whose value count differs from its timestamp
+    count, raises DataError; ranges that do not overlap raise
+    AlignmentError.
     """
     if not series_list:
         raise AlignmentError("no series to align")
@@ -232,8 +225,8 @@ def align(
     for s in series_list:
         if not s.timestamps:
             raise AlignmentError(f"series {s.name!r} has no observations")
-    lo = start if start is not None else max(s.timestamps[0] for s in series_list)
-    hi = end if end is not None else min(s.timestamps[-1] for s in series_list)
+    lo = max(s.timestamps[0] for s in series_list)
+    hi = min(s.timestamps[-1] for s in series_list)
     if hi < lo:
         for s in series_list:  # disordered timestamps make a false range; name them instead
             _offsets_us(s, lo)
@@ -318,51 +311,38 @@ def filter_by_months(windows: list[WindowSample], series: AlignedSeries, months:
     return [w for w in windows if series.timestamp_at(w.issue_index).month in months]
 
 
-TRANSFORM_MODES = ("log1p_standardize", "standardize", "none")
-
-
 @dataclass
 class Transform:
-    """Invertible value transform fitted on training data only."""
+    """Invertible log1p-then-standardize value transform, fitted on
+    training data only: apply gives (log1p(v) - mean) / std."""
 
-    mode: str = "log1p_standardize"
     mean: float = 0.0
     std: float = 1.0
 
     @classmethod
-    def fit(cls, train_values: np.ndarray, mode: str = "log1p_standardize") -> "Transform":
+    def fit(cls, train_values: np.ndarray) -> "Transform":
         """Fit on training values; an empty slice, a NaN or infinite value,
-        or in log1p_standardize mode a value <= -1, raises DataError."""
-        if mode not in TRANSFORM_MODES:
-            raise ValueError(f"unknown transform mode {mode!r}; expected one of {TRANSFORM_MODES}")
-        if mode == "none":
-            return cls(mode=mode)
-        x = cls(mode=mode).apply(train_values)  # mean 0 and std 1: only the log1p step, if any
+        or a value <= -1 raises DataError."""
+        x = _log1p(train_values)
         if x.size == 0:
-            raise DataError(f"cannot fit a {mode} transform on no values")
+            raise DataError("cannot fit a transform on no values")
         if not np.isfinite(x).all():
-            raise DataError(f"cannot fit a {mode} transform on NaN or infinite values")
+            raise DataError("cannot fit a transform on NaN or infinite values")
         std = float(x.std())
-        return cls(mode=mode, mean=float(x.mean()), std=std if std > 0 else 1.0)
+        return cls(mean=float(x.mean()), std=std if std > 0 else 1.0)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=np.float64)
-        if self.mode == "none":
-            return v.copy()
-        if self.mode == "log1p_standardize":
-            if (v <= -1.0).any():
-                raise DataError(f"log1p transform needs values > -1, got minimum {v.min()}")
-            v = np.log1p(v)
-        return (v - self.mean) / self.std
+        return (_log1p(values) - self.mean) / self.std
 
     def invert(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=np.float64)
-        if self.mode == "none":
-            return v.copy()
-        v = v * self.std + self.mean
-        if self.mode == "log1p_standardize":
-            v = np.expm1(v)
-        return v
+        return np.expm1(np.asarray(values, dtype=np.float64) * self.std + self.mean)
+
+
+def _log1p(values: np.ndarray) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if (v <= -1.0).any():
+        raise DataError(f"log1p transform needs values > -1, got minimum {v.min()}")
+    return np.log1p(v)
 
 
 def transform_series(series: AlignedSeries, transforms: list[Transform]) -> AlignedSeries:
@@ -377,9 +357,14 @@ def transform_series(series: AlignedSeries, transforms: list[Transform]) -> Alig
 
 
 def fit_transforms(series: AlignedSeries, train_end_index: int, mode: str) -> list[Transform]:
-    """Fit one transform per row on values strictly before ``train_end_index``."""
-    rows = [series.target, *series.auxiliaries]
-    return [Transform.fit(row[:train_end_index], mode) for row in rows]
+    """Fit one transform per row on values strictly before ``train_end_index``.
+
+    ``mode`` names the one transform there is, "log1p_standardize"; any
+    other value raises ValueError.
+    """
+    if mode != "log1p_standardize":
+        raise ValueError(f"unknown transform mode {mode!r}; the one transform is 'log1p_standardize'")
+    return [Transform.fit(row[:train_end_index]) for row in [series.target, *series.auxiliaries]]
 
 
 def compute_stats(values: np.ndarray) -> DatasetStats:
@@ -434,8 +419,9 @@ def gen_synthetic(
     small Gaussian noise, clipped at zero. Default parameters give target
     skewness well above 5 once length reaches a few tens of thousands.
     A series no longer than ``lag`` is the baseline plus noise. A length
-    below 1, a negative lag or a decay that is not finite and positive
-    raises DataError.
+    below 1, a negative lag, a decay that is not finite and positive, a
+    peak rate outside [0, 1], a noise_sd that is not finite and >= 0, or
+    a baseline or gain that is not finite raises DataError.
     """
     if m < 2:
         raise DataError("need at least one auxiliary series (m >= 2)")
@@ -443,6 +429,12 @@ def gen_synthetic(
         raise DataError(f"need length >= 1 and lag >= 0, got length {length}, lag {lag}")
     if not (math.isfinite(decay) and decay > 0):
         raise DataError(f"decay must be finite and > 0, got {decay}")
+    if not 0.0 <= peak_rate <= 1.0:  # False for NaN
+        raise DataError(f"peak_rate must be in [0, 1], got {peak_rate}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise DataError(f"noise_sd must be finite and >= 0, got {noise_sd}")
+    if not (math.isfinite(baseline) and math.isfinite(gain)):
+        raise DataError(f"baseline and gain must be finite, got {baseline} and {gain}")
     rng = np.random.default_rng(seed)
     kernel_len = max(1, int(math.ceil(6.0 / decay)))
     kernel = np.exp(-decay * np.arange(kernel_len))

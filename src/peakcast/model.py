@@ -54,31 +54,14 @@ class CheckpointError(ValueError):
     """Unreadable or corrupted checkpoint file."""
 
 
-def _config_from_dict(cls, d: dict):
-    """A ``cls`` config from a dict of exactly its fields' keys. Each value
-    must have the type of its field's default, except that an int passes for
-    a float (a bool for neither); ``__post_init__`` then checks the ranges.
-    Raises TypeError or ValueError."""
-    if not isinstance(d, dict):
-        raise TypeError(f"{cls.__name__} needs a dict, got {type(d).__name__}")
-    defaults = cls()
-    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
-    if d.keys() != kinds.keys():
-        raise ValueError(f"{cls.__name__} needs the keys {sorted(kinds)}, got {sorted(d)}")
-    kwargs = {}
-    for name, value in d.items():
-        kind = kinds[name]
-        if kind is float and type(value) is int:
-            value = float(value)
-        elif type(value) is not kind:
-            raise TypeError(f"{cls.__name__}.{name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
-        kwargs[name] = value
-    return cls(**kwargs)
-
-
 @dataclass
 class PfConfig:
-    """Complete hyperparameter record for one model."""
+    """Complete hyperparameter record for one model.
+
+    Each field must have the type of its default, except that an int passes
+    for a float and is stored as one; a bool passes for neither. A value of
+    another type raises TypeError, and one out of range ValueError.
+    """
 
     d_model: int = 64
     n_heads: int = 4
@@ -93,6 +76,12 @@ class PfConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is float and type(value) is int:
+                setattr(self, f.name, float(value))
+            elif type(value) is not kind:
+                raise TypeError(f"PfConfig.{f.name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
         for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "ffn_width", "t", "h", "m", "s_efe"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -106,7 +95,16 @@ class PfConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    from_dict = classmethod(_config_from_dict)
+    @classmethod
+    def from_dict(cls, d: dict) -> PfConfig:
+        """A config from a dict of exactly its fields' keys; the constructor
+        checks the types and ranges. Raises TypeError or ValueError."""
+        if not isinstance(d, dict):
+            raise TypeError(f"PfConfig needs a dict, got {type(d).__name__}")
+        names = {f.name for f in fields(cls)}
+        if d.keys() != names:
+            raise ValueError(f"PfConfig needs the keys {sorted(names)}, got {sorted(d)}")
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

@@ -27,22 +27,30 @@ class GmmFitError(ValueError):
 
 
 class PolicyError(ValueError):
-    """Oversampling policy parameters out of range."""
+    """Oversampling policy parameters out of range or not integers."""
+
+
+EM_MAX_ITER = 200
+EM_TOL = 1e-6  # stop once an iteration raises the log-likelihood by less
+EM_TIE_SEED = 0  # seeds the jitter that separates duplicate initial means
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
 class GmmParams:
-    """Fitted 1-D Gaussian mixture, component k ~ N(means[k], variances[k])."""
+    """Fitted 1-D Gaussian mixture, component k ~ N(means[k], variances[k]).
+
+    ``ll_history`` holds the log-likelihood at the start of each EM
+    iteration; its last entry is that of the fit's final E-step."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    log_likelihood: float
     ll_history: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
 
 
 @dataclass
@@ -56,6 +64,9 @@ class OversamplePolicy:
     n_components: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("s_step", "nu", "n_components"):
+            if not _is_int(getattr(self, name)):
+                raise PolicyError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise PolicyError(f"eta must be finite and > 0, got {self.eta}")
         if self.s_step < 1:
@@ -68,34 +79,28 @@ class OversamplePolicy:
             raise PolicyError("n_components must be >= 1")
 
 
-def fit_gmm(
-    values: np.ndarray,
-    n_components: int,
-    max_iter: int = 200,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> GmmParams:
-    """EM fit of a 1-D Gaussian mixture.
+def fit_gmm(values: np.ndarray, n_components: int) -> GmmParams:
+    """EM fit of a 1-D Gaussian mixture of ``n_components`` components.
 
     Initialization is deterministic: means at the (k + 0.5)/M quantiles,
-    uniform weights, pooled variance. Variances are floored at
+    uniform weights, pooled variance. When the quantiles give duplicate
+    means (heavily discrete data), a small jitter drawn from the fixed
+    seed ``EM_TIE_SEED`` separates them. Variances are floored at
     1e-6 * var(data) so no component can collapse onto a single point.
-    ``seed`` only breaks ties when quantile initialization produces
-    duplicate means (heavily discrete data); it has a fixed default, so
-    a fit without one is deterministic too.
+    EM runs until an iteration raises the log-likelihood by less than
+    ``EM_TOL``, for at most ``EM_MAX_ITER`` iterations.
 
     The per-iteration log-likelihood trace is kept in ``ll_history``; EM
     guarantees it is non-decreasing. Each iteration runs in place on two
     component-major (M, n) buffers allocated once, row by contiguous row.
+    A component count that is not an integer >= 1 raises GmmFitError.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
+    if not _is_int(n_components):
+        raise GmmFitError(f"n_components must be an integer, got {n_components!r}")
     M = int(n_components)
     if M < 1:
         raise GmmFitError("n_components must be >= 1")
-    if max_iter < 1:
-        raise GmmFitError(f"max_iter must be >= 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise GmmFitError(f"tol must be finite and >= 0, got {tol}")
     if x.size < M:
         raise GmmFitError(f"need at least {M} values, got {x.size}")
     if not np.isfinite(x).all():
@@ -110,7 +115,7 @@ def fit_gmm(
 
     means = np.quantile(x, (np.arange(M) + 0.5) / M)
     if len(np.unique(means)) < M:
-        jitter = np.random.default_rng(seed).normal(0.0, math.sqrt(pooled_var) * 1e-3, size=M)
+        jitter = np.random.default_rng(EM_TIE_SEED).normal(0.0, math.sqrt(pooled_var) * 1e-3, size=M)
         means = means + jitter
     weights = np.full(M, 1.0 / M)
     variances = np.full(M, pooled_var)
@@ -119,7 +124,7 @@ def fit_gmm(
     logp = np.empty((M, x.size))  # log w_k N(x | mu_k, var_k), then responsibilities
     work = np.empty((M, x.size))  # exp(logp - max), then (x - mu_new)^2
     lse, total = np.empty(x.size), np.empty(x.size)
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         np.square(np.subtract(x, means[:, None], out=logp), out=logp)
         logp *= (-0.5 / variances)[:, None]
         logp += (np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
@@ -135,16 +140,10 @@ def fit_gmm(
         np.square(np.subtract(x, means[:, None], out=work), out=work)
         variances = np.maximum(np.einsum("kn,kn->k", resp, work) / nk, var_floor)
 
-        if len(ll_history) > 1 and ll_history[-1] - ll_history[-2] < tol:
+        if len(ll_history) > 1 and ll_history[-1] - ll_history[-2] < EM_TOL:
             break
 
-    return GmmParams(
-        weights=weights,
-        means=means,
-        variances=variances,
-        log_likelihood=ll_history[-1],
-        ll_history=np.array(ll_history),
-    )
+    return GmmParams(weights=weights, means=means, variances=variances, ll_history=np.array(ll_history))
 
 
 def highest_mean(g: GmmParams) -> float:
@@ -158,8 +157,11 @@ def mark_important(values: np.ndarray, eta: float, z: float, nu: int = 8) -> np.
     Super-threshold indices inside one extreme event form contiguous runs;
     thinning keeps the index that is the leftmost maximum within its
     nu-wide neighborhood, so each event contributes one peak. A NaN or
-    infinite threshold eta * z raises PolicyError.
+    infinite threshold eta * z, or a nu that is not an integer >= 0,
+    raises PolicyError.
     """
+    if not _is_int(nu):
+        raise PolicyError(f"nu must be an integer, got {nu!r}")
     if nu < 0:
         raise PolicyError(f"nu must be >= 0, got {nu}")
     threshold = eta * z
@@ -186,8 +188,11 @@ def expand_peaks(
 
     Per peak p the issue points are p - nu/2, p - nu/2 + s, ... for
     floor(nu / s_step) samples; origins falling outside [0, L - t - h] are
-    dropped and duplicates across peaks are merged.
+    dropped and duplicates across peaks are merged. An s_step or nu that
+    is not an integer raises PolicyError.
     """
+    if not (_is_int(s_step) and _is_int(nu)):
+        raise PolicyError(f"s_step and nu must be integers, got {s_step!r} and {nu!r}")
     if s_step < 1:
         raise PolicyError(f"s_step must be >= 1, got {s_step}")
     if nu < s_step:

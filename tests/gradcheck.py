@@ -35,14 +35,14 @@ def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:
     """Analytic gradient of scalar-valued ``f`` at ``x`` via a fresh tape."""
     was = x.requires_grad
     x.requires_grad = True
-    x.zero_grad()
+    x.grad = None
     tape = ad.Tape()
     with ad.record(tape):
         out = f(x)
     ad.backward(tape, out)
     g = np.zeros_like(x.values) if x.grad is None else x.grad.copy()
     x.requires_grad = was
-    x.zero_grad()
+    x.grad = None
     return g
 
 

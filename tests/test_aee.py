@@ -271,7 +271,7 @@ def test_fused_recurrence_matches_unrolled_cells():
 
     def run(fused):
         for p in params.values():
-            p.zero_grad()
+            p.grad = None
         tape = ad.Tape()
         with ad.record(tape):
             if fused:

@@ -27,15 +27,15 @@ def grid_series(name, start, values, step=STEP):
 
 def grid_fill_loop(series, start, step, n):
     """Per-grid-point oracle for ``_grid_fill``: the last observation at or
-    before each grid point, zero before the first observation."""
+    before each grid point, for a grid that starts at or after the first."""
     out = np.zeros(n, dtype=np.float64)
     ts, vals = series.timestamps, series.values
-    j = -1
+    j = 0
     for i in range(n):
         point = start + i * step
         while j + 1 < len(ts) and ts[j + 1] <= point:
             j += 1
-        out[i] = vals[j] if j >= 0 else 0.0
+        out[i] = vals[j]
     return out
 
 
@@ -80,19 +80,25 @@ class TestLoadCsv:
         s = d.load_csv(p)
         assert s.timestamps == [T0, T0 + STEP] and list(s.values) == [1.5, 2.5]
 
-    def test_column_map_and_z_suffix(self, tmp_path):
-        p = tmp_path / "b.csv"
-        p.write_text("time,flow\n2021-09-01T00:00:00Z,4.5\n")
-        s = d.load_csv(p, column_map={"timestamp": "time", "value": "flow"})
-        assert s.values[0] == 4.5
-        assert s.timestamps[0] == T0
+    def test_z_suffix_read_as_utc(self, tmp_path):
+        p = write(tmp_path, "b.csv", ["2021-09-01T00:00:00Z,4.5", "2021-09-01T02:15:00+02:00,5.5"])
+        s = d.load_csv(p)
+        assert s.timestamps == [T0, T0 + STEP] and list(s.values) == [4.5, 5.5]
 
     def test_missing_timestamp_field_reports_line(self, tmp_path):
         p = tmp_path / "short.csv"
-        p.write_text("value,time\n1.0,2021-09-01T00:00\n2.0\n")
-        with pytest.raises(d.ParseError, match="'time'") as exc:
-            d.load_csv(p, column_map={"timestamp": "time"})
+        p.write_text("value,timestamp\n1.0,2021-09-01T00:00\n2.0\n")
+        with pytest.raises(d.ParseError, match="'timestamp'") as exc:
+            d.load_csv(p)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("header", ["time,value", "timestamp,flow", ""], ids=["time", "flow", "empty"])
+    def test_header_without_timestamp_and_value_rejected(self, tmp_path, header):
+        p = tmp_path / "odd.csv"
+        p.write_text(f"{header}\n2021-09-01T00:00,1.0\n")
+        with pytest.raises(d.ParseError, match="header must include 'timestamp' and 'value'") as exc:
+            d.load_csv(p)
+        assert exc.value.line == 1
 
     def test_blank_line_skipped(self, tmp_path):
         p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", "", "2021-09-01T00:15,2.0", "2021-09-01T00:30,x"])
@@ -139,18 +145,17 @@ class TestAlign:
         out = d.align([a])
         assert np.array_equal(out.target, [1.0, 2.0, 2.0, 4.0])
 
-    def test_leading_gap_zeros(self):
-        a = grid_series("t", T0, [1, 2, 3, 4])
-        late = d.RawSeries("r", [T0 + 2 * STEP, T0 + 3 * STEP], np.array([9.0, 9.5]))
-        out = d.align([a, late], start=T0, end=T0 + 3 * STEP)
-        assert np.array_equal(out.auxiliaries[0], [0.0, 0.0, 9.0, 9.5])
-
     def test_intersection_range(self):
         a = grid_series("t", T0, [1, 2, 3, 4, 5])
         b = grid_series("r", T0 + STEP, [7, 8, 9])
         out = d.align([a, b])
         assert out.start == T0 + STEP
         assert len(out) == 3
+        # a late-starting gauge cuts the grid; no value is made up before its first reading
+        late = d.RawSeries("r", [T0 + 2 * STEP, T0 + 4 * STEP], np.array([9.0, 9.5]))
+        out = d.align([a, late])
+        assert out.start == T0 + 2 * STEP
+        assert np.array_equal(out.target, [3, 4, 5]) and np.array_equal(out.auxiliaries[0], [9.0, 9.0, 9.5])
 
     def test_empty_intersection_raises(self):
         a = grid_series("t", T0, [1, 2])
@@ -169,8 +174,6 @@ class TestAlign:
         a = grid_series("t", T0, [1, 2, 3, 4])
         with pytest.raises(d.AlignmentError):
             d.align([a, empty])
-        with pytest.raises(d.AlignmentError):
-            d.align([a, empty], start=T0, end=T0 + 3 * STEP)
 
     def test_unordered_timestamps_rejected(self):
         a = d.RawSeries("gauge", [T0 + 2 * STEP, T0, T0 + STEP, T0 + 3 * STEP], np.array([3.0, 1.0, 2.0, 4.0]))
@@ -192,16 +195,16 @@ class TestAlign:
             d.align([a])
 
     @given(st.lists(st.integers(-3_600_000, 20_000_000), min_size=1, max_size=40, unique=True),
-           st.integers(-2_000, 15_000), st.sampled_from([timedelta(seconds=7.5), timedelta(minutes=1), STEP]),
+           st.integers(0, 25_000_000), st.sampled_from([timedelta(seconds=7.5), timedelta(minutes=1), STEP]),
            st.integers(1, 300), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_grid_fill_matches_loop(self, offsets_ms, start_s, step, n, shifted_zone):
-        # off-grid millisecond stamps with random gaps; the grid may start
-        # before the first observation, after the last, or anywhere between
+    def test_grid_fill_matches_loop(self, offsets_ms, start_ms, step, n, shifted_zone):
+        # off-grid millisecond stamps with random gaps; the grid starts at
+        # the first observation or after it, up to past the last
         offsets_ms.sort()
         raw = d.RawSeries("x", [T0 + timedelta(milliseconds=o) for o in offsets_ms],
                           np.arange(1.0, len(offsets_ms) + 1.0))
-        start = T0 + timedelta(seconds=start_s)
+        start = raw.timestamps[0] + timedelta(milliseconds=start_ms)
         if shifted_zone:
             start = start.astimezone(timezone(timedelta(hours=5)))
         assert np.array_equal(d._grid_fill(raw, start, step, n), grid_fill_loop(raw, start, step, n))
@@ -218,7 +221,7 @@ class TestWindows:
     def test_stride_count(self):
         ws = d.make_windows(self.make_series(1760), t=1440, h=288, stride=16)
         assert len(ws) == 3
-        assert [w.origin for w in ws] == [0, 16, 32]
+        assert [w.issue_index for w in ws] == [1439, 1455, 1471]
 
     def test_too_short_raises(self):
         with pytest.raises(d.WindowError):
@@ -227,7 +230,6 @@ class TestWindows:
     def test_window_contents(self):
         ws = d.make_windows(self.make_series(20), t=6, h=2, stride=4)
         w = ws[1]
-        assert w.origin == 4
         assert w.issue_index == 9
         assert np.array_equal(w.input[0], np.arange(4, 10, dtype=float))
         assert np.array_equal(w.input[1], np.arange(4, 10, dtype=float) * 2)
@@ -287,9 +289,9 @@ class TestWindows:
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
         assert np.shares_memory(series.target, mat) and np.shares_memory(series.auxiliaries[0], mat)
-        scaled = d.transform_series(series, [d.Transform(mode="standardize", mean=1.0, std=2.0)] * 2)
+        scaled = d.transform_series(series, [d.Transform(mean=1.0, std=2.0)] * 2)
         assert not scaled.matrix().flags.writeable
-        assert np.array_equal(scaled.matrix(), (mat - 1.0) / 2.0)
+        assert np.array_equal(scaled.matrix(), (np.log1p(mat) - 1.0) / 2.0)
 
     @given(st.integers(1, 400), st.integers(1, 50), st.integers(1, 50), st.integers(1, 40))
     @settings(max_examples=100)
@@ -349,58 +351,49 @@ def test_filter_by_months():
 
 
 class TestTransform:
-    def test_none_is_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        tr = d.Transform.fit(x, "none")
-        assert np.array_equal(tr.apply(x), x)
-        assert np.array_equal(tr.invert(x), x)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=10)
-    def test_standardize_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(3.0, 2.0, size=500)
-        tr = d.Transform.fit(x, "standardize")
-        assert np.max(np.abs(tr.invert(tr.apply(x)) - x)) < 1e-9
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=10)
     def test_log1p_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.lognormal(1.0, 2.0, size=500)
-        tr = d.Transform.fit(x, "log1p_standardize")
+        tr = d.Transform.fit(x)
+        assert abs(tr.apply(x).mean()) < 1e-12 and tr.apply(x).std() == pytest.approx(1.0, rel=1e-12)
         back = tr.invert(tr.apply(x))
         assert np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))) < 1e-9
 
     def test_log1p_finite_on_nonnegative(self):
         x = np.array([0.0, 1e-9, 5.0, 1e6])
-        tr = d.Transform.fit(x, "log1p_standardize")
+        tr = d.Transform.fit(x)
         assert np.isfinite(tr.apply(x)).all()
 
     @pytest.mark.parametrize("bad", [-1.0, -2.0])
     def test_log1p_rejects_values_at_or_below_minus_one(self, bad):
         with pytest.raises(d.DataError, match="> -1"):
-            d.Transform.fit(np.array([bad, 1.0, 3.0]), "log1p_standardize")
-        tr = d.Transform.fit(np.array([0.0, 1.0, 3.0]), "log1p_standardize")
+            d.Transform.fit(np.array([bad, 1.0, 3.0]))
+        tr = d.Transform.fit(np.array([0.0, 1.0, 3.0]))
         with pytest.raises(d.DataError, match="> -1"):
             tr.apply(np.array([2.0, bad]))
 
-    @pytest.mark.parametrize("mode", ["log1p_standardize", "standardize"])
-    def test_fit_rejects_empty_slice(self, mode):
+    def test_fit_rejects_empty_slice(self):
         series = d.AlignedSeries(T0, STEP, np.array([1.0, 2.0, 3.0]), [], ["t"])
         with pytest.raises(d.DataError, match="no values"):
-            d.fit_transforms(series, train_end_index=0, mode=mode)
+            d.fit_transforms(series, 0, "log1p_standardize")
 
-    @pytest.mark.parametrize("mode", ["log1p_standardize", "standardize"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_fit_rejects_non_finite_values(self, mode, bad):
+    def test_fit_rejects_non_finite_values(self, bad):
         with pytest.raises(d.DataError, match="NaN or infinite"):
-            d.Transform.fit(np.array([1.0, bad, 3.0]), mode)
+            d.Transform.fit(np.array([1.0, bad, 3.0]))
 
     def test_fit_uses_training_slice_only(self):
         series = d.AlignedSeries(T0, STEP, np.array([1.0, 1.0, 1.0, 100.0]), [], ["t"])
-        trs = d.fit_transforms(series, train_end_index=3, mode="standardize")
-        assert trs[0].mean == 1.0
+        trs = d.fit_transforms(series, 3, "log1p_standardize")
+        assert trs[0].mean == math.log1p(1.0) and trs[0].std == 1.0  # a constant slice keeps std 1
+
+    @pytest.mark.parametrize("mode", ["standardize", "none", "log1p"])
+    def test_unknown_mode_rejected(self, mode):
+        series = d.AlignedSeries(T0, STEP, np.array([1.0, 2.0, 3.0]), [], ["t"])
+        with pytest.raises(ValueError, match="unknown transform mode"):
+            d.fit_transforms(series, 3, mode)
 
 
 class TestStats:
@@ -486,6 +479,21 @@ class TestSynthetic:
     def test_bad_arguments_rejected(self, kw):
         with pytest.raises(d.DataError):
             d.gen_synthetic(**{"seed": 0, "length": 100, **kw})
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(peak_rate=np.nan), "peak_rate"), (dict(peak_rate=-0.1), "peak_rate"), (dict(peak_rate=1.5), "peak_rate"),
+        (dict(noise_sd=np.nan), "noise_sd"), (dict(noise_sd=-0.05), "noise_sd"), (dict(noise_sd=np.inf), "noise_sd"),
+        (dict(gain=np.nan), "gain"), (dict(gain=np.inf), "gain"),
+        (dict(baseline=np.inf), "baseline"), (dict(baseline=np.nan), "baseline"),
+    ], ids=["nan_rate", "negative_rate", "rate_above_one", "nan_noise", "negative_noise", "inf_noise",
+            "nan_gain", "inf_gain", "inf_baseline", "nan_baseline"])
+    def test_bad_rate_or_scale_rejected(self, kw, match):
+        with pytest.raises(d.DataError, match=match):
+            d.gen_synthetic(**{"seed": 0, "length": 100, **kw})
+
+    def test_rate_bounds_accepted(self):
+        assert not d.gen_synthetic(0, 50, peak_rate=0.0).auxiliaries[0].any()
+        assert d.gen_synthetic(0, 50, peak_rate=1.0).auxiliaries[0].all()
 
     def test_csv_round_trip(self, tmp_path):
         s = d.gen_synthetic(0, 200)

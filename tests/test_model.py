@@ -141,6 +141,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             PfConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("t", 8.0), ("t", True), ("d_model", "64"), ("n_heads", None), ("dropout_rate", True),
+        ("dropout_rate", "0.1"), ("embedding_mode", 1),
+    ], ids=["float_for_int", "bool_for_int", "str_for_int", "none_for_int", "bool_for_float", "str_for_float",
+            "int_for_str"])
+    def test_wrong_type_rejected(self, name, value):
+        with pytest.raises(TypeError, match=f"PfConfig.{name} must be"):
+            PfConfig(**{name: value})
+
+    def test_int_stored_as_float(self):
+        cfg = PfConfig(dropout_rate=0)
+        assert type(cfg.dropout_rate) is float and cfg.dropout_rate == 0.0
+        assert cfg == PfConfig(dropout_rate=0.0) and cfg.to_dict()["dropout_rate"] == 0.0
+
 
 class TestParameters:
     def test_default_layout(self):
