@@ -29,16 +29,16 @@ product), :func:`attention` every head of a multi-head attention block,
 and :func:`lstm_sequence` a whole LSTM layer, whose node serves its three
 outputs: the hidden sequence and the last step's hidden and cell states.
 
-:func:`attention` runs its heads, forward and backward, on one
-process-wide pool of threads, one per usable CPU, when two or more CPUs
-are usable, there are two or more heads and a head has at least
+:func:`attention` runs its heads, forward and backward, on threads that
+live for one call, one per head up to the usable CPUs, when two or more
+CPUs are usable, there are two or more heads and a head has at least
 ``_BLOCK_ELEMS`` scores; smaller calls run their heads serially. Either
 way the results are the same bit for bit, and dropout masks are drawn in
 head order by the calling thread, so a seed gives the same run on any CPU
-count; pin a process to one CPU to run it serially. The pool is made on
-first use, and a forked child makes its own on its first pooled call. It
-assumes a single-threaded BLAS (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``);
-a BLAS that threads each product too competes with it for the CPUs.
+count; pin a process to one CPU to run it serially. Every thread is joined
+before the call returns or raises. The threads assume a single-threaded
+BLAS (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a BLAS that threads each
+product too competes with them for the CPUs.
 
 Shapes follow numpy row-major conventions. Elementwise ops take equal
 shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
@@ -53,12 +53,9 @@ import itertools
 import math
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 
 class DimensionError(ValueError):
@@ -407,55 +404,34 @@ _BLOCK_ELEMS = 2 ** 17
 # rest weigh less than one rounding of the sum.
 _MIN_ROW_SUM = math.exp(-600.0)
 
-# The threads that run attention heads; see _head_pool.
-_POOL: ThreadPoolExecutor | None = None
-
 
 def _usable_cpus() -> int:
     """How many CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
 
 
-def _head_pool() -> ThreadPoolExecutor:
-    """The pool that runs attention heads, shared by all calls in the
-    process and made on first use with one thread per usable CPU."""
-    global _POOL
-    if _POOL is None:
-        # imported here: concurrent.futures imports logging, ~0.75 MB that
-        # a process whose heads all run serially need not load
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="attention-head")
-    return _POOL
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child. The child copies the executor but
-    none of its threads, so work submitted to the copy would never run;
-    its first pooled call makes a new pool instead."""
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_heads(head: Callable[..., None], calls: Iterable[tuple], buffers: list, pooled: bool) -> None:
+def _run_heads(head: Callable[..., None], calls: Iterable[tuple], buffers: list) -> None:
     """Run ``head(buf, *args)`` for every ``args`` that ``calls`` yields and
     return when all are done. ``buf`` is one of ``buffers`` that no running
     call holds, so the calls running at once are at most len(buffers).
 
-    Serial, every call runs in this thread with buffers[0]. Pooled, each is
-    submitted to the shared pool as soon as ``calls`` yields it, so the work
-    ``calls`` does in this thread before its next yield overlaps the heads
-    already submitted. The caller allocates ``buffers``: memory a pool
-    thread allocates stays in that thread's malloc arena once freed.
+    Given one buffer, every call runs in this thread. Given more, the calls
+    run on as many threads, which this call starts and joins before it
+    returns or raises. Each call is submitted as soon as ``calls`` yields
+    it, so the work ``calls`` does in this thread before its next yield
+    overlaps the heads already submitted. The caller allocates
+    ``buffers``: memory a worker thread allocates stays in that thread's
+    malloc arena once freed.
     """
-    if not pooled:
+    if len(buffers) < 2:
         for args in calls:
             head(buffers[0], *args)
         return
-    import queue  # loaded, like concurrent.futures, only by processes that pool
+    # imported here: concurrent.futures imports logging, ~0.75 MB that a
+    # process whose heads all run serially need not load; tests swap the
+    # executor class by patching concurrent.futures, which this reads
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
 
     free = queue.SimpleQueue()
     for buf in buffers:
@@ -468,9 +444,9 @@ def _run_heads(head: Callable[..., None], calls: Iterable[tuple], buffers: list,
         finally:
             free.put(buf)
 
-    pool = _head_pool()
-    for future in [pool.submit(run, *args) for args in calls]:
-        future.result()
+    with ThreadPoolExecutor(len(buffers), thread_name_prefix="attention-head") as pool:
+        for future in [pool.submit(run, *args) for args in calls]:
+            future.result()
 
 
 def _score_bounds(qs: np.ndarray, k: np.ndarray, n_heads: int) -> np.ndarray:
@@ -548,25 +524,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     block by block into a full (B, t_q, t_k) array; the arrays are appended
     to it in head order.
 
-    Heads are independent, so they run on a shared pool of threads, one per
-    usable CPU (:func:`_head_pool`), in forward and in backward, when two or
-    more CPUs are usable, n_heads >= 2 and a head has at least
-    ``_BLOCK_ELEMS`` scores (B t_q t_k). Smaller calls run their heads one
-    after another in the calling thread, through the same per-head code; to
-    run a process serially, pin it to one CPU. Pooled or not, results are
-    the same bit for bit: each head's arithmetic does not depend on the
-    thread that runs it, and heads write disjoint column blocks of the
-    output, ``stats`` and the gradients. The calling thread draws each
-    head's keep mask in head order before it submits that head, so a seed
-    gives the same run on any CPU count, and the draws overlap the heads
-    already running. Each head in flight holds one of the block buffers that
-    the calling thread allocates and reuses (three in backward). The pool
-    relies on numpy releasing the GIL in its products, exp and elementwise
-    loops, and assumes a single-threaded BLAS: a BLAS that threads each
-    product as well contends with the pool for the same CPUs. A process
-    forked after a pooled call drops the inherited pool, whose threads do
-    not exist in the child, and makes a new one on its first pooled call
-    (:func:`_forget_pool`).
+    Heads are independent, so they run on threads that live for one call,
+    one per head up to the usable CPUs (:func:`_run_heads`), in forward and
+    in backward, when two or more CPUs are usable and a head has at least
+    ``_BLOCK_ELEMS`` scores (B t_q t_k). Smaller calls, and calls with one
+    head, run their heads one after another in the calling thread, through
+    the same per-head code; to run a process serially, pin it to one CPU.
+    Pooled or not, results are the same bit for bit: each head's arithmetic
+    does not depend on the thread that runs it, and heads write disjoint
+    column blocks of the output, ``stats`` and the gradients. The calling
+    thread draws each head's keep mask in head order before it submits
+    that head, so a seed gives the same run on any CPU count, and the draws
+    overlap the heads already running. Each head in flight holds one of
+    the block buffers that the calling thread allocates and reuses (three
+    in backward). Every thread is joined before the forward or the
+    backward returns or raises, so none outlives the call. The threads
+    rely on numpy releasing the GIL in its products, exp and elementwise
+    loops, and assume a single-threaded BLAS: a BLAS that threads each
+    product as well contends with them for the same CPUs.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
@@ -590,8 +565,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     rows = max(1, _BLOCK_ELEMS // max(1, B * t_k))
     row_blocks = [slice(lo, min(lo + rows, t_q)) for lo in range(0, t_q, rows)]
     block_size = B * min(rows, t_q) * t_k
-    workers = min(n_heads, _usable_cpus()) if n_heads >= 2 and B * t_q * t_k >= _BLOCK_ELEMS else 1
-    pooled = workers >= 2
+    workers = min(n_heads, _usable_cpus()) if B * t_q * t_k >= _BLOCK_ELEMS else 1
 
     def block(buf: np.ndarray, r: slice) -> np.ndarray:
         """The leading part of ``buf`` as a contiguous (B, rows in r, t_k) array."""
@@ -662,7 +636,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
             maps.append(None if trace is None else np.empty((B, t_q, t_k)))
             yield i, keeps[i], maps[i]
 
-    _run_heads(head_forward, forward_calls(), [np.empty(block_size) for _ in range(workers)], pooled)
+    _run_heads(head_forward, forward_calls(), [np.empty(block_size) for _ in range(workers)])
     if trace is not None:
         trace.extend(maps)
 
@@ -704,8 +678,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
                 dv[..., cols] = dv_i
 
         _run_heads(head_backward, ((i,) for i in range(n_heads)),
-                   [(np.empty(block_size), np.empty(block_size), np.empty((3, B, t_k, d_head))) for _ in range(workers)],
-                   pooled)
+                   [(np.empty(block_size), np.empty(block_size), np.empty((3, B, t_k, d_head))) for _ in range(workers)])
         if dq is not None:
             dq *= scale
         for t, grad in ((q, dq), (k, dk), (v, dv)):

@@ -245,14 +245,15 @@ def align(series_list: list[RawSeries], step: timedelta = STEP_15MIN) -> Aligned
 def make_windows(series: AlignedSeries, t: int, h: int, stride: int = 1) -> list[WindowSample]:
     """Slide (t history, h horizon) windows at the given origin stride.
 
-    Window count is floor((L - t - h) / stride) + 1.
+    Window count is floor((L - t - h) / stride) + 1. A t, h or stride that
+    is not an integer raises WindowError.
     """
     _check_geometry(t, h)
+    if not _is_int(stride) or stride < 1:
+        raise WindowError(f"stride must be an integer >= 1, got {stride!r}")
     L = len(series)
     if L < t + h:
         raise WindowError(f"series length {L} < t + h = {t + h}")
-    if stride < 1:
-        raise WindowError(f"stride must be >= 1, got {stride}")
     # one (m, L - t - h + 1, t + h) view holds every window; each window's
     # input and target are slices of it with the matrix's own strides
     spans = np.lib.stride_tricks.sliding_window_view(series.matrix(), t + h, axis=1)[:, ::stride]
@@ -262,16 +263,24 @@ def make_windows(series: AlignedSeries, t: int, h: int, stride: int = 1) -> list
 
 
 def window_at_origin(series: AlignedSeries, origin: int, t: int, h: int, oversampled: bool = False) -> WindowSample:
-    """Single window at an explicit origin (used by the oversampler)."""
+    """Single window at an explicit origin (used by the oversampler). An
+    origin, t or h that is not an integer raises WindowError."""
     _check_geometry(t, h)
     L = len(series)
-    if not 0 <= origin <= L - t - h:
-        raise WindowError(f"origin {origin} outside [0, {L - t - h}]")
+    if not _is_int(origin) or not 0 <= origin <= L - t - h:
+        raise WindowError(f"origin {origin!r} is not an integer in [0, {L - t - h}]")
     mat = series.matrix()
     return WindowSample(mat[:, origin:origin + t], mat[0, origin + t:origin + t + h], origin + t - 1, oversampled)
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_geometry(t: int, h: int) -> None:
+    if not (_is_int(t) and _is_int(h)):
+        raise WindowError(f"history t and horizon h must be integers, got t={t!r}, h={h!r}")
     if t < 1 or h < 1:
         raise WindowError(f"history t and horizon h must be >= 1, got t={t}, h={h}")
 
@@ -418,11 +427,14 @@ def gen_synthetic(
     baseline plus each impulse's lagged exponential-decay response plus
     small Gaussian noise, clipped at zero. Default parameters give target
     skewness well above 5 once length reaches a few tens of thousands.
-    A series no longer than ``lag`` is the baseline plus noise. A length
-    below 1, a negative lag, a decay that is not finite and positive, a
-    peak rate outside [0, 1], a noise_sd that is not finite and >= 0, or
-    a baseline or gain that is not finite raises DataError.
+    A series no longer than ``lag`` is the baseline plus noise. A length,
+    lag or m that is not an integer, a length below 1, a negative lag, a
+    decay that is not finite and positive, a peak rate outside [0, 1], a
+    noise_sd that is not finite and >= 0, or a baseline or gain that is
+    not finite raises DataError.
     """
+    if not (_is_int(length) and _is_int(lag) and _is_int(m)):
+        raise DataError(f"length, lag and m must be integers, got {length!r}, {lag!r} and {m!r}")
     if m < 2:
         raise DataError("need at least one auxiliary series (m >= 2)")
     if length < 1 or lag < 0:

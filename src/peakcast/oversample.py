@@ -14,12 +14,13 @@ expansion broadcasts peaks against issue offsets, merged by ``np.unique``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .data import WindowSample
+from .data import WindowSample, _is_int
 
 
 class GmmFitError(ValueError):
@@ -35,9 +36,9 @@ EM_TOL = 1e-6  # stop once an iteration raises the log-likelihood by less
 EM_TIE_SEED = 0  # seeds the jitter that separates duplicate initial means
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_real(value) -> bool:
+    """A real number (Python, numpy or fractions), and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -67,6 +68,9 @@ class OversamplePolicy:
         for name in ("s_step", "nu", "n_components"):
             if not _is_int(getattr(self, name)):
                 raise PolicyError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("eta", "os_pct"):
+            if not _is_real(getattr(self, name)):
+                raise PolicyError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise PolicyError(f"eta must be finite and > 0, got {self.eta}")
         if self.s_step < 1:
@@ -188,11 +192,13 @@ def expand_peaks(
 
     Per peak p the issue points are p - nu/2, p - nu/2 + s, ... for
     floor(nu / s_step) samples; origins falling outside [0, L - t - h] are
-    dropped and duplicates across peaks are merged. An s_step or nu that
-    is not an integer raises PolicyError.
+    dropped and duplicates across peaks are merged. An s_step, nu,
+    series_len, t or h that is not an integer raises PolicyError.
     """
     if not (_is_int(s_step) and _is_int(nu)):
         raise PolicyError(f"s_step and nu must be integers, got {s_step!r} and {nu!r}")
+    if not (_is_int(series_len) and _is_int(t) and _is_int(h)):
+        raise PolicyError(f"series_len, t and h must be integers, got {series_len!r}, {t!r} and {h!r}")
     if s_step < 1:
         raise PolicyError(f"s_step must be >= 1, got {s_step}")
     if nu < s_step:
@@ -208,8 +214,10 @@ def cap_kept_count(n_base: int, n_extra: int, os_pct: float) -> int:
     Solves kept = floor(r * n_base / (1 - r)) for r = os_pct / 100 in exact
     rational arithmetic on the value of ``os_pct``, so a kept count that
     meets the cap exactly is kept; keeping everything when the cap is not
-    binding.
+    binding. An os_pct that is not a real number raises PolicyError.
     """
+    if not _is_real(os_pct):
+        raise PolicyError(f"os_pct must be a real number, got {os_pct!r}")
     if not 0 < os_pct <= 100:
         raise PolicyError(f"os_pct must be in (0, 100], got {os_pct}")
     pct = Fraction(os_pct)

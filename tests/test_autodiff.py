@@ -1,8 +1,10 @@
+import concurrent.futures
 import inspect
 import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -1006,13 +1008,15 @@ def test_attention_rejects_rate_outside_unit_interval(op, rate):
             _identity_ffn(np.ones((2, 3)), rate, np.random.default_rng(0))
 
 
-def _head_pool_calls(monkeypatch, cpus):
-    """Report ``cpus`` usable CPUs to attention and count its pool requests;
-    returns the list that grows by one per request."""
+def _executor_calls(monkeypatch, cpus):
+    """Report ``cpus`` usable CPUs to attention and record the worker count
+    of each executor it opens; returns the list that grows by one per
+    pooled call."""
     calls = []
-    pool = ad._head_pool
+    executor = concurrent.futures.ThreadPoolExecutor
     monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(ad, "_head_pool", lambda: calls.append(1) or pool())
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers, **kwargs: calls.append(workers) or executor(workers, **kwargs))
     return calls
 
 
@@ -1036,20 +1040,20 @@ def _pool_sized_operands(B, fallback, seed=0, n_heads=4, d_head=4):
 
 def _pooled_and_serial(monkeypatch, ops, rate, n_heads=4, pooled_cpus=2):
     """Output, gradients and trace maps of one taped call pooled on
-    ``pooled_cpus`` CPUs and of one run serially, and how often each asked
-    for the pool."""
+    ``pooled_cpus`` CPUs and of one run serially, and the worker counts of
+    the executors each opened."""
     g = np.random.default_rng(1).normal(size=ops["q"].shape)
     runs = []
     for cpus in (pooled_cpus, 1):
         with monkeypatch.context() as m:
-            calls = _head_pool_calls(m, cpus)
+            calls = _executor_calls(m, cpus)
             q, k, v = (ad.parameter(ops[name]) for name in "qkv")
             trace, tape = [], Tape()
             with record(tape):
                 out = ad.attention(q, k, v, n_heads, rate, np.random.default_rng(3), trace)
             out.grad = g
             tape.nodes[-1]()
-            runs.append(((out.values, q.grad, k.grad, v.grad, *trace), len(calls)))
+            runs.append(((out.values, q.grad, k.grad, v.grad, *trace), calls))
     return runs
 
 
@@ -1059,19 +1063,26 @@ def _pooled_and_serial(monkeypatch, ops, rate, n_heads=4, pooled_cpus=2):
 def test_attention_pooled_heads_match_serial_bit_for_bit(rate, B, fallback, monkeypatch):
     ops = _pool_sized_operands(B, fallback)
     (pooled, pool_calls), (serial, serial_calls) = _pooled_and_serial(monkeypatch, ops, rate)
-    assert pool_calls == 2 and serial_calls == 0  # forward and backward
+    assert pool_calls == [2, 2] and serial_calls == []  # forward and backward
     assert len(pooled) == len(serial) == 4 + 4
     for want, got in zip(serial, pooled, strict=True):
         assert np.array_equal(want, got)
 
 
 class _LastFirstPool:
-    """Executor double that runs nothing until a result is asked for, and then
-    runs every waiting task in this thread, last submitted first: heads
-    finish in reverse order and start only after every head is submitted."""
+    """Executor double that runs nothing until a result is asked for, or its
+    ``with`` block ends, and then runs every waiting task in this thread,
+    last submitted first: heads finish in reverse order and start only
+    after every head is submitted."""
 
     def __init__(self):
         self.waiting = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.run_all()
 
     def submit(self, fn, *args):
         future = _LastFirstFuture(self)
@@ -1106,26 +1117,22 @@ def test_attention_heads_finishing_out_of_order_change_nothing(rate, monkeypatch
     serial = _attention_grads(ops, np.ones(ops["q"].shape), trace := [], rate)
     pool = _LastFirstPool()
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(ad, "_head_pool", lambda: pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda workers, **kwargs: pool)
     reordered = _attention_grads(ops, np.ones(ops["q"].shape), reordered_trace := [], rate)
     for want, got in zip((*serial, *trace), (*reordered, *reordered_trace), strict=True):
         assert np.array_equal(want, got)
 
 
 def test_attention_pool_with_more_threads_than_cpus_matches_serial(monkeypatch):
-    # eight heads on a new pool of eight threads, switching every microsecond
+    # eight heads on executors of eight threads, switching every microsecond
     ops = _pool_sized_operands(1, fallback=True, n_heads=8)
-    monkeypatch.setattr(ad, "_POOL", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         (pooled, pool_calls), (serial, _) = _pooled_and_serial(monkeypatch, ops, 0.4, n_heads=8, pooled_cpus=8)
-        assert ad._POOL._max_workers == 8
     finally:
         sys.setswitchinterval(interval)
-        if ad._POOL is not None:
-            ad._POOL.shutdown()
-    assert pool_calls == 2
+    assert pool_calls == [8, 8]  # forward and backward
     for want, got in zip(serial, pooled, strict=True):
         assert np.array_equal(want, got)
 
@@ -1136,20 +1143,21 @@ def test_attention_row_block_tests_run_pooled(rows, t_k, monkeypatch):
     # small_row_blocks shrinks the block below a head's scores, so the
     # row-block gradient tests above run their heads on the pool
     small_row_blocks(monkeypatch, rows, 2, t_k)
-    calls = _head_pool_calls(monkeypatch, 2)
+    calls = _executor_calls(monkeypatch, 2)
     _attention_fd_error("q", t_k, 0.4)
     assert calls
 
 
 def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch):
-    # the child inherits the pool object but not its threads; it must make
-    # a new pool instead of waiting forever on the copy
+    # a child forked after a pooled call must run pooled calls of its own
+    # and get the parent's bits, without waiting on any thread of the parent
     ops = _pool_sized_operands(1, fallback=False)
-    calls = _head_pool_calls(monkeypatch, 2)
+    calls = _executor_calls(monkeypatch, 2)
     want = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 4).values
-    assert calls and ad._POOL is not None
+    assert calls
     with warnings.catch_warnings():
-        # Python 3.12+ warns on every fork of a process with threads
+        # Python 3.12+ warns on every fork of a process with threads, and
+        # pytest's faulthandler_timeout runs a watchdog thread
         warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
@@ -1169,11 +1177,63 @@ def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch)
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
+def _threads_started(monkeypatch):
+    """Record every thread started from now on; returns the list."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    return started
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["forward", "backward", "third_draw_raises"])
+def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
+    # a pooled call's threads live for that call alone: none is alive once
+    # its forward or backward returns, or once it raises mid-submission
+    ops = _pool_sized_operands(1, fallback=False)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    if stage == "third_draw_raises":
+        draws, keep_mask = [], ad._keep_mask
+
+        def failing_keep_mask(*args):
+            draws.append(1)
+            if len(draws) == 3:
+                raise _DrawFailed
+            return keep_mask(*args)
+
+        monkeypatch.setattr(ad, "_keep_mask", failing_keep_mask)
+    q, k, v = (ad.parameter(ops[n]) for n in "qkv")
+    tape = Tape()
+
+    def forward():
+        with record(tape):
+            return ad.attention(q, k, v, 4, 0.4, np.random.default_rng(0))
+
+    if stage == "backward":
+        out = forward()
+        out.grad = np.ones(out.shape)
+    before = threading.active_count()
+    started = _threads_started(monkeypatch)
+    if stage == "forward":
+        forward()
+    elif stage == "backward":
+        tape.nodes[-1]()
+    else:
+        with pytest.raises(_DrawFailed):
+            forward()
+        assert len(draws) == 3
+    assert started and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "serial"])
 def test_backward_matches_a_replay_of_a_copy_of_the_nodes(cpus, monkeypatch):
     # backward drops each node once it has run; the gradients must equal a
     # replay that keeps every node alive, with dropout on in attention and ffn
-    calls = _head_pool_calls(monkeypatch, cpus)
+    calls = _executor_calls(monkeypatch, cpus)
     ops = _pool_sized_operands(1, fallback=False)
     d = ops["q"].shape[-1]
     init = np.random.default_rng(4).normal(size=(6, d, d)) / math.sqrt(d)

@@ -280,6 +280,28 @@ class TestWindows:
         with pytest.raises(d.WindowError, match="must be >= 1"):
             d.window_at_origin(series, 0, t, h)
 
+    @pytest.mark.parametrize("kw", [dict(t=True), dict(t=6.0), dict(h=3.5), dict(h=np.float64(3)),
+                                    dict(stride=2.0), dict(stride=False)],
+                             ids=["bool_t", "float_t", "fraction_h", "numpy_float_h", "float_stride", "bool_stride"])
+    def test_window_count_that_is_not_an_integer_rejected(self, kw):
+        # t=True once slid 495 windows of t = 1 out of a 500-step series
+        with pytest.raises(d.WindowError, match="integer"):
+            d.make_windows(self.make_series(40), **{"t": 6, "h": 3, **kw})
+
+    @pytest.mark.parametrize("kw", [dict(origin=3.0), dict(origin=True), dict(t=6.0), dict(h=True)],
+                             ids=["float_origin", "bool_origin", "float_t", "bool_h"])
+    def test_window_at_origin_count_that_is_not_an_integer_rejected(self, kw):
+        with pytest.raises(d.WindowError, match="integer"):
+            d.window_at_origin(self.make_series(40), **{"origin": 3, "t": 6, "h": 3, **kw})
+
+    def test_numpy_integer_counts_accepted(self):
+        series = self.make_series(40)
+        want = d.make_windows(series, 6, 3, stride=5)
+        got = d.make_windows(series, np.int64(6), np.int32(3), stride=np.int64(5))
+        assert [w.issue_index for w in got] == [w.issue_index for w in want]
+        w = d.window_at_origin(series, np.int64(3), np.int64(6), np.int64(3))
+        assert w.issue_index == 8 and np.array_equal(w.input, series.matrix()[:, 3:9])
+
     def test_matrix_is_read_only_and_never_copied(self):
         series = self.make_series(10)
         mat = series.matrix()
@@ -490,6 +512,18 @@ class TestSynthetic:
     def test_bad_rate_or_scale_rejected(self, kw, match):
         with pytest.raises(d.DataError, match=match):
             d.gen_synthetic(**{"seed": 0, "length": 100, **kw})
+
+    @pytest.mark.parametrize("kw", [dict(length=100.5), dict(length=100.0), dict(lag=2.5), dict(lag=True),
+                                    dict(m=2.5), dict(m=np.float64(2))],
+                             ids=["fraction_length", "whole_float_length", "fraction_lag", "bool_lag",
+                                  "fraction_m", "numpy_float_m"])
+    def test_count_that_is_not_an_integer_rejected(self, kw):
+        with pytest.raises(d.DataError, match="must be integers"):
+            d.gen_synthetic(**{"seed": 0, "length": 100, **kw})
+
+    def test_numpy_integer_counts_accepted(self):
+        want = d.gen_synthetic(0, 100, m=3, lag=2).matrix()
+        assert np.array_equal(d.gen_synthetic(0, np.int64(100), m=np.int32(3), lag=np.int64(2)).matrix(), want)
 
     def test_rate_bounds_accepted(self):
         assert not d.gen_synthetic(0, 50, peak_rate=0.0).auxiliaries[0].any()

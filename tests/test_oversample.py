@@ -348,6 +348,19 @@ class TestExpandPeaks:
         with pytest.raises(ov.PolicyError, match="must be integers"):
             ov.expand_peaks(np.array([500]), s_step=s_step, nu=nu, series_len=1000, t=100, h=10)
 
+    @pytest.mark.parametrize("kw", [dict(t=100.0), dict(h=10.0), dict(series_len=1000.0), dict(t=True),
+                                    dict(series_len=np.float64(1000))],
+                             ids=["float_t", "float_h", "float_series_len", "bool_t", "numpy_float_series_len"])
+    def test_geometry_that_is_not_an_integer_rejected(self, kw):
+        # a float t once gave float64 origins
+        with pytest.raises(ov.PolicyError, match="must be integers"):
+            ov.expand_peaks(np.array([500]), **{"s_step": 1, "nu": 8, "series_len": 1000, "t": 100, "h": 10, **kw})
+
+    def test_numpy_integer_geometry_gives_integer_origins(self):
+        got = ov.expand_peaks(np.array([500]), 1, 8, np.int64(1000), np.int64(100), np.int32(10))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, ov.expand_peaks(np.array([500]), 1, 8, 1000, 100, 10))
+
 
 def _mk_windows(n, oversampled=False):
     return [WindowSample(np.zeros((2, 4)), np.zeros(2), issue_index=3 + i, is_oversampled=oversampled)
@@ -405,6 +418,22 @@ class TestCapOversample:
     def test_bad_eta_rejected(self, eta):
         with pytest.raises(ov.PolicyError, match="eta"):
             ov.OversamplePolicy(eta=eta)
+
+    @pytest.mark.parametrize("kw", [dict(eta="1.2"), dict(eta=None), dict(eta=True), dict(os_pct="20"),
+                                    dict(os_pct=None), dict(os_pct=True)],
+                             ids=["str_eta", "none_eta", "bool_eta", "str_pct", "none_pct", "bool_pct"])
+    def test_policy_level_that_is_not_a_real_number_rejected(self, kw):
+        with pytest.raises(ov.PolicyError, match=f"{next(iter(kw))} must be a real number"):
+            ov.OversamplePolicy(**kw)
+
+    @pytest.mark.parametrize("os_pct", ["20", None, True], ids=["str", "none", "bool"])
+    def test_cap_percentage_that_is_not_a_real_number_rejected(self, os_pct):
+        with pytest.raises(ov.PolicyError, match="os_pct must be a real number"):
+            ov.cap_kept_count(800, 500, os_pct)
+
+    def test_real_levels_of_any_type_accepted(self):
+        policy = ov.OversamplePolicy(eta=np.float64(1.5), os_pct=Fraction(20))
+        assert ov.cap_kept_count(800, 500, policy.os_pct) == ov.cap_kept_count(800, 500, np.int64(20)) == 200
 
     @pytest.mark.parametrize("kw", [dict(s_step=1.5), dict(s_step=1.0), dict(nu=8.0), dict(n_components=2.5),
                                     dict(n_components=True)],
