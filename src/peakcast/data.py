@@ -8,21 +8,30 @@ gauges and the like) in the remaining rows; ``matrix()`` returns it
 without copying. Every window's input and target are views into that
 matrix, so no window copies the series; :func:`make_windows` slices all
 of them from one sliding-window view of it, with the matrix's own
-strides. CSV files have a ``timestamp,value`` header and are read and
-written as UTF-8. Each series is scaled by one fitted :class:`Transform`,
-log1p then standardize.
+strides. A :class:`RawSeries` holds its times as int64 microseconds since
+1970-01-01 UTC, and :func:`align` works on those integers. CSV files have a
+``timestamp,value`` header and are read and written as UTF-8;
+:func:`load_csv` reads their rows in one C pass (``np.loadtxt``) and decodes
+the stamps :func:`write_csv` writes with integer arithmetic. Each series is
+scaled by one fitted :class:`Transform`, log1p then standardize.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 STEP_15MIN = timedelta(minutes=15)
+_US = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# the UTC range a datetime can hold, in microseconds since the epoch
+_MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _US
+_MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _US
 
 
 class ParseError(ValueError):
@@ -51,9 +60,22 @@ class StatsError(ValueError):
 
 @dataclass
 class RawSeries:
+    """One series as read: ``times_us`` is an int64 array of microseconds
+    since 1970-01-01 UTC, one per value in ``values``."""
+
     name: str
-    timestamps: list[datetime]
+    times_us: np.ndarray
     values: np.ndarray
+
+
+def _to_us(ts: datetime) -> int:
+    """Microseconds since 1970-01-01 UTC; a naive datetime is read as UTC."""
+    return ((ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)) - _EPOCH) // _US
+
+
+def _from_us(us: int) -> datetime:
+    """The UTC datetime ``us`` microseconds after 1970-01-01 UTC."""
+    return _EPOCH + timedelta(microseconds=int(us))
 
 
 @dataclass
@@ -98,8 +120,9 @@ class AlignedSeries:
         return self.start + i * self.step
 
     def index_at(self, ts: datetime) -> int:
-        """First grid index at or after ``ts``."""
-        return max(0, math.ceil((ts - self.start) / self.step))
+        """First grid index at or after ``ts``; a naive ``ts`` or ``start``
+        is read as UTC, as :func:`load_csv` reads a naive stamp."""
+        return max(0, -((_to_us(self.start) - _to_us(ts)) // (self.step // _US)))
 
 
 @dataclass(slots=True)
@@ -122,31 +145,115 @@ class DatasetStats:
     kurtosis: float
 
 
-def _parse_timestamp(text: str, line: int) -> datetime:
-    text = text.strip()
+# the 25-byte stamp write_csv writes, YYYY-MM-DDTHH:MM:SS+HH:MM, then the
+# NUL that pads it: each byte's lowest value and how far above it may lie
+# (the sign, at 19, is checked on its own)
+_LOW = np.frombuffer(b"0000-00-00T00:00:00\x0000:00\x00", dtype=np.uint8)
+_SIGN = 19
+_SPAN = np.where(_LOW == ord("0"), 9, 0).astype(np.uint8)
+_SPAN[_SIGN] = 255
+# where each two-digit field starts: century, year, month, day, hour,
+# minute, second, offset hour, offset minute
+_PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 23])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# loadtxt cuts a longer field to this width, so a field that fills it is
+# read row by row instead
+_STAMP_BYTES = 48
+_ROW = np.dtype([("stamp", f"S{_STAMP_BYTES}"), ("value", np.float64)])
+# stamps are decoded this many rows at a time, so that the decode's
+# temporaries take ~1.5 MB rather than ~200 bytes a row
+_DECODE_ROWS = 8192
+
+
+def _stamp_us(text: str) -> int:
+    """Microseconds since 1970-01-01 UTC of one ISO 8601 stamp; a naive
+    stamp is UTC. ``datetime.fromisoformat`` reads it without surrounding
+    whitespace and without trailing NULs, which a bytes column cannot hold.
+    Raises ValueError for a stamp it rejects or one outside datetime's
+    range once in UTC."""
+    us = _to_us(datetime.fromisoformat(text.rstrip("\0").strip()))
+    if not _MIN_US <= us <= _MAX_US:
+        raise ValueError(f"{text!r} is out of range in UTC")
+    return us
+
+
+def _parse_value(raw: str, line: int) -> float:
+    """One finite value in numpy's float syntax, which is float()'s without
+    digit separators or non-ASCII digits."""
     try:
-        ts = datetime.fromisoformat(text)
+        if not raw.isascii() or "_" in raw:
+            raise ValueError
+        value = float(raw.strip())
     except ValueError:
-        raise ParseError(f"invalid timestamp {text!r}", line) from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+        raise ParseError(f"invalid numeric value {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {raw!r}", line)
+    return value
 
 
-def load_csv(path, name: str | None = None) -> RawSeries:
-    """Read a UTF-8 CSV into a timestamp-sorted RawSeries.
+def _decode_stamps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 microseconds since 1970-01-01 UTC of each stamp in
+    :func:`write_csv`'s layout, and a mask of the stamps read. ``rows`` is
+    a (N, _ROW.itemsize) uint8 view of N rows, each starting with its
+    NUL-padded stamp. A stamp not in that layout, or not a valid instant
+    in it, is left unread."""
+    b = np.ascontiguousarray(rows[:, :len(_LOW)].T)  # one row a byte position
+    c = b - _LOW[:, None]  # wraps below each byte's lowest value, so a stray byte reads above its span
+    ok = (c <= _SPAN[:, None]).all(axis=0) & ((b[_SIGN] == ord("+")) | (b[_SIGN] == ord("-")))
+    century, yy, month, day, hh, mi, ss, oh, om = (c[_PAIRS] * np.uint8(10) + c[_PAIRS + 1]).astype(np.int64)
+    year = century * 100 + yy
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= _MONTH_DAYS[np.minimum(month, 12)] + ((month == 2) & leap))
+           & (hh <= 23) & (mi <= 59) & (ss <= 59) & (oh <= 23) & (om <= 59))
+    # days from 1970-01-01 of a proleptic Gregorian date, in years that start on 1 March
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146_097 + doe - 719_468
+    offset = (oh * 3600 + om * 60) * np.where(b[_SIGN] == ord("-"), -1, 1)
+    us = (days * 86_400 + hh * 3600 + mi * 60 + ss - offset) * 1_000_000
+    ok &= (us >= _MIN_US) & (us <= _MAX_US)
+    return us, ok
 
-    The header must name a ``timestamp`` and a ``value`` column, in any
-    order and among any others, as :func:`write_csv` writes it. A leading
-    byte-order mark is dropped, whatever the locale.
-    """
-    records: list[tuple[datetime, float]] = []
+
+def _read_one_pass(fh, ts_col: int, value_col: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rest of ``fh`` read by one ``np.loadtxt`` pass: int64
+    microseconds and float64 values in file order. Stamps in
+    :func:`write_csv`'s layout are decoded as arrays, others one by one.
+    None when a row is bad, so that its line must be found, or when a
+    stamp may have been cut."""
+    try:
+        with warnings.catch_warnings():  # a header-only file reads as no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", quotechar='"', comments=None,
+                              usecols=(ts_col, value_col), ndmin=1)
+    except ValueError:
+        return None
+    stamps, values = rows["stamp"], rows["value"]
+    row_bytes = rows.view(np.uint8).reshape(len(rows), _ROW.itemsize)
+    if row_bytes[:, _STAMP_BYTES - 1].any() or not np.isfinite(values).all():
+        return None
+    us, ok = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _DECODE_ROWS):
+        us[lo:lo + _DECODE_ROWS], ok[lo:lo + _DECODE_ROWS] = _decode_stamps(row_bytes[lo:lo + _DECODE_ROWS])
+    for i in np.flatnonzero(~ok):
+        try:
+            us[i] = _stamp_us(stamps[i].decode("latin-1"))  # loadtxt encodes bytes fields as latin-1
+        except ValueError:
+            return None
+    return us, values
+
+
+def _read_rows(path, ts_col: int, value_col: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows after the header, read row by row with ``csv``: int64
+    microseconds and float64 values in file order. Raises ParseError at
+    the first bad row's line."""
+    times, values = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        columns = {col: i for i, col in enumerate(next(reader, []))}
-        if not {"timestamp", "value"} <= columns.keys():
-            raise ParseError("header must include 'timestamp' and 'value'", 1)
-        ts_col, value_col = columns["timestamp"], columns["value"]
+        next(reader)
         for row in filter(None, reader):  # blank lines read as []
             line = reader.line_num
             try:
@@ -154,23 +261,45 @@ def load_csv(path, name: str | None = None) -> RawSeries:
             except IndexError:
                 missing = "timestamp" if len(row) <= ts_col else "value"
                 raise ParseError(f"row has no {missing!r} field", line) from None
-            ts = _parse_timestamp(stamp, line)
             try:
-                value = float(raw)
+                times.append(_stamp_us(stamp))
             except ValueError:
-                raise ParseError(f"invalid numeric value {raw!r}", line) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite value {raw!r}", line)
-            records.append((ts, value))
-    records.sort(key=lambda r: r[0])
-    for (a, _), (b, _) in zip(records, records[1:]):
-        if a == b:
-            raise DataError(f"duplicate timestamp {a.isoformat()} in {path}")
-    return RawSeries(
-        name=name if name is not None else str(path),
-        timestamps=[r[0] for r in records],
-        values=np.array([r[1] for r in records], dtype=np.float64),
-    )
+                raise ParseError(f"invalid timestamp {stamp.strip()!r}", line) from None
+            values.append(_parse_value(raw, line))
+    return np.array(times, dtype=np.int64), np.array(values, dtype=np.float64)
+
+
+def load_csv(path, name: str | None = None) -> RawSeries:
+    """Read a UTF-8 CSV into a time-sorted RawSeries.
+
+    The header must name a ``timestamp`` and a ``value`` column, in any
+    order and among any others, as :func:`write_csv` writes it. A leading
+    byte-order mark is dropped, whatever the locale. Each stamp is an ISO
+    8601 date and time that ``datetime.fromisoformat`` reads once trailing
+    NULs are dropped; a stamp without an offset is UTC. Each value is
+    finite, in numpy's float syntax (``float()``'s without digit separators
+    such as ``1_0``). Blank lines are skipped. A bad row raises ParseError
+    with its line, and a repeated instant raises DataError.
+
+    The rows are read in one ``np.loadtxt`` pass, and stamps in
+    :func:`write_csv`'s ``YYYY-MM-DDTHH:MM:SS+HH:MM`` layout are decoded
+    with integer arithmetic; other stamps go through ``fromisoformat`` one
+    by one. A file with a bad row or a stamp of 48 bytes or more is read
+    a second time, row by row with ``csv``, which names the bad row's line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        columns = {col: i for i, col in enumerate(next(csv.reader(fh), []))}
+        if not {"timestamp", "value"} <= columns.keys():
+            raise ParseError("header must include 'timestamp' and 'value'", 1)
+        cols = columns["timestamp"], columns["value"]
+        read = _read_one_pass(fh, *cols)
+    times_us, values = read if read is not None else _read_rows(path, *cols)
+    order = np.argsort(times_us, kind="stable")
+    times_us, values = times_us[order], values[order]
+    dup = np.flatnonzero(times_us[1:] == times_us[:-1])
+    if dup.size:
+        raise DataError(f"duplicate timestamp {_from_us(times_us[dup[0]]).isoformat()} in {path}")
+    return RawSeries(name=name if name is not None else str(path), times_us=times_us, values=values)
 
 
 def write_csv(path, start: datetime, step: timedelta, values: np.ndarray) -> None:
@@ -182,30 +311,24 @@ def write_csv(path, start: datetime, step: timedelta, values: np.ndarray) -> Non
             writer.writerow([(start + i * step).isoformat(), repr(float(v))])
 
 
-def _offsets_us(series: RawSeries, start: datetime) -> np.ndarray:
-    """int64 microseconds from ``start`` to each timestamp of the series.
-
-    Raises DataError unless the timestamps strictly increase and each has
-    one value.
-    """
-    if len(series.values) != len(series.timestamps):
-        raise DataError(f"series {series.name!r} has {len(series.values)} values for {len(series.timestamps)} timestamps")
-    us = timedelta(microseconds=1)
-    offsets = np.array([(ts - start) // us for ts in series.timestamps], dtype=np.int64)
-    bad = np.flatnonzero(np.diff(offsets) <= 0)
+def _check_series(series: RawSeries) -> None:
+    """Raise DataError unless the times strictly increase and each has one value."""
+    times = series.times_us
+    if len(series.values) != len(times):
+        raise DataError(f"series {series.name!r} has {len(series.values)} values for {len(times)} timestamps")
+    bad = np.flatnonzero(np.diff(times) <= 0)
     if bad.size:
         i = int(bad[0]) + 1
         raise DataError(f"series {series.name!r} timestamps must strictly increase: "
-                        f"{series.timestamps[i].isoformat()} follows {series.timestamps[i - 1].isoformat()}")
-    return offsets
+                        f"{_from_us(times[i]).isoformat()} follows {_from_us(times[i - 1]).isoformat()}")
 
 
-def _grid_fill(series: RawSeries, start: datetime, step: timedelta, n: int) -> np.ndarray:
-    """Sample a raw series onto the grid: the last observation at or before
-    each grid point. ``start`` is at or after the first observation."""
-    us = timedelta(microseconds=1)
-    last = np.searchsorted(_offsets_us(series, start), np.arange(n, dtype=np.int64) * (step // us), side="right") - 1
-    return series.values[last]
+def _grid_fill(series: RawSeries, start_us: int, step_us: int, n: int) -> np.ndarray:
+    """Sample a raw series onto the grid of ``n`` points from ``start_us``,
+    ``step_us`` apart: the last observation at or before each grid point.
+    ``start_us`` is at or after the first observation."""
+    grid = start_us + np.arange(n, dtype=np.int64) * step_us
+    return series.values[np.searchsorted(series.times_us, grid, side="right") - 1]
 
 
 def align(series_list: list[RawSeries], step: timedelta = STEP_15MIN) -> AlignedSeries:
@@ -213,28 +336,28 @@ def align(series_list: list[RawSeries], step: timedelta = STEP_15MIN) -> Aligned
 
     The grid starts at the latest first observation and ends at or before
     the earliest last one, so every series has an observation at or before
-    each grid point; gaps are forward-filled. A series whose timestamps do
-    not strictly increase, or whose value count differs from its timestamp
-    count, raises DataError; ranges that do not overlap raise
-    AlignmentError.
+    each grid point; gaps are forward-filled. ``start`` is a UTC datetime.
+    A series whose times do not strictly increase, or whose value count
+    differs from its time count, raises DataError; ranges that do not
+    overlap raise AlignmentError.
     """
     if not series_list:
         raise AlignmentError("no series to align")
     if step <= timedelta(0):
         raise AlignmentError(f"grid step must be positive, got {step}")
     for s in series_list:
-        if not s.timestamps:
+        if not len(s.times_us):
             raise AlignmentError(f"series {s.name!r} has no observations")
-    lo = max(s.timestamps[0] for s in series_list)
-    hi = min(s.timestamps[-1] for s in series_list)
+        _check_series(s)
+    lo = max(int(s.times_us[0]) for s in series_list)
+    hi = min(int(s.times_us[-1]) for s in series_list)
     if hi < lo:
-        for s in series_list:  # disordered timestamps make a false range; name them instead
-            _offsets_us(s, lo)
-        raise AlignmentError(f"series time ranges do not overlap ({lo.isoformat()} > {hi.isoformat()})")
-    n = int((hi - lo) / step) + 1
-    grids = [_grid_fill(s, lo, step, n) for s in series_list]
+        raise AlignmentError(f"series time ranges do not overlap ({_from_us(lo).isoformat()} > {_from_us(hi).isoformat()})")
+    step_us = step // _US
+    n = (hi - lo) // step_us + 1
+    grids = [_grid_fill(s, lo, step_us, n) for s in series_list]
     return AlignedSeries(
-        start=lo,
+        start=_from_us(lo),
         step=step,
         target=grids[0],
         auxiliaries=grids[1:],

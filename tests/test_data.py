@@ -1,11 +1,13 @@
+import calendar
 import hashlib
 import math
+import warnings
 from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from peakcast import data as d
@@ -13,6 +15,13 @@ from peakcast import data as d
 UTC = timezone.utc
 T0 = datetime(2021, 9, 1, tzinfo=UTC)
 STEP = timedelta(minutes=15)
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+US = timedelta(microseconds=1)
+
+
+def us(*stamps):
+    """int64 microseconds since 1970-01-01 UTC of aware datetimes."""
+    return np.array([(ts - EPOCH) // US for ts in stamps], dtype=np.int64)
 
 
 def write(tmp_path, name, rows):
@@ -22,14 +31,15 @@ def write(tmp_path, name, rows):
 
 
 def grid_series(name, start, values, step=STEP):
-    return d.RawSeries(name, [start + i * step for i in range(len(values))], np.asarray(values, dtype=float))
+    return d.RawSeries(name, us(*(start + i * step for i in range(len(values)))), np.asarray(values, dtype=float))
 
 
 def grid_fill_loop(series, start, step, n):
     """Per-grid-point oracle for ``_grid_fill``: the last observation at or
-    before each grid point, for a grid that starts at or after the first."""
+    before each grid point, for a grid that starts at or after the first.
+    Times are integer microseconds."""
     out = np.zeros(n, dtype=np.float64)
-    ts, vals = series.timestamps, series.values
+    ts, vals = series.times_us.tolist(), series.values
     j = 0
     for i in range(n):
         point = start + i * step
@@ -54,7 +64,7 @@ class TestLoadCsv:
         p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", "2021-09-01T00:15,2.0", "2021-09-01T00:30,3.0"])
         s = d.load_csv(p)
         assert len(s.values) == 3
-        assert s.timestamps[0] == T0
+        assert s.times_us.dtype == np.int64 and s.times_us[0] == us(T0)[0]
 
     def test_invalid_numeric_reports_line(self, tmp_path):
         p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", "2021-09-01T00:15,abc"])
@@ -65,7 +75,7 @@ class TestLoadCsv:
     def test_unsorted_input_sorted(self, tmp_path):
         p = write(tmp_path, "a.csv", ["2021-09-01T00:30,3.0", "2021-09-01T00:00,1.0", "2021-09-01T00:15,2.0"])
         s = d.load_csv(p)
-        assert s.timestamps == sorted(s.timestamps)
+        assert np.array_equal(s.times_us, us(T0, T0 + STEP, T0 + 2 * STEP))
         assert list(s.values) == [1.0, 2.0, 3.0]
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
@@ -78,12 +88,12 @@ class TestLoadCsv:
         p = tmp_path / "bom.csv"
         p.write_bytes("\ufefftimestamp,value\n2021-09-01T00:00,1.5\n2021-09-01T00:15,2.5\n".encode("utf-8"))
         s = d.load_csv(p)
-        assert s.timestamps == [T0, T0 + STEP] and list(s.values) == [1.5, 2.5]
+        assert np.array_equal(s.times_us, us(T0, T0 + STEP)) and list(s.values) == [1.5, 2.5]
 
     def test_z_suffix_read_as_utc(self, tmp_path):
         p = write(tmp_path, "b.csv", ["2021-09-01T00:00:00Z,4.5", "2021-09-01T02:15:00+02:00,5.5"])
         s = d.load_csv(p)
-        assert s.timestamps == [T0, T0 + STEP] and list(s.values) == [4.5, 5.5]
+        assert np.array_equal(s.times_us, us(T0, T0 + STEP)) and list(s.values) == [4.5, 5.5]
 
     def test_missing_timestamp_field_reports_line(self, tmp_path):
         p = tmp_path / "short.csv"
@@ -108,14 +118,14 @@ class TestLoadCsv:
         p = write(tmp_path, "b.csv", ["2021-09-01T00:00,1.0", "", "2021-09-01T00:15,2.0"])
         s = d.load_csv(p)
         assert list(s.values) == [1.0, 2.0]
-        assert s.timestamps == [T0, T0 + STEP]
+        assert np.array_equal(s.times_us, us(T0, T0 + STEP))
 
     def test_reordered_header_and_extra_columns(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("value,station,timestamp,note\n2.5,n1,2021-09-01T00:15,late\n1.5,n1,2021-09-01T00:00,\n")
         s = d.load_csv(p)
         assert list(s.values) == [1.5, 2.5]
-        assert s.timestamps == [T0, T0 + STEP]
+        assert np.array_equal(s.times_us, us(T0, T0 + STEP))
 
     def test_row_without_value_reports_line(self, tmp_path):
         p = write(tmp_path, "a.csv", ["2021-09-01T00:00,1.0", "2021-09-01T00:15"])
@@ -131,6 +141,178 @@ class TestLoadCsv:
         assert exc.value.line == 3
 
 
+def oracle_parse_timestamp(text, line):
+    """The per-row stamp parser load_csv used before its one-pass read.
+    astimezone's OverflowError, for a stamp outside datetime's range once
+    in UTC, counts as a bad stamp; that parser let it escape."""
+    text = text.strip()
+    try:
+        ts = datetime.fromisoformat(text)
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=UTC)
+        return ts.astimezone(UTC)
+    except (ValueError, OverflowError):
+        raise d.ParseError(f"invalid timestamp {text!r}", line) from None
+
+
+def oracle_load(lines):
+    """Per-row oracle for load_csv on ``timestamp,value`` data lines:
+    ("ok", times in us, values) sorted by time, ("parse", line) for the
+    first bad line, or ("duplicate",)."""
+    rows = []
+    for line, text in enumerate(lines, start=2):
+        stamp, raw = text.split(",")
+        try:
+            ts = oracle_parse_timestamp(stamp, line)
+        except d.ParseError:
+            return ("parse", line)
+        try:
+            value = float(raw)
+        except ValueError:
+            return ("parse", line)
+        if not math.isfinite(value):
+            return ("parse", line)
+        rows.append(((ts - EPOCH) // US, value))
+    rows.sort()
+    if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):
+        return ("duplicate",)
+    return ("ok", np.array([r[0] for r in rows], dtype=np.int64), np.array([r[1] for r in rows]))
+
+
+ZONES = [None, UTC, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-3)),
+         timezone(timedelta(hours=-23, minutes=-59)), timezone(timedelta(hours=14))]
+
+
+def format_stamp(ts, zone, layout):
+    """One instant written in a layout that datetime.fromisoformat reads."""
+    if layout == "fraction":
+        ts = ts.replace(microsecond=ts.microsecond or 1)
+    else:
+        ts = ts.replace(microsecond=0)
+    local = ts.replace(tzinfo=zone)
+    if layout == "z":
+        return ts.isoformat() + "Z"
+    if layout == "minutes":
+        return local.isoformat(timespec="minutes")
+    if layout == "space":
+        return local.isoformat(sep=" ")
+    return local.isoformat()  # "offset" and "fraction": +HH:MM after any zone
+
+
+def format_invalid(ts, field):
+    """A stamp in write_csv's layout with one field out of range."""
+    year = ts.year if not calendar.isleap(ts.year) else ts.year - 1
+    month, day, hour, second = {
+        "month13": (13, 1, 0, 0), "april31": (4, 31, 0, 0), "feb29": (2, 29, 0, 0),
+        "hour24": (ts.month, 1, 24, 0), "second60": (ts.month, 1, 0, 60),
+    }[field]
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:00:{second:02d}+00:00"
+
+
+stamps = st.one_of(
+    st.builds(format_stamp, st.datetimes(min_value=datetime(1, 1, 1)), st.sampled_from(ZONES),
+              st.sampled_from(["offset", "offset", "z", "minutes", "fraction", "space"])),
+    st.builds(format_invalid, st.datetimes(min_value=datetime(2, 1, 1)),
+              st.sampled_from(["month13", "april31", "feb29", "hour24", "second60"])),
+)
+values = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from([" 1.5", "2e3 ", "-0.0", "nan", "inf", "abc", ""]))
+
+
+def assert_reads_as_oracle(path, lines):
+    want = oracle_load(lines)
+    if want[0] == "parse":
+        with pytest.raises(d.ParseError) as exc:
+            d.load_csv(path)
+        assert exc.value.line == want[1]
+    elif want[0] == "duplicate":
+        with pytest.raises(d.DataError, match="duplicate"):
+            d.load_csv(path)
+    else:
+        s = d.load_csv(path)
+        assert s.times_us.dtype == np.int64 and s.values.dtype == np.float64
+        assert np.array_equal(s.times_us, want[1]) and s.values.tobytes() == want[2].tobytes()
+
+
+class TestReadPath:
+    """load_csv against a per-row oracle, and the one-pass read's edges."""
+
+    @given(st.lists(st.tuples(stamps, values), min_size=1, max_size=25))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_per_row_oracle(self, tmp_path, rows):
+        lines = [f"{stamp},{value}" for stamp, value in rows]
+        assert_reads_as_oracle(write(tmp_path, "x.csv", lines), lines)
+
+    @pytest.mark.parametrize("stamp", ["2021-09-01T00:00:00+00:00garbage", "2021-09-01T00:00:00+00:00" + "x" * 40],
+                             ids=["garbage", "over_long"])
+    def test_long_stamp_is_not_cut_into_a_valid_one(self, tmp_path, stamp):
+        p = write(tmp_path, "a.csv", ["2021-08-31T23:45:00+00:00,1.0", f"{stamp},2.0"])
+        with pytest.raises(d.ParseError, match="invalid timestamp") as exc:
+            d.load_csv(p)
+        assert exc.value.line == 3
+
+    def test_valid_stamp_longer_than_the_column_read(self, tmp_path):
+        # fromisoformat reads any number of fractional digits, so a valid
+        # stamp may be longer than the one-pass read's column
+        stamp = "2021-09-01T00:00:00." + "0" * 40 + "+00:00"
+        s = d.load_csv(write(tmp_path, "a.csv", ["2021-08-31T23:45:00+00:00,1.0", f"{stamp},2.0"]))
+        assert np.array_equal(s.times_us, us(T0 - STEP, T0)) and list(s.values) == [1.0, 2.0]
+
+    def test_comment_row_reports_line(self, tmp_path):
+        p = write(tmp_path, "a.csv", ["2021-09-01T00:00:00+00:00,1.0", "#2021-09-01T00:15:00+00:00,2.0"])
+        with pytest.raises(d.ParseError) as exc:
+            d.load_csv(p)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["none", "blank", "crlf"])
+    def test_header_only_file_is_empty_without_a_warning(self, tmp_path, body):
+        p = tmp_path / "empty.csv"
+        p.write_bytes(("timestamp,value\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = d.load_csv(p)
+        assert s.times_us.dtype == np.int64 and s.times_us.shape == (0,) and s.values.shape == (0,)
+
+    def test_crlf_and_quoted_fields(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_bytes(b'"timestamp","value"\r\n"2021-09-01T00:15:00+00:00","2.5"\r\n'
+                      b'2021-09-01T00:00:00+00:00,"1.5"\r\n')
+        s = d.load_csv(p)
+        assert np.array_equal(s.times_us, us(T0, T0 + STEP)) and list(s.values) == [1.5, 2.5]
+
+    @pytest.mark.parametrize("raw", ["1_0", "1_000.5", "\u0661"], ids=["underscore", "grouped", "arabic_digit"])
+    def test_value_outside_numpy_float_syntax_rejected(self, tmp_path, raw):
+        # float() reads these; numpy's parser, which load_csv uses, does not
+        p = write(tmp_path, "a.csv", ["2021-09-01T00:00:00+00:00,1.0", f"2021-09-01T00:15:00+00:00,{raw}"])
+        with pytest.raises(d.ParseError, match="invalid numeric value") as exc:
+            d.load_csv(p)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("body", ["2021-09-01T00:15:00+00:00\0,2.0", "2021-09-01T00:15:00\0\0,2.0",
+                                      '"2021-09-01T00:15:00+00:00\0",2.0'], ids=["offset", "naive", "quoted"])
+    def test_trailing_nul_in_stamp_dropped(self, tmp_path, body):
+        # a bytes column cannot hold trailing NULs, so neither read keeps
+        # them: the second file has a row only fromisoformat reads, and the
+        # third a stamp too long for the one-pass read
+        long_stamp = "2021-09-01T00:00:00." + "0" * 40 + "+00:00"
+        for rows in ([body], [body, "2021-09-01T00:00,1.0"], [body, f"{long_stamp},1.0"]):
+            s = d.load_csv(write(tmp_path, "a.csv", rows))
+            assert s.times_us[-1] == us(T0 + STEP)[0] and s.values[-1] == 2.0
+
+    def test_nul_inside_stamp_rejected(self, tmp_path):
+        p = write(tmp_path, "a.csv", ["2021-09-01T00:00:00+00:00,1.0", "2021-09-01T00:15\0:00+00:00,2.0"])
+        with pytest.raises(d.ParseError, match="invalid timestamp") as exc:
+            d.load_csv(p)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+00:01", "9999-12-31T23:59:00-00:01"])
+    def test_stamp_outside_datetime_range_in_utc_rejected(self, tmp_path, stamp):
+        # the per-row parser once let astimezone's OverflowError escape
+        with pytest.raises(d.ParseError, match="invalid timestamp") as exc:
+            d.load_csv(write(tmp_path, "a.csv", ["2021-09-01T00:00:00+00:00,1.0", f"{stamp},2.0"]))
+        assert exc.value.line == 3
+
+
 class TestAlign:
     def test_already_aligned_unchanged(self):
         a = grid_series("t", T0, [1, 2, 3, 4])
@@ -140,8 +322,7 @@ class TestAlign:
         assert np.array_equal(out.auxiliaries[0], [5, 6, 7, 8])
 
     def test_midseries_gap_forward_filled(self):
-        ts = [T0, T0 + STEP, T0 + 3 * STEP]
-        a = d.RawSeries("t", ts, np.array([1.0, 2.0, 4.0]))
+        a = d.RawSeries("t", us(T0, T0 + STEP, T0 + 3 * STEP), np.array([1.0, 2.0, 4.0]))
         out = d.align([a])
         assert np.array_equal(out.target, [1.0, 2.0, 2.0, 4.0])
 
@@ -152,7 +333,7 @@ class TestAlign:
         assert out.start == T0 + STEP
         assert len(out) == 3
         # a late-starting gauge cuts the grid; no value is made up before its first reading
-        late = d.RawSeries("r", [T0 + 2 * STEP, T0 + 4 * STEP], np.array([9.0, 9.5]))
+        late = d.RawSeries("r", us(T0 + 2 * STEP, T0 + 4 * STEP), np.array([9.0, 9.5]))
         out = d.align([a, late])
         assert out.start == T0 + 2 * STEP
         assert np.array_equal(out.target, [3, 4, 5]) and np.array_equal(out.auxiliaries[0], [9.0, 9.0, 9.5])
@@ -176,38 +357,36 @@ class TestAlign:
             d.align([a, empty])
 
     def test_unordered_timestamps_rejected(self):
-        a = d.RawSeries("gauge", [T0 + 2 * STEP, T0, T0 + STEP, T0 + 3 * STEP], np.array([3.0, 1.0, 2.0, 4.0]))
+        a = d.RawSeries("gauge", us(T0 + 2 * STEP, T0, T0 + STEP, T0 + 3 * STEP), np.array([3.0, 1.0, 2.0, 4.0]))
         with pytest.raises(d.DataError, match="'gauge'.*strictly increase"):
             d.align([a])
         # disorder that also crosses the ranges is named, not reported as no overlap
-        b = d.RawSeries("rain", [T0 + 3 * STEP, T0], np.array([1.0, 2.0]))
+        b = d.RawSeries("rain", us(T0 + 3 * STEP, T0), np.array([1.0, 2.0]))
         with pytest.raises(d.DataError, match="'rain'"):
             d.align([grid_series("t", T0 + STEP, [1, 2, 3]), b])
 
     def test_duplicated_timestamp_rejected(self):
-        a = d.RawSeries("gauge", [T0, T0 + STEP, T0 + STEP, T0 + 2 * STEP], np.array([1.0, 2.0, 5.0, 3.0]))
+        a = d.RawSeries("gauge", us(T0, T0 + STEP, T0 + STEP, T0 + 2 * STEP), np.array([1.0, 2.0, 5.0, 3.0]))
         with pytest.raises(d.DataError, match="'gauge'.*strictly increase"):
             d.align([grid_series("t", T0, [1, 2, 3]), a])
 
     def test_value_count_must_match_timestamps(self):
-        a = d.RawSeries("gauge", [T0, T0 + STEP, T0 + 2 * STEP], np.array([1.0, 2.0]))
+        a = d.RawSeries("gauge", us(T0, T0 + STEP, T0 + 2 * STEP), np.array([1.0, 2.0]))
         with pytest.raises(d.DataError, match="'gauge' has 2 values for 3 timestamps"):
             d.align([a])
 
     @given(st.lists(st.integers(-3_600_000, 20_000_000), min_size=1, max_size=40, unique=True),
-           st.integers(0, 25_000_000), st.sampled_from([timedelta(seconds=7.5), timedelta(minutes=1), STEP]),
-           st.integers(1, 300), st.booleans())
+           st.integers(0, 25_000_000), st.sampled_from([7_500_000, 60_000_000, 900_000_000]),
+           st.integers(1, 300))
     @settings(max_examples=200, deadline=None)
-    def test_grid_fill_matches_loop(self, offsets_ms, start_ms, step, n, shifted_zone):
+    def test_grid_fill_matches_loop(self, offsets_ms, start_ms, step_us, n):
         # off-grid millisecond stamps with random gaps; the grid starts at
         # the first observation or after it, up to past the last
         offsets_ms.sort()
-        raw = d.RawSeries("x", [T0 + timedelta(milliseconds=o) for o in offsets_ms],
+        raw = d.RawSeries("x", us(T0) + np.array(offsets_ms, dtype=np.int64) * 1000,
                           np.arange(1.0, len(offsets_ms) + 1.0))
-        start = raw.timestamps[0] + timedelta(milliseconds=start_ms)
-        if shifted_zone:
-            start = start.astimezone(timezone(timedelta(hours=5)))
-        assert np.array_equal(d._grid_fill(raw, start, step, n), grid_fill_loop(raw, start, step, n))
+        start_us = int(raw.times_us[0]) + start_ms * 1000
+        assert np.array_equal(d._grid_fill(raw, start_us, step_us, n), grid_fill_loop(raw, start_us, step_us, n))
 
 
 class TestWindows:
@@ -359,6 +538,32 @@ class TestChronoSplit:
         max_train_touched = max(w.issue_index + len(w.target) for w in train)
         min_test_target = min(w.issue_index + 1 for w in test)
         assert max_train_touched < min_test_target
+
+
+class TestIndexAt:
+    def test_naive_reads_as_utc(self):
+        s = d.gen_synthetic(0, 500)  # starts 2000-01-01 00:00 UTC
+        naive = datetime(2000, 1, 1, 1, 0)
+        assert s.index_at(naive) == 4 and s.index_at(naive + US) == 5
+        assert s.index_at(datetime(2000, 1, 1, 6, 0, tzinfo=timezone(timedelta(hours=5)))) == 4
+        naive_start = d.AlignedSeries(datetime(2000, 1, 1), STEP, np.zeros(500), [np.zeros(500)], ["t", "r"])
+        assert naive_start.index_at(naive.replace(tzinfo=UTC)) == 4 and naive_start.index_at(naive) == 4
+
+    def test_chrono_split_takes_a_naive_cutoff(self):
+        s = d.gen_synthetic(0, 500)
+        windows = d.make_windows(s, 20, 10)
+        aware = d.chrono_split(windows, s, s.timestamp_at(400))
+        naive = d.chrono_split(windows, s, s.timestamp_at(400).replace(tzinfo=None))
+        assert [len(part) for part in naive] == [len(part) for part in aware]
+        assert all(a is b for pa, pn in zip(aware, naive) for a, b in zip(pa, pn))
+
+    def test_exact_far_from_start(self):
+        # float division puts 1 us past grid point 2e8 (year 7704) on it
+        s = d.gen_synthetic(0, 10)
+        k = 2 * 10**8
+        far = s.start + k * STEP
+        assert s.index_at(far) == k and s.index_at(far + US) == k + 1 and s.index_at(far - US) == k
+        assert s.index_at(s.start - STEP) == 0 and s.index_at(s.start) == 0
 
 
 def test_filter_by_months():
@@ -530,9 +735,19 @@ class TestSynthetic:
         assert d.gen_synthetic(0, 50, peak_rate=1.0).auxiliaries[0].all()
 
     def test_csv_round_trip(self, tmp_path):
-        s = d.gen_synthetic(0, 200)
-        p = tmp_path / "flow.csv"
-        d.write_csv(p, s.start, s.step, s.target)
-        back = d.load_csv(p)
-        assert np.array_equal(back.values, s.target)
-        assert back.timestamps[0] == s.start
+        # the digests are test_series_bits_pinned's: write, read and align
+        # give back the generated matrix bit for bit
+        for seed, length, digest in [(0, 200, None), (0, 105_120, "79028e99cf7f3c51"), (1, 105_120, "5369cbbfecfe63ae")]:
+            s = d.gen_synthetic(seed, length)
+            paths = []
+            for name, row in zip(s.names, s.matrix()):
+                paths.append(tmp_path / f"{name}.csv")
+                d.write_csv(paths[-1], s.start, s.step, row)
+            raws = [d.load_csv(p) for p in paths]
+            assert np.array_equal(raws[0].values, s.target)
+            assert raws[0].times_us[0] == us(s.start)[0]
+            back = d.align(raws)
+            assert back.matrix().tobytes() == s.matrix().tobytes()
+            assert back.start == s.start and back.start.tzinfo is UTC and back.step == s.step
+            if digest is not None:
+                assert hashlib.sha256(back.matrix().tobytes()).hexdigest()[:16] == digest
