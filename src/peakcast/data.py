@@ -12,7 +12,7 @@ strides. A :class:`RawSeries` holds its times as int64 microseconds since
 1970-01-01 UTC, and :func:`align` works on those integers. CSV files have a
 ``timestamp,value`` header and are read and written as UTF-8;
 :func:`load_csv` reads their rows in one C pass (``np.loadtxt``) and decodes
-the stamps :func:`write_csv` writes with integer arithmetic. Each series is
+the stamps :func:`write_csv` writes as arrays. Each series is
 scaled by one fitted :class:`Transform`, log1p then standardize.
 """
 
@@ -145,32 +145,25 @@ class DatasetStats:
     kurtosis: float
 
 
-# the 25-byte stamp write_csv writes, YYYY-MM-DDTHH:MM:SS+HH:MM, then the
-# NUL that pads it: each byte's lowest value and how far above it may lie
-# (the sign, at 19, is checked on its own)
-_LOW = np.frombuffer(b"0000-00-00T00:00:00\x0000:00\x00", dtype=np.uint8)
+# the 25-byte stamp write_csv writes, YYYY-MM-DDTHH:MM:SS+HH:MM: each
+# byte's lowest value and how far above it may lie (the sign, at 19, is
+# checked on its own)
+_LOW = np.frombuffer(b"0000-00-00T00:00:00\x0000:00", dtype=np.uint8)
 _SIGN = 19
 _SPAN = np.where(_LOW == ord("0"), 9, 0).astype(np.uint8)
 _SPAN[_SIGN] = 255
-# where each two-digit field starts: century, year, month, day, hour,
-# minute, second, offset hour, offset minute
-_PAIRS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 23])
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-# loadtxt cuts a longer field to this width, so a field that fills it is
-# read row by row instead
+# loadtxt cuts a longer field to this width; the bytes after a stamp in
+# write_csv's layout must all be NUL, so a cut field is never decoded
 _STAMP_BYTES = 48
 _ROW = np.dtype([("stamp", f"S{_STAMP_BYTES}"), ("value", np.float64)])
-# stamps are decoded this many rows at a time, so that the decode's
-# temporaries take ~1.5 MB rather than ~200 bytes a row
-_DECODE_ROWS = 8192
 
 
 def _stamp_us(text: str) -> int:
     """Microseconds since 1970-01-01 UTC of one ISO 8601 stamp; a naive
     stamp is UTC. ``datetime.fromisoformat`` reads it without surrounding
-    whitespace and without trailing NULs, which a bytes column cannot hold.
-    Raises ValueError for a stamp it rejects or one outside datetime's
-    range once in UTC."""
+    whitespace and without trailing NULs, which the one-pass read's bytes
+    column cannot hold. Raises ValueError for a stamp it rejects or one
+    outside datetime's range once in UTC."""
     us = _to_us(datetime.fromisoformat(text.rstrip("\0").strip()))
     if not _MIN_US <= us <= _MAX_US:
         raise ValueError(f"{text!r} is out of range in UTC")
@@ -191,39 +184,36 @@ def _parse_value(raw: str, line: int) -> float:
     return value
 
 
-def _decode_stamps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 microseconds since 1970-01-01 UTC of each stamp in
-    :func:`write_csv`'s layout, and a mask of the stamps read. ``rows`` is
-    a (N, _ROW.itemsize) uint8 view of N rows, each starting with its
-    NUL-padded stamp. A stamp not in that layout, or not a valid instant
-    in it, is left unread."""
-    b = np.ascontiguousarray(rows[:, :len(_LOW)].T)  # one row a byte position
-    c = b - _LOW[:, None]  # wraps below each byte's lowest value, so a stray byte reads above its span
-    ok = (c <= _SPAN[:, None]).all(axis=0) & ((b[_SIGN] == ord("+")) | (b[_SIGN] == ord("-")))
-    century, yy, month, day, hh, mi, ss, oh, om = (c[_PAIRS] * np.uint8(10) + c[_PAIRS + 1]).astype(np.int64)
-    year = century * 100 + yy
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-           & (day <= _MONTH_DAYS[np.minimum(month, 12)] + ((month == 2) & leap))
-           & (hh <= 23) & (mi <= 59) & (ss <= 59) & (oh <= 23) & (om <= 59))
-    # days from 1970-01-01 of a proleptic Gregorian date, in years that start on 1 March
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doe = yoe * 365 + yoe // 4 - yoe // 100 + (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146_097 + doe - 719_468
-    offset = (oh * 3600 + om * 60) * np.where(b[_SIGN] == ord("-"), -1, 1)
-    us = (days * 86_400 + hh * 3600 + mi * 60 + ss - offset) * 1_000_000
-    ok &= (us >= _MIN_US) & (us <= _MAX_US)
-    return us, ok
+def _decode_stamps(rows: np.ndarray) -> np.ndarray | None:
+    """int64 microseconds since 1970-01-01 UTC of each stamp, or None
+    unless every stamp is a valid instant in :func:`write_csv`'s layout.
+    ``rows`` is a (N, _ROW.itemsize) uint8 view of N rows, each starting
+    with its NUL-padded stamp. numpy's datetime64 parser reads the local
+    date and time; only the layout and the offset are checked here."""
+    sign = rows[:, _SIGN]
+    # a byte below its lowest value wraps, so it too reads above its span
+    if (((rows[:, :len(_LOW)] - _LOW) > _SPAN).any() or rows[:, len(_LOW):_STAMP_BYTES].any()
+            or not ((sign == ord("+")) | (sign == ord("-"))).all()):
+        return None
+    try:
+        local = np.ascontiguousarray(rows[:, :_SIGN]).view(f"S{_SIGN}")[:, 0].astype("datetime64[us]").view(np.int64)
+    except ValueError:  # a field out of range, such as 31 April or hour 24
+        return None
+    oh, om = (((rows[:, i] - ord("0")) * np.uint8(10) + (rows[:, i + 1] - ord("0"))).astype(np.int64)
+              for i in (_SIGN + 1, _SIGN + 4))
+    offset_s = (oh * 3600 + om * 60) * np.where(sign == ord("-"), -1, 1)
+    us = local - offset_s * 1_000_000
+    # fromisoformat rejects year 0, which datetime64 reads
+    if not ((oh <= 23) & (om <= 59) & (local >= _MIN_US) & (us >= _MIN_US) & (us <= _MAX_US)).all():
+        return None
+    return us
 
 
 def _read_one_pass(fh, ts_col: int, value_col: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The rest of ``fh`` read by one ``np.loadtxt`` pass: int64
-    microseconds and float64 values in file order. Stamps in
-    :func:`write_csv`'s layout are decoded as arrays, others one by one.
-    None when a row is bad, so that its line must be found, or when a
-    stamp may have been cut."""
+    microseconds and float64 values in file order. None when a row is bad,
+    a value is not finite, or a stamp is not a valid instant in
+    :func:`write_csv`'s layout; the file must then be read row by row."""
     try:
         with warnings.catch_warnings():  # a header-only file reads as no rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -231,19 +221,10 @@ def _read_one_pass(fh, ts_col: int, value_col: int) -> tuple[np.ndarray, np.ndar
                               usecols=(ts_col, value_col), ndmin=1)
     except ValueError:
         return None
-    stamps, values = rows["stamp"], rows["value"]
-    row_bytes = rows.view(np.uint8).reshape(len(rows), _ROW.itemsize)
-    if row_bytes[:, _STAMP_BYTES - 1].any() or not np.isfinite(values).all():
+    if not np.isfinite(rows["value"]).all():
         return None
-    us, ok = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=bool)
-    for lo in range(0, len(rows), _DECODE_ROWS):
-        us[lo:lo + _DECODE_ROWS], ok[lo:lo + _DECODE_ROWS] = _decode_stamps(row_bytes[lo:lo + _DECODE_ROWS])
-    for i in np.flatnonzero(~ok):
-        try:
-            us[i] = _stamp_us(stamps[i].decode("latin-1"))  # loadtxt encodes bytes fields as latin-1
-        except ValueError:
-            return None
-    return us, values
+    us = _decode_stamps(rows.view(np.uint8).reshape(len(rows), _ROW.itemsize))
+    return None if us is None else (us, rows["value"])
 
 
 def _read_rows(path, ts_col: int, value_col: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +263,10 @@ def load_csv(path, name: str | None = None) -> RawSeries:
     with its line, and a repeated instant raises DataError.
 
     The rows are read in one ``np.loadtxt`` pass, and stamps in
-    :func:`write_csv`'s ``YYYY-MM-DDTHH:MM:SS+HH:MM`` layout are decoded
-    with integer arithmetic; other stamps go through ``fromisoformat`` one
-    by one. A file with a bad row or a stamp of 48 bytes or more is read
-    a second time, row by row with ``csv``, which names the bad row's line.
+    :func:`write_csv`'s ``YYYY-MM-DDTHH:MM:SS+HH:MM`` layout are decoded as
+    arrays. A file with a bad row or any stamp in another layout is read a
+    second time, row by row with ``csv`` and ``fromisoformat``, which names
+    a bad row's line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         columns = {col: i for i, col in enumerate(next(csv.reader(fh), []))}

@@ -243,9 +243,25 @@ class TestReadPath:
         lines = [f"{stamp},{value}" for stamp, value in rows]
         assert_reads_as_oracle(write(tmp_path, "x.csv", lines), lines)
 
-    @pytest.mark.parametrize("stamp", ["2021-09-01T00:00:00+00:00garbage", "2021-09-01T00:00:00+00:00" + "x" * 40],
-                             ids=["garbage", "over_long"])
-    def test_long_stamp_is_not_cut_into_a_valid_one(self, tmp_path, stamp):
+    @pytest.mark.parametrize("stamp", [
+        # loadtxt cuts a field to its column's width
+        "2021-09-01T00:00:00+00:00garbage", "2021-09-01T00:00:00+00:00" + "x" * 40,
+        # a NUL inside a stamp, or bytes after a valid stamp's NUL: only
+        # trailing NULs are dropped
+        "2021-09-01T00:15\0:00+00:00", "2021-09-01T00:15\0\0\0+00:00",
+        "2021-09-01T00:15:00+00:00\0junk", "2021-09-01T00:15:00+00:00\0\0+00:00",
+        # off the layout, where numpy's datetime64 parser or a blind offset
+        # decode would read them
+        "2021-09-01T00:15:00+00-00", "2021-09-01T00:15:00 00:00", "2021-09-01T00:15:00+0a:00",
+        # year 0, which datetime64 reads, even when in datetime's range once in UTC
+        "0000-12-31T23:00:00-01:00", "0000-06-01T00:00:00+00:00",
+        # out of datetime's range once in UTC; the per-row parser once let
+        # astimezone's OverflowError escape
+        "0001-01-01T00:00:00+00:01", "9999-12-31T23:59:00-00:01",
+    ], ids=["garbage", "over_long", "inner_nul", "inner_nuls", "junk_after_nul", "offset_after_nul",
+            "offset_dash", "no_sign", "offset_letter", "year_0_utc_year_1", "year_0",
+            "before_utc_range", "after_utc_range"])
+    def test_bad_stamp_reports_line(self, tmp_path, stamp):
         p = write(tmp_path, "a.csv", ["2021-08-31T23:45:00+00:00,1.0", f"{stamp},2.0"])
         with pytest.raises(d.ParseError, match="invalid timestamp") as exc:
             d.load_csv(p)
@@ -299,18 +315,18 @@ class TestReadPath:
             s = d.load_csv(write(tmp_path, "a.csv", rows))
             assert s.times_us[-1] == us(T0 + STEP)[0] and s.values[-1] == 2.0
 
-    def test_nul_inside_stamp_rejected(self, tmp_path):
-        p = write(tmp_path, "a.csv", ["2021-09-01T00:00:00+00:00,1.0", "2021-09-01T00:15\0:00+00:00,2.0"])
-        with pytest.raises(d.ParseError, match="invalid timestamp") as exc:
-            d.load_csv(p)
-        assert exc.value.line == 3
+    def test_write_csv_layout_read_in_one_pass(self, tmp_path, monkeypatch):
+        zones = [z for z in ZONES if z is not None]
+        lines = [f"{format_stamp(T0 + i * STEP, zones[i % len(zones)], 'offset')},{i}.5" for i in range(3 * len(zones))]
+        p = write(tmp_path, "a.csv", lines)
+        monkeypatch.setattr(d, "_read_rows", None)  # the row-by-row read must not run
+        assert_reads_as_oracle(p, lines)
 
-    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+00:01", "9999-12-31T23:59:00-00:01"])
-    def test_stamp_outside_datetime_range_in_utc_rejected(self, tmp_path, stamp):
-        # the per-row parser once let astimezone's OverflowError escape
-        with pytest.raises(d.ParseError, match="invalid timestamp") as exc:
-            d.load_csv(write(tmp_path, "a.csv", ["2021-09-01T00:00:00+00:00,1.0", f"{stamp},2.0"]))
-        assert exc.value.line == 3
+    @pytest.mark.parametrize("offset", ["+24:00", "-24:00", "+00:60", "+23:59", "-00:00"])
+    def test_offset_edges_read_as_fromisoformat(self, tmp_path, offset):
+        # fromisoformat rejects a whole day but reads minute 60 as the next hour
+        lines = ["2021-09-01T00:00:00+00:00,1.0", f"2021-09-01T12:00:00{offset},2.0"]
+        assert_reads_as_oracle(write(tmp_path, "a.csv", lines), lines)
 
 
 class TestAlign:
