@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DEFAULT_SYNTH_START, AlignmentError, WindowError
+from .data import AlignmentError, WindowError, _is_int
 
 TIMESTAMP_FEATURE_WIDTH = 5
 _EPOCH = datetime(1970, 1, 1)
@@ -54,20 +54,14 @@ def encode(windows: np.ndarray, params: dict[str, Tensor]) -> tuple[Tensor, Tens
     return h, c
 
 
-def timestamp_features(
-    issue_index: int | np.ndarray,
-    horizon: int,
-    step: timedelta = timedelta(minutes=15),
-    start: datetime | None = None,
-) -> np.ndarray:
+def timestamp_features(issue_index: int | np.ndarray, horizon: int, step: timedelta, start: datetime) -> np.ndarray:
     """(horizon, 5) decoder-input features for one forecast issuance.
 
     Row k describes forecast step k: normalized index k/h, then sine and
     cosine of the fractional time-of-day and day-of-year of the step's
-    absolute timestamp (grid index issue_index + 1 + k), read on the start
-    timestamp's wall clock and truncated to whole seconds. Without a start
-    timestamp the calendar features fall back to a fixed epoch so the
-    encoding stays total.
+    absolute timestamp (grid index issue_index + 1 + k, on the grid of
+    ``step`` from ``start``), read on the start timestamp's wall clock and
+    truncated to whole seconds.
 
     ``issue_index`` may also be an int array of B issue indices; the result
     is then (B, horizon, 5), equal bit for bit to stacking the B
@@ -82,20 +76,19 @@ def timestamp_features(
     call. Day-of-year subtracts the start of the call's first year and, from
     each later year start the call covers on, the length of the year before
     it, so no calendar conversion runs per step. Raises
-    ``WindowError`` for a horizon below 1 or an ``issue_index`` that is
-    neither an int nor a non-empty 1-D int array, and ``AlignmentError`` for
-    a step that is not positive.
+    ``WindowError`` for a horizon that is not an integer >= 1 (a bool is not
+    one) or an ``issue_index`` that is neither an int nor a non-empty 1-D
+    int array, and ``AlignmentError`` for a step that is not positive.
     """
-    if horizon < 1:
-        raise WindowError(f"horizon must be >= 1, got {horizon}")
+    if not _is_int(horizon) or horizon < 1:
+        raise WindowError(f"horizon must be an integer >= 1, got {horizon!r}")
     if step <= timedelta(0):
         raise AlignmentError(f"grid step must be positive, got {step}")
     issue = np.asarray(issue_index)
     if issue.ndim > 1 or issue.size == 0 or issue.dtype.kind not in "iu":
         raise WindowError(f"issue_index must be an int or a non-empty 1-D int array, got {issue.dtype} {issue.shape}")
-    anchor = start if start is not None else DEFAULT_SYNTH_START
     step_us = step // _US
-    first_us = (anchor.replace(tzinfo=None) - _EPOCH) // _US + step_us  # wall clock of grid index 1
+    first_us = (start.replace(tzinfo=None) - _EPOCH) // _US + step_us  # wall clock of grid index 1
     # a (horizon,) grid for one issue index, (B, horizon) for B of them
     us = np.arange(first_us, first_us + horizon * step_us, step_us) + issue.astype(np.int64)[..., None] * step_us
     day, sec = np.divmod(us // 1_000_000, 86400)

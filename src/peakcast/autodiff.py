@@ -33,12 +33,13 @@ outputs: the hidden sequence and the last step's hidden and cell states.
 live for one call, one per head up to the usable CPUs, when two or more
 CPUs are usable, there are two or more heads and a head has at least
 ``_BLOCK_ELEMS`` scores; smaller calls run their heads serially. Either
-way the results are the same bit for bit, and dropout masks are drawn in
-head order by the calling thread, so a seed gives the same run on any CPU
-count; pin a process to one CPU to run it serially. Every thread is joined
-before the call returns or raises. The threads assume a single-threaded
-BLAS (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a BLAS that threads each
-product too competes with them for the CPUs.
+way the results are the same bit for bit: each head draws its dropout
+masks from a seed of its own, which the calling thread draws for every
+head up front, so a seed gives the same run on any CPU count; pin a
+process to one CPU to run it serially. Every thread is joined before the
+call returns or raises. The threads assume a single-threaded BLAS (for
+OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a BLAS that threads each product
+too competes with them for the CPUs.
 
 Shapes follow numpy row-major conventions. Elementwise ops take equal
 shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
@@ -53,7 +54,7 @@ import itertools
 import math
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -410,42 +411,32 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_heads(head: Callable[..., None], calls: Iterable[tuple], buffers: list) -> None:
-    """Run ``head(buf, *args)`` for every ``args`` that ``calls`` yields and
-    return when all are done. ``buf`` is one of ``buffers`` that no running
-    call holds, so the calls running at once are at most len(buffers).
+def _run_heads(head: Callable[[object, int], None], n_calls: int, buffers: list) -> None:
+    """Run ``head(buf, i)`` for every i in range(n_calls) and return when all
+    are done. Worker w runs calls w, w + W, ... with ``buffers[w]``, where
+    W = len(buffers).
 
-    Given one buffer, every call runs in this thread. Given more, the calls
-    run on as many threads, which this call starts and joins before it
-    returns or raises. Each call is submitted as soon as ``calls`` yields
-    it, so the work ``calls`` does in this thread before its next yield
-    overlaps the heads already submitted. The caller allocates
-    ``buffers``: memory a worker thread allocates stays in that thread's
-    malloc arena once freed.
+    Given one buffer, every call runs in this thread. Given more, the
+    workers run on as many threads, which this call starts and joins before
+    it returns or raises. The caller allocates ``buffers``: memory a worker
+    thread allocates stays in that thread's malloc arena once freed.
     """
-    if len(buffers) < 2:
-        for args in calls:
-            head(buffers[0], *args)
+    workers = len(buffers)
+
+    def run(w: int) -> None:
+        for i in range(w, n_calls, workers):
+            head(buffers[w], i)
+
+    if workers < 2:
+        run(0)
         return
     # imported here: concurrent.futures imports logging, ~0.75 MB that a
     # process whose heads all run serially need not load; tests swap the
     # executor class by patching concurrent.futures, which this reads
-    import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    free = queue.SimpleQueue()
-    for buf in buffers:
-        free.put(buf)
-
-    def run(*args) -> None:
-        buf = free.get()
-        try:
-            head(buf, *args)
-        finally:
-            free.put(buf)
-
-    with ThreadPoolExecutor(len(buffers), thread_name_prefix="attention-head") as pool:
-        for future in [pool.submit(run, *args) for args in calls]:
+    with ThreadPoolExecutor(workers, thread_name_prefix="attention-head") as pool:
+        for future in [pool.submit(run, w) for w in range(workers)]:
             future.result()
 
 
@@ -474,14 +465,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         P_i = softmax(Q_i K_i^T / sqrt(d_head)),  out_i = (P_i * M_i) V_i / (1 - rate)
     into column block i of the output. M_i is 1 everywhere when ``rate`` is
     0; when ``rate`` > 0, ``rng`` must be given (``ContractError``
-    otherwise) and each head draws its boolean keep mask once, in head
-    order, as uint16 draws at or above round(rate * 65536)
+    otherwise). It is drawn from once, for one seed per head,
+    ``rng.integers(0, 2**63, size=n_heads)``; head i seeds a generator of
+    its own with seeds[i] and draws M_i from it one block of rows of q at a
+    time, in row order, as uint16 draws at or above round(rate * 65536)
     (:func:`_keep_mask`), so the drop rate holds to within 1/65,536. The
     scale 1 / (1 - rate) multiplies the output, not P_i. This rule fixes
     which weights a seeded generator drops: a float rule such as
     ``rng.random(shape) >= rate`` drops others at the same rate, so a
-    training run repeats for a seed only under the same rule. Rate 0 draws
-    nothing from ``rng``.
+    training run repeats for a seed only under the same rule. The masks
+    depend on the seed, the shapes and ``_BLOCK_ELEMS``, which sets the
+    row blocks, and not on the CPU count. Rate 0 draws nothing from
+    ``rng``.
 
     The softmax shifts each row of scores S_i = Q_i K_i^T / sqrt(d_head) by
     an upper bound of the row, c_r = sum_c max(q_rc max_j k_jc, q_rc min_j
@@ -497,26 +492,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     max" of FlashDecoding++ (Hong et al., arXiv:2311.01282), with a bound
     per row.
 
-    Each head runs over blocks of rows of q, so that a block's
-    (B, rows, t_k) scores take about 1 MB (``_BLOCK_ELEMS``); one reused
-    buffer holds a block of E_i, masked in place under dropout. No
-    (t_q, t_k) float array outlives its block. Besides the operands and the
-    output, the tape keeps ``stats``, of shape (2, n_heads, B, t_q, 1), with
-    each row's shift (bound or exact max) in stats[0] and its sum of E_i in
-    stats[1], and under dropout each head's keep mask packed to one bit per
-    weight: ``np.packbits`` along t_k at the end of the head's forward, so
-    ceil(t_k / 8) bytes per row. It keeps no scaled copy of q: backward
-    rebuilds q * scale from q's values, which gives the same bits, then
-    [Q_i, -c] and [K_i, 1] from it and the kept shift, and runs the same
-    product and exp on the same block shapes, so its E_i equals the
-    forward's bit for bit and matches the kept row sums. It unpacks a
-    head's mask one row block at a time, once per block. It
-    folds 1 / rowsum and the dropout scale into g_i and into the softmax
-    row term rowsum(dP_i * P_i) = g_i . out_i, so the scores' gradient is
-    dS_i = E_i * (g'_i V_i^T [* M_i] - rowdot'_i) without forming P_i. It
-    writes dq block by block and sums dk and dv over the blocks in reused
-    (B, t_k, d_head) buffers, each block's product made with ``out=`` in a
-    third one.
+    Each head runs over blocks of rows of q, so that a block's (B, rows,
+    t_k) scores take about 1 MB (``_BLOCK_ELEMS``); one reused buffer holds
+    a block of E_i, masked in place under dropout by that block's keep mask,
+    drawn just before. No (t_q, t_k) float or boolean array outlives its
+    block. Besides the operands and the output, the tape keeps ``stats``, of
+    shape (2, n_heads, B, t_q, 1), with each row's shift (bound or exact
+    max) in stats[0] and its sum of E_i in stats[1], and under dropout
+    ``keeps``, each head's keep mask packed to one bit per weight:
+    ``np.packbits`` along t_k, block by block, into a (n_heads, B, t_q,
+    ceil(t_k / 8)) uint8 array that the calling thread allocates. A head
+    that reruns at its exact max seeds its generator afresh, so it redraws
+    the same masks. It keeps no scaled copy of q: backward rebuilds q *
+    scale from q's values, which gives the same bits, then [Q_i, -c] and
+    [K_i, 1] from it and the kept shift, and runs the same product and exp
+    on the same block shapes, so its E_i equals the forward's bit for bit
+    and matches the kept row sums. It unpacks a head's mask one row block at
+    a time, once per block. It folds 1 / rowsum and the dropout scale into
+    g_i and into the softmax row term rowsum(dP_i * P_i) = g_i . out_i, so
+    the scores' gradient is dS_i = E_i * (g'_i V_i^T [* M_i] - rowdot'_i)
+    without forming P_i. It writes dq block by block and sums dk and dv over
+    the blocks in reused (B, t_k, d_head) buffers, each block's product made
+    with ``out=`` in a third one.
     This is the row-block recompute of FlashAttention (Dao et al.,
     arXiv:2205.14135) without the online softmax.
 
@@ -524,24 +521,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     block by block into a full (B, t_q, t_k) array; the arrays are appended
     to it in head order.
 
-    Heads are independent, so they run on threads that live for one call,
-    one per head up to the usable CPUs (:func:`_run_heads`), in forward and
-    in backward, when two or more CPUs are usable and a head has at least
-    ``_BLOCK_ELEMS`` scores (B t_q t_k). Smaller calls, and calls with one
-    head, run their heads one after another in the calling thread, through
-    the same per-head code; to run a process serially, pin it to one CPU.
-    Pooled or not, results are the same bit for bit: each head's arithmetic
-    does not depend on the thread that runs it, and heads write disjoint
-    column blocks of the output, ``stats`` and the gradients. The calling
-    thread draws each head's keep mask in head order before it submits
-    that head, so a seed gives the same run on any CPU count, and the draws
-    overlap the heads already running. Each head in flight holds one of
-    the block buffers that the calling thread allocates and reuses (three
-    in backward). Every thread is joined before the forward or the
-    backward returns or raises, so none outlives the call. The threads
-    rely on numpy releasing the GIL in its products, exp and elementwise
-    loops, and assume a single-threaded BLAS: a BLAS that threads each
-    product as well contends with them for the same CPUs.
+    Heads are independent, so they run on W threads that live for one call,
+    W = min(n_heads, usable CPUs), worker w taking heads w, w + W, ...
+    (:func:`_run_heads`), in forward and in backward, when two or more CPUs
+    are usable and a head has at least ``_BLOCK_ELEMS`` scores (B t_q t_k).
+    Smaller calls, and calls with one head, run their heads one after
+    another in the calling thread, through the same per-head code; to run a
+    process serially, pin it to one CPU. Pooled or not, results are the same
+    bit for bit: each head's arithmetic and draws do not depend on the
+    thread that runs it, and heads write disjoint column blocks of the
+    output, ``stats`` and the gradients, and disjoint heads of ``keeps``.
+    Each worker reuses one set of the block buffers that the calling thread
+    allocates (three in backward). Every thread is joined before the forward
+    or the backward returns or raises, so none outlives the call. The
+    threads rely on numpy releasing the GIL in its products, exp and
+    elementwise loops, and assume a single-threaded BLAS: a BLAS that
+    threads each product as well contends with them for the same CPUs.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
@@ -550,8 +545,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     t_k = k.shape[1]
     if t_k == 0:
         raise DimensionError(f"attention: k {k.shape} has no keys to attend to")
-    if n_heads < 1 or d < n_heads or d % n_heads:
-        raise DimensionError(f"attention: width {d} does not split into n_heads = {n_heads} heads")
+    if (isinstance(n_heads, bool) or not isinstance(n_heads, (int, np.integer)) or n_heads < 1 or d < n_heads
+            or d % n_heads):
+        raise DimensionError(f"attention: width {d} does not split into n_heads = {n_heads!r} heads")
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"attention: dropout rate must be in [0, 1), got {rate}")
     drop = rate > 0.0
@@ -587,56 +583,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
         return np.exp(e, out=e)
 
     y = np.empty(q.shape)
+    # under dropout, one seed per head and each head's keep mask packed to one bit per weight
+    seeds = rng.integers(0, 2 ** 63, size=n_heads) if drop else None
+    keeps = np.empty((n_heads, B, t_q, -(-t_k // 8)), np.uint8) if drop else None
+    maps = None if trace is None else [np.empty((B, t_q, t_k)) for _ in range(n_heads)]
 
-    def head_pass(e_buf: np.ndarray, i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
-        """Head i's unnormalised output into y and its row sums into stats[1]."""
+    def head_pass(e_buf: np.ndarray, i: int) -> None:
+        """Head i's unnormalised output into y, its row sums into stats[1]
+        and, under dropout, its keep mask into keeps[i], drawn block by
+        block from a generator seeded afresh with seeds[i]."""
         cols, row_sum = heads[i], stats[1, i]
         qa, kat = shifted(qs, i)
         va = None if drop else _with_ones(vv[..., cols])
+        head_rng = np.random.default_rng(seeds[i]) if drop else None
         for r in row_blocks:
             e = exps(e_buf, qa, kat, r)
-            if full is not None:
-                full[:, r] = e
+            if maps is not None:
+                maps[i][:, r] = e
             if drop:
                 np.sum(e, axis=-1, keepdims=True, out=row_sum[:, r])
-                e *= keep[:, r]
+                keep = _keep_mask(head_rng, e.shape, rate)
+                e *= keep
+                keeps[i, :, r] = np.packbits(keep, axis=-1)
                 y[:, r, cols] = np.matmul(e, vv[..., cols])
             else:
                 ya = np.matmul(e, va)
                 y[:, r, cols] = ya[..., :-1]
                 row_sum[:, r] = ya[..., -1:]
 
-    def head_forward(e_buf: np.ndarray, i: int, keep: np.ndarray | None, full: np.ndarray | None) -> None:
+    def head_forward(e_buf: np.ndarray, i: int) -> None:
         """Head i's output into column block i of y, with the exact-max rerun
-        when its bound underflows, and its P_i into ``full`` when traced.
-        The keep mask is packed into ``keeps`` at the end."""
+        when its bound underflows, and its P_i into maps[i] when traced."""
         cols = heads[i]
-        head_pass(e_buf, i, keep, full)
+        head_pass(e_buf, i)
         if np.any(stats[1, i] < _MIN_ROW_SUM):
             kt = np.swapaxes(kv[..., cols], -1, -2)
             for r in row_blocks:
                 s = np.matmul(qs[:, r, cols], kt, out=block(e_buf, r))
                 np.max(s, axis=-1, keepdims=True, out=stats[0, i, :, r])
-            head_pass(e_buf, i, keep, full)
+            head_pass(e_buf, i)
         y[..., cols] /= stats[1, i]
         if drop:
             y[..., cols] *= keep_scale
-            keeps[i] = np.packbits(keep, axis=-1)
-        if full is not None:
-            full /= stats[1, i]
+        if maps is not None:
+            maps[i] /= stats[1, i]
 
-    keeps: list[np.ndarray | None] = []
-    maps: list[np.ndarray | None] = []
-
-    def forward_calls():
-        """Each head's arguments in head order, its keep mask drawn here, in
-        the calling thread, just before the head is yielded."""
-        for i in range(n_heads):
-            keeps.append(_keep_mask(rng, (B, t_q, t_k), rate) if drop else None)
-            maps.append(None if trace is None else np.empty((B, t_q, t_k)))
-            yield i, keeps[i], maps[i]
-
-    _run_heads(head_forward, forward_calls(), [np.empty(block_size) for _ in range(workers)])
+    _run_heads(head_forward, n_heads, [np.empty(block_size) for _ in range(workers)])
     if trace is not None:
         trace.extend(maps)
 
@@ -677,7 +669,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
             if dv is not None:
                 dv[..., cols] = dv_i
 
-        _run_heads(head_backward, ((i,) for i in range(n_heads)),
+        _run_heads(head_backward, n_heads,
                    [(np.empty(block_size), np.empty(block_size), np.empty((3, B, t_k, d_head))) for _ in range(workers)])
         if dq is not None:
             dq *= scale

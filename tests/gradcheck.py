@@ -1,6 +1,7 @@
 """Test helpers for gradient checks: a summing op, the smooth tanh and
-sigmoid ops that build unfused oracles and finite-difference losses, and
-the finite-difference oracle that every autodiff op is checked against."""
+sigmoid ops that build unfused oracles and finite-difference losses, the
+finite-difference oracle that every autodiff op is checked against, and
+the reference keep masks of attention dropout."""
 
 from __future__ import annotations
 
@@ -29,6 +30,23 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.values))
     y = np.where(x.values >= 0, 1.0, e) / (1.0 + e)
     return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * y * (1.0 - y)))
+
+
+def attention_keep_masks(rng: np.random.Generator, n_heads: int, B: int, t_q: int, t_k: int,
+                         rate: float) -> list[np.ndarray]:
+    """Each head's (B, t_q, t_k) boolean keep mask, as ``ad.attention``
+    draws them: one seed per head from ``rng``, then, from a generator
+    seeded with it, one draw per block of rows of q in row order, sized by
+    ``ad._BLOCK_ELEMS``, of uint16 values kept at or above
+    round(rate * 65536). Needs t_q >= 1."""
+    rows = max(1, ad._BLOCK_ELEMS // max(1, B * t_k))
+    masks = []
+    for seed in rng.integers(0, 2 ** 63, size=n_heads):
+        head_rng = np.random.default_rng(seed)
+        blocks = [head_rng.integers(0, 65536, (B, min(rows, t_q - lo), t_k), dtype=np.uint16)
+                  for lo in range(0, t_q, rows)]
+        masks.append(np.concatenate(blocks, axis=1) >= round(rate * 65536))
+    return masks
 
 
 def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:

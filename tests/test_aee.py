@@ -13,15 +13,15 @@ from peakcast.data import DEFAULT_SYNTH_START, AlignmentError, WindowError
 from gradcheck import finite_diff_check, sigmoid, sum_all, tanh
 
 STEP = timedelta(minutes=15)
+START = DEFAULT_SYNTH_START
 SPAN_US = 60 * 365 * 86_400_000_000  # grid offsets stay within ~60 years of the anchor
 
 
-def timestamp_features_loop(issue_index, horizon, step=STEP, start=None):
+def timestamp_features_loop(issue_index, horizon, step, start):
     """Per-step oracle for ``timestamp_features``, on Python datetimes."""
-    anchor = start if start is not None else DEFAULT_SYNTH_START
     out = np.empty((horizon, aee.TIMESTAMP_FEATURE_WIDTH))
     for k in range(horizon):
-        ts = anchor + (issue_index + 1 + k) * step
+        ts = start + (issue_index + 1 + k) * step
         tod = (ts.hour * 3600 + ts.minute * 60 + ts.second) / 86400.0
         doy = (ts.timetuple().tm_yday - 1 + tod) / 366.0
         out[k] = (k / horizon,
@@ -116,12 +116,12 @@ class TestEncode:
 
 class TestTimestampFeatures:
     def test_first_component_zero_at_origin(self):
-        f = aee.timestamp_features(0, 8)
+        f = aee.timestamp_features(0, 8, STEP, START)
         assert f[0, 0] == 0.0
         assert np.allclose(f[:, 0], np.arange(8) / 8)
 
     def test_unit_circle_rows(self):
-        f = aee.timestamp_features(123, 50)
+        f = aee.timestamp_features(123, 50, STEP, START)
         assert np.allclose(f[:, 1] ** 2 + f[:, 2] ** 2, 1.0, atol=1e-12)
         assert np.allclose(f[:, 3] ** 2 + f[:, 4] ** 2, 1.0, atol=1e-12)
 
@@ -131,8 +131,9 @@ class TestTimestampFeatures:
         assert np.allclose(f[96, 1:3], f[0, 1:3], atol=1e-9)
 
     def test_width(self):
-        assert aee.timestamp_features(0, 4).shape == (4, aee.TIMESTAMP_FEATURE_WIDTH)
+        assert aee.timestamp_features(0, 4, STEP, START).shape == (4, aee.TIMESTAMP_FEATURE_WIDTH)
 
+    # a start of None stands for the synthetic series' start, START
     @pytest.mark.parametrize("issue_index, horizon, step, start", [
         (0, 288, STEP, None),
         (-5000, 300, STEP, None),  # negative issue index, back across a year boundary
@@ -145,13 +146,14 @@ class TestTimestampFeatures:
         (-3, 200, timedelta(seconds=7.5), datetime(1969, 12, 31, 23, 59, 59, 500_000)),  # before the epoch
     ])
     def test_matches_per_step_loop(self, issue_index, horizon, step, start):
+        start = START if start is None else start
         got = aee.timestamp_features(issue_index, horizon, step=step, start=start)
         assert np.array_equal(got, timestamp_features_loop(issue_index, horizon, step, start))
 
     # naive, UTC and non-UTC anchors from 1900 to 2100, with microseconds;
     # steps of 1 us to 3 days; issue indices up to ~60 years either side
     @given(
-        start=st.none() | st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1), timezones=st.none() | st.sampled_from(
+        start=st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1), timezones=st.none() | st.sampled_from(
             [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-9))])),
         step_issue=st.integers(1, 3 * 86_400_000_000).flatmap(
             lambda us: st.tuples(st.just(timedelta(microseconds=us)), st.integers(-SPAN_US // us, SPAN_US // us))),
@@ -197,6 +199,7 @@ class TestTimestampFeatures:
         ([5], 1, timedelta(days=400), datetime(1969, 12, 31, 23, 59, 59, 999_999)),
     ])
     def test_batch_matches_stacked_calls(self, issues, horizon, step, start):
+        start = START if start is None else start
         got = aee.timestamp_features(np.array(issues), horizon, step=step, start=start)
         want = np.stack([aee.timestamp_features(i, horizon, step=step, start=start) for i in issues])
         assert got.shape == (len(issues), horizon, aee.TIMESTAMP_FEATURE_WIDTH) and got.flags.c_contiguous
@@ -205,38 +208,53 @@ class TestTimestampFeatures:
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_rejects_horizon_below_one(self, horizon):
         with pytest.raises(WindowError, match="horizon"):
-            aee.timestamp_features(0, horizon)
+            aee.timestamp_features(0, horizon, STEP, START)
+
+    @pytest.mark.parametrize("horizon", [2.5, 8.0, True, "8"], ids=["fraction", "integral_float", "bool", "str"])
+    def test_rejects_horizon_that_is_not_an_integer(self, horizon):
+        with pytest.raises(WindowError, match="horizon must be an integer"):
+            aee.timestamp_features(0, horizon, STEP, START)
+
+    def test_accepts_numpy_integer_horizon(self):
+        got = aee.timestamp_features(0, np.int64(8), STEP, START)
+        assert np.array_equal(got, aee.timestamp_features(0, 8, STEP, START))
+
+    def test_step_and_start_are_required(self):
+        with pytest.raises(TypeError):
+            aee.timestamp_features(0, 8)
+        with pytest.raises(TypeError):
+            aee.timestamp_features(0, 8, STEP)
 
     @pytest.mark.parametrize("step", [timedelta(0), timedelta(minutes=-15)])
     def test_rejects_step_that_is_not_positive(self, step):
         with pytest.raises(AlignmentError, match="step"):
-            aee.timestamp_features(0, 8, step=step)
+            aee.timestamp_features(0, 8, step, START)
 
     @pytest.mark.parametrize("issue_index", [np.zeros((2, 3), dtype=int), np.array([], dtype=int), 1.5,
                                              np.array([1.0, 2.0])], ids=["2d", "empty", "float", "float_array"])
     def test_rejects_issue_index_that_is_not_int_or_int_vector(self, issue_index):
         with pytest.raises(WindowError, match="issue_index"):
-            aee.timestamp_features(issue_index, 8)
+            aee.timestamp_features(issue_index, 8, STEP, START)
 
 
 class TestDecode:
     def test_output_shape(self):
         params = random_params(7, 2, seed=1)
         latents = aee.encode(np.random.default_rng(2).normal(size=(2, 2, 9)), params)
-        ts = np.stack([aee.timestamp_features(10 + i, 5) for i in range(2)])
+        ts = np.stack([aee.timestamp_features(10 + i, 5, STEP, START) for i in range(2)])
         assert aee.decode(latents, ts, params).shape == (2, 5, 7)
 
     def test_zero_params_zero_embedding(self):
         params = zero_params(3, 2)
         latents = aee.encode(np.zeros((1, 2, 6)), params)
-        ts = aee.timestamp_features(0, 4)[None, ...]
+        ts = aee.timestamp_features(0, 4, STEP, START)[None, ...]
         out = aee.decode(latents, ts, params)
         assert np.array_equal(out.values, np.zeros((1, 4, 3)))
 
     def test_latent_sensitivity_at_first_row(self):
         params = random_params(4, 2, seed=3)
         win = np.random.default_rng(4).normal(size=(1, 2, 8))
-        ts = aee.timestamp_features(5, 6)[None, ...]
+        ts = aee.timestamp_features(5, 6, STEP, START)[None, ...]
         base = aee.decode(aee.encode(win, params), ts, params).values
         bumped = aee.encode(win + 1.0, params)
         out = aee.decode(bumped, ts, params).values
@@ -248,7 +266,7 @@ class TestDecode:
         params = random_params(4, 2, seed=5)
         win = np.random.default_rng(6).normal(size=(1, 2, 8))
         latents = aee.encode(win, params)
-        ts = aee.timestamp_features(3, 5)[None, ...]
+        ts = aee.timestamp_features(3, 5, STEP, START)[None, ...]
         a = aee.decode(latents, ts, params).values
         b = aee.decode(latents, ts, params).values
         assert np.array_equal(a, b)
@@ -265,7 +283,7 @@ def test_fused_recurrence_matches_unrolled_cells():
     params = random_params(hidden, 2, seed=11)
     rng = np.random.default_rng(12)
     win = rng.normal(size=(3, 2, 7))
-    ts = np.stack([aee.timestamp_features(40 + 9 * i, 4) for i in range(3)])
+    ts = np.stack([aee.timestamp_features(40 + 9 * i, 4, STEP, START) for i in range(3)])
     w_out = rng.normal(size=(3, 4, hidden))
     w_lat = rng.normal(size=(2, 3, hidden))
 
@@ -310,7 +328,7 @@ def test_encode_and_decode_record_one_node_each():
     with ad.record(tape):
         latents = aee.encode(np.ones((2, 2, 50)), params)
         n_encode = len(tape)
-        aee.decode(latents, np.stack([aee.timestamp_features(0, 20)] * 2), params)
+        aee.decode(latents, np.stack([aee.timestamp_features(0, 20, STEP, START)] * 2), params)
     assert n_encode == 1
     assert len(tape) - n_encode == 1
 
@@ -338,7 +356,7 @@ def test_gradients_through_full_autoencoder():
     # tiny config: t=8, h=4, hidden=3; finite differences within 1e-4
     params = random_params(3, 2, seed=7)
     win = np.random.default_rng(8).normal(size=(1, 2, 8))
-    ts = aee.timestamp_features(7, 4)[None, ...]
+    ts = aee.timestamp_features(7, 4, STEP, START)[None, ...]
     head_b = ad.parameter(np.array([0.05]))
     target = np.random.default_rng(9).normal(size=(1, 4))
 

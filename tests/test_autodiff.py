@@ -1,5 +1,6 @@
 import concurrent.futures
 import inspect
+import itertools
 import math
 import os
 import signal
@@ -26,7 +27,7 @@ from peakcast.autodiff import (
     record,
 )
 
-from gradcheck import finite_diff_check, sigmoid, sum_all, tanh
+from gradcheck import attention_keep_masks, finite_diff_check, sigmoid, sum_all, tanh
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -746,6 +747,22 @@ def _attention_grads(ops, g, trace=None, rate=0.4):
     return out.values, q.grad, k.grad, v.grad
 
 
+# 1-row blocks, and 2-row blocks that leave a 1-row tail of the 5 query rows
+@pytest.mark.parametrize("rows", [1, 2], ids=["one_row", "uneven_tail"])
+def test_attention_draws_each_keep_mask_one_row_block_at_a_time(rows, monkeypatch):
+    # with blocks smaller than a head, no (B, t_q, t_k) mask is drawn: each
+    # _keep_mask call covers one block of rows of q, in row order, head by
+    # head, and backward draws none
+    small_row_blocks(monkeypatch, rows, 2, 5)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+    shapes, keep_mask = [], ad._keep_mask
+    monkeypatch.setattr(ad, "_keep_mask", lambda rng, shape, rate: shapes.append(shape) or keep_mask(rng, shape, rate))
+    ops = _attention_operands(5, t_q=5)
+    _attention_grads(ops, np.ones(ops["q"].shape))
+    head = [(2, 1, 5)] * 5 if rows == 1 else [(2, 2, 5), (2, 2, 5), (2, 1, 5)]
+    assert shapes == head * 2
+
+
 @pytest.mark.parametrize("rows", [None, 2], ids=["one_block", "uneven_tail"])
 def test_attention_trace_changes_nothing(rows, monkeypatch):
     ops = _attention_operands(5, t_q=5)
@@ -849,19 +866,20 @@ def test_attention_gradient_through_one_shared_operand():
 
 def softmax_attention(q, k, v, n_heads, rate=0.0, rng=None):
     """Plain-numpy reference of ad.attention: per head, softmax(Q_i K_i^T /
-    sqrt(d_head)) shifted by each row's exact max, times V_i, with keep masks
-    drawn in head order when ``rng`` is given. Returns the output and every
-    head's P_i."""
+    sqrt(d_head)) shifted by each row's exact max, times V_i, with the
+    reference keep masks (gradcheck.attention_keep_masks) when ``rng`` is
+    given. Returns the output and every head's P_i."""
     d_head = q.shape[-1] // n_heads
     out, maps = np.empty(q.shape), []
-    for lo in range(0, q.shape[-1], d_head):
+    keeps = None if rng is None else attention_keep_masks(rng, n_heads, *q.shape[:2], k.shape[1], rate)
+    for i, lo in enumerate(range(0, q.shape[-1], d_head)):
         cols = slice(lo, lo + d_head)
         s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(d_head)
         p = np.exp(s - s.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
         maps.append(p)
-        if rng is not None:
-            p = p * ad._keep_mask(rng, p.shape, rate) / (1.0 - rate)
+        if keeps is not None:
+            p = p * keeps[i] / (1.0 - rate)
         out[..., cols] = p @ v[..., cols]
     return out, maps
 
@@ -987,6 +1005,8 @@ def test_attention_empty_operands_give_empty_results(B, t_q):
     ("v", (2, 5, 2), 2),
     (None, None, 3),  # width 4 not divisible by 3 heads
     (None, None, 0),
+    (None, None, 2.0),  # a head count that is not an integer
+    (None, None, True),
 ])
 def test_attention_rejects_bad_shapes(operand, shape, n_heads):
     ops = _attention_operands(5)
@@ -1110,8 +1130,8 @@ class _LastFirstFuture(Future):
 
 @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
 def test_attention_heads_finishing_out_of_order_change_nothing(rate, monkeypatch):
-    # keep masks must be drawn before each head is submitted, and trace
-    # maps kept in head order, whatever order the heads run and finish in
+    # each head draws its keep mask from its own seed, and trace maps are
+    # kept in head order, whatever order the heads run and finish in
     ops = _pool_sized_operands(1, fallback=False)
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
     serial = _attention_grads(ops, np.ones(ops["q"].shape), trace := [], rate)
@@ -1133,6 +1153,17 @@ def test_attention_pool_with_more_threads_than_cpus_matches_serial(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert pool_calls == [8, 8]  # forward and backward
+    for want, got in zip(serial, pooled, strict=True):
+        assert np.array_equal(want, got)
+
+
+def test_attention_pooled_heads_in_small_row_blocks_match_serial(monkeypatch):
+    # three workers split four heads unevenly (worker 0 runs heads 0 and 3),
+    # each head in four row blocks, with head 0 rerun at its exact max
+    ops = _pool_sized_operands(1, fallback=True)
+    small_row_blocks(monkeypatch, 100, 1, ops["k"].shape[1])
+    (pooled, pool_calls), (serial, _) = _pooled_and_serial(monkeypatch, ops, 0.4, pooled_cpus=3)
+    assert pool_calls == [3, 3]  # forward and backward
     for want, got in zip(serial, pooled, strict=True):
         assert np.array_equal(want, got)
 
@@ -1192,15 +1223,16 @@ class _DrawFailed(Exception):
 @pytest.mark.parametrize("stage", ["forward", "backward", "third_draw_raises"])
 def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
     # a pooled call's threads live for that call alone: none is alive once
-    # its forward or backward returns, or once it raises mid-submission
+    # its forward or backward returns, or once the third keep-mask draw,
+    # made on a head thread, raises and the error reaches the caller
     ops = _pool_sized_operands(1, fallback=False)
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
     if stage == "third_draw_raises":
-        draws, keep_mask = [], ad._keep_mask
+        draws, raised_on, keep_mask = itertools.count(), [], ad._keep_mask
 
         def failing_keep_mask(*args):
-            draws.append(1)
-            if len(draws) == 3:
+            if next(draws) == 2:
+                raised_on.append(threading.current_thread())
                 raise _DrawFailed
             return keep_mask(*args)
 
@@ -1224,7 +1256,7 @@ def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
     else:
         with pytest.raises(_DrawFailed):
             forward()
-        assert len(draws) == 3
+        assert len(raised_on) == 1 and raised_on[0] in started
     assert started and not any(t.is_alive() for t in started)
     assert threading.active_count() == before
 

@@ -19,7 +19,7 @@ from peakcast import autodiff as ad
 from peakcast import model
 from peakcast.model import CheckpointError, PfConfig
 
-from gradcheck import finite_diff_check
+from gradcheck import attention_keep_masks, finite_diff_check
 
 
 def toy_cfg(mode="efe_aee", **kw):
@@ -46,11 +46,12 @@ def loss_of(params, cfg, batch, rng=None, training=False):
 
 def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, rng=None):
     """Textbook per-head attention in numpy; head i owns column block i of wq/wk/wv.
-    With ``rng``, each head's weights go through inverted dropout, one mask per
-    head drawn in head order: uint16 draws at or above round(rate * 65536) are kept."""
+    With ``rng``, each head's weights go through inverted dropout with the
+    reference keep masks (gradcheck.attention_keep_masks)."""
     d = q_in.shape[-1]
     d_head = d // n_heads
     heads = []
+    keeps = None if rng is None else attention_keep_masks(rng, n_heads, *q_in.shape[:2], kv_in.shape[1], rate)
     for i in range(n_heads):
         cols = slice(i * d_head, (i + 1) * d_head)
         q = q_in @ params[f"{prefix}.wq"].values[:, cols]
@@ -60,9 +61,8 @@ def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, r
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         trace.append(probs)
-        if rng is not None:
-            keep = rng.integers(0, 65536, probs.shape, dtype=np.uint16) >= round(rate * 65536)
-            probs = probs * (keep / (1.0 - rate))
+        if keeps is not None:
+            probs = probs * (keeps[i] / (1.0 - rate))
         heads.append(probs @ v)
     return np.concatenate(heads, axis=-1) @ params[f"{prefix}.wo"].values + params[f"{prefix}.bo"].values
 
