@@ -29,18 +29,19 @@ product), :func:`attention` every head of a multi-head attention block,
 and :func:`lstm_sequence` a whole LSTM layer, whose node serves its three
 outputs: the hidden sequence and the last step's hidden and cell states.
 
-:func:`attention` runs its heads, forward and backward, on threads that
-live for one call, one per head up to the usable CPUs, when two or more
-CPUs are usable, there are two or more heads and a head has at least
-``_BLOCK_ELEMS`` scores; smaller calls run their heads serially. Either
-way the results are the same bit for bit: each head draws its dropout
+:func:`attention` runs its heads, forward and backward, on W workers,
+W = min(n_heads, usable CPUs) when a head has at least ``_BLOCK_ELEMS``
+scores and W = 1 otherwise. The calling thread is worker 0; the other
+W - 1 run on threads that live for one call, so W = 1 starts no thread.
+Any W gives the same results bit for bit: each head draws its dropout
 masks from a seed of its own, which the calling thread draws for every
 head up front, so a seed gives the same run on any CPU count; pin a
-process to one CPU to run it serially. Every thread is joined before the
-call returns or raises. The threads assume a single-threaded BLAS (for
-OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a BLAS that threads each product
-too competes with them for the CPUs.
+process to one CPU to run every head in the calling thread. Every thread
+is joined before the call returns or raises. The threads assume a
+single-threaded BLAS (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a BLAS
+that threads each product too competes with them for the CPUs.
 
+Ops take Tensor operands only: wrap a constant array with :func:`tensor`.
 Shapes follow numpy row-major conventions. Elementwise ops take equal
 shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
 no silent broadcasting ever happens. The one unfused nonlinearity is
@@ -151,12 +152,6 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``. The first gradient becomes ``t.grad`` as
     it is, so the caller must have allocated ``g`` for ``t`` alone."""
@@ -203,8 +198,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     One tape node serves the output; its backward is two products and a
     column sum on the flattened gradient.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    b = None if b is None else _as_tensor(b)
     operands = (x, w) if b is None else (x, w, b)
     xv, wv = x.values, w.values
     if xv.ndim < 1 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or (b is not None and b.shape != (wv.shape[1],)):
@@ -234,8 +227,7 @@ def _same_shape(a: Tensor, b: Tensor, name: str) -> None:
         raise DimensionError(f"{name}: shapes {a.values.shape} and {b.values.shape} differ")
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
 
     def vjp(g: np.ndarray) -> None:
@@ -247,8 +239,7 @@ def add(a, b) -> Tensor:
     return _emit(Tensor(a.values + b.values), (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     av, bv = a.values, b.values
 
@@ -266,7 +257,6 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     mask = x.values > 0  # gradient at exactly 0 is 0
     return _emit(Tensor(np.where(mask, x.values, 0.0)), (x,), lambda g: _accum(x, g * mask))
 
@@ -290,7 +280,6 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> T
     and bias (d,). One node keeps xh and the row scales; backward builds
     dz = (gy - mean(gy) - xh * mean(gy * xh)) / s in place in
     gy = grad * gain, and hands x dz and the residual a copy."""
-    x, residual, gain, bias = (_as_tensor(t) for t in (x, residual, gain, bias))
     _same_shape(x, residual, "add_layer_norm")
     d = x.shape[-1] if x.values.ndim else 0
     if not d or gain.shape != (d,) or bias.shape != (d,):
@@ -329,7 +318,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
     One node keeps the hidden activations h, after ReLU and dropout, and no
     mask: backward rebuilds ReLU's and dropout's masks, joined, as h > 0
     (the gradient at exactly 0 is 0)."""
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     xv, w1v, w2v = x.values, w1.values, w2.values
     if (xv.ndim < 1 or w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1] != w1v.shape[0]
             or w2v.shape[0] != w1v.shape[1] or b1.shape != (w1v.shape[1],) or b2.shape != (w2v.shape[1],)):
@@ -376,14 +364,12 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float =
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
     # g is the output's own gradient, and its reshape may be a view of it
     return _emit(Tensor(x.values.reshape(shape)), (x,), lambda g: _accum(x, g.reshape(x.values.shape).copy()))
 
 
 def tile_leading(x: Tensor, n: int) -> Tensor:
     """Repeat x along a new leading axis: (...,) -> (n, ...)."""
-    x = _as_tensor(x)
     out = Tensor(np.broadcast_to(x.values, (n, *x.values.shape)).copy())
     return _emit(out, (x,), lambda g: _accum(x, g.sum(axis=0)))
 
@@ -416,9 +402,9 @@ def _run_heads(head: Callable[[object, int], None], n_calls: int, buffers: list)
     are done. Worker w runs calls w, w + W, ... with ``buffers[w]``, where
     W = len(buffers).
 
-    Given one buffer, every call runs in this thread. Given more, the
-    workers run on as many threads, which this call starts and joins before
-    it returns or raises. The caller allocates ``buffers``: memory a worker
+    Worker 0 runs in this thread, and workers 1 to W - 1 on as many threads,
+    which this call starts and joins before it returns or raises; one buffer
+    starts no thread. The caller allocates ``buffers``: memory a worker
     thread allocates stays in that thread's malloc arena once freed.
     """
     workers = len(buffers)
@@ -427,16 +413,16 @@ def _run_heads(head: Callable[[object, int], None], n_calls: int, buffers: list)
         for i in range(w, n_calls, workers):
             head(buffers[w], i)
 
-    if workers < 2:
-        run(0)
-        return
     # imported here: concurrent.futures imports logging, ~0.75 MB that a
-    # process whose heads all run serially need not load; tests swap the
-    # executor class by patching concurrent.futures, which this reads
+    # process that runs no attention need not load; tests swap the executor
+    # class by patching concurrent.futures, which this reads
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers, thread_name_prefix="attention-head") as pool:
-        for future in [pool.submit(run, w) for w in range(workers)]:
+    # the executor starts its threads on submit, so one worker starts none
+    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="attention-head") as pool:
+        helpers = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for future in helpers:
             future.result()
 
 
@@ -521,24 +507,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     block by block into a full (B, t_q, t_k) array; the arrays are appended
     to it in head order.
 
-    Heads are independent, so they run on W threads that live for one call,
-    W = min(n_heads, usable CPUs), worker w taking heads w, w + W, ...
-    (:func:`_run_heads`), in forward and in backward, when two or more CPUs
-    are usable and a head has at least ``_BLOCK_ELEMS`` scores (B t_q t_k).
-    Smaller calls, and calls with one head, run their heads one after
-    another in the calling thread, through the same per-head code; to run a
-    process serially, pin it to one CPU. Pooled or not, results are the same
-    bit for bit: each head's arithmetic and draws do not depend on the
-    thread that runs it, and heads write disjoint column blocks of the
-    output, ``stats`` and the gradients, and disjoint heads of ``keeps``.
-    Each worker reuses one set of the block buffers that the calling thread
-    allocates (three in backward). Every thread is joined before the forward
-    or the backward returns or raises, so none outlives the call. The
-    threads rely on numpy releasing the GIL in its products, exp and
-    elementwise loops, and assume a single-threaded BLAS: a BLAS that
+    Heads are independent, so they run on W workers, W = min(n_heads,
+    usable CPUs) when a head has at least ``_BLOCK_ELEMS`` scores (B t_q
+    t_k) and W = 1 otherwise, worker w taking heads w, w + W, ...
+    (:func:`_run_heads`), in forward and in backward. The calling thread is
+    worker 0, and workers 1 to W - 1 run on threads that live for one call,
+    so smaller calls, and calls with one head, start no thread; to run a
+    process's heads in its calling thread alone, pin it to one CPU. On any
+    W, results are the same bit for bit: each head's arithmetic and draws
+    do not depend on the thread that runs it, and heads write disjoint
+    column blocks of the output, ``stats`` and the gradients, and disjoint
+    heads of ``keeps``. Each worker reuses one set of the block buffers that
+    the calling thread allocates (three in backward). Every thread is joined
+    before the forward or the backward returns or raises, so none outlives
+    the call. The threads rely on numpy releasing the GIL in its products,
+    exp and elementwise loops, and assume a single-threaded BLAS: a BLAS that
     threads each product as well contends with them for the same CPUs.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} are not (B, t_q, d), (B, t_k, d) x 2")
     B, t_q, d = q.shape
@@ -724,7 +709,6 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     nothing: when h_seq has no consumer, its per-step gradient is never
     read.
     """
-    x_seq, h0, c0, w, u, b = (_as_tensor(t) for t in (x_seq, h0, c0, w, u, b))
     xv, uv = x_seq.values, u.values
     if xv.ndim != 3 or xv.shape[1] < 1:
         raise DimensionError(f"lstm_sequence: input {xv.shape} is not a (B, T, n_in) sequence with T >= 1")
@@ -829,7 +813,6 @@ def rmse(pred: Tensor, truth: Tensor) -> Tensor:
     The derivative at zero error is defined as 0 (subgradient choice), so a
     perfect fit never divides by zero.
     """
-    pred, truth = _as_tensor(pred), _as_tensor(truth)
     if pred.values.shape != truth.values.shape:
         raise DimensionError(f"rmse: shapes {pred.values.shape} and {truth.values.shape} differ")
     if pred.values.size == 0:

@@ -35,6 +35,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import secrets
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -364,7 +366,9 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
     """Self-describing JSON container: config, named float64 tensors, checksum.
     A parameter of the config missing from ``params``, one its config does
     not name or shape, or one with a NaN or infinite value raises
-    CheckpointError naming it, and no file is written."""
+    CheckpointError naming it, and no file is written. A synced temporary
+    file beside ``path`` is renamed over it, so a failed or interrupted save
+    leaves the previous file whole."""
     _check_params(cfg, {name: p.values for name, p in params.items()})
     config = cfg.to_dict()
     data = {name: base64.b64encode(np.ascontiguousarray(params[name].values, dtype="<f8").tobytes()).decode()
@@ -376,8 +380,17 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
         "params": data,
         "checksum": hashlib.sha256(json.dumps([config, data], sort_keys=True).encode()).hexdigest(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            json.dump(doc, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:

@@ -1,10 +1,11 @@
 """Test helpers for gradient checks: a summing op, the smooth tanh and
 sigmoid ops that build unfused oracles and finite-difference losses, the
 finite-difference oracle that every autodiff op is checked against, and
-the reference keep masks of attention dropout."""
+the reference keep masks and plain-numpy oracle of attention."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -14,19 +15,16 @@ from peakcast.autodiff import ContractError, Tensor
 
 
 def sum_all(x: Tensor) -> Tensor:
-    x = ad._as_tensor(x)
     return ad._emit(Tensor(x.values.sum()), (x,), lambda g: ad._accum(x, np.full_like(x.values, float(g))))
 
 
 def tanh(x: Tensor) -> Tensor:
-    x = ad._as_tensor(x)
     y = np.tanh(x.values)
     return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * (1.0 - y * y)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|x|)."""
-    x = ad._as_tensor(x)
     e = np.exp(-np.abs(x.values))
     y = np.where(x.values >= 0, 1.0, e) / (1.0 + e)
     return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * y * (1.0 - y)))
@@ -47,6 +45,26 @@ def attention_keep_masks(rng: np.random.Generator, n_heads: int, B: int, t_q: in
                   for lo in range(0, t_q, rows)]
         masks.append(np.concatenate(blocks, axis=1) >= round(rate * 65536))
     return masks
+
+
+def softmax_attention(q, k, v, n_heads, rate=0.0, rng=None):
+    """Plain-numpy reference of ad.attention: per head, softmax(Q_i K_i^T /
+    sqrt(d_head)) shifted by each row's exact max, times V_i, with the
+    reference keep masks (:func:`attention_keep_masks`) when ``rng`` is
+    given. Returns the output and every head's P_i."""
+    d_head = q.shape[-1] // n_heads
+    out, maps = np.empty(q.shape), []
+    keeps = None if rng is None else attention_keep_masks(rng, n_heads, *q.shape[:2], k.shape[1], rate)
+    for i, lo in enumerate(range(0, q.shape[-1], d_head)):
+        cols = slice(lo, lo + d_head)
+        s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(d_head)
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        maps.append(p)
+        if keeps is not None:
+            p = p * keeps[i] / (1.0 - rate)
+        out[..., cols] = p @ v[..., cols]
+    return out, maps
 
 
 def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:

@@ -27,7 +27,7 @@ from peakcast.autodiff import (
     record,
 )
 
-from gradcheck import attention_keep_masks, finite_diff_check, sigmoid, sum_all, tanh
+from gradcheck import attention_keep_masks, finite_diff_check, sigmoid, softmax_attention, sum_all, tanh
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -115,8 +115,8 @@ def test_elementwise_rejects_nonscalar_broadcast():
 
 @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
 def test_elementwise_rejects_scalar_broadcast(op):
-    x = ad.tensor([1.0, 2.0])
-    for a, b in ((x, 3.0), (3.0, x), (x, ad.tensor(3.0))):
+    x, scalar = ad.tensor([1.0, 2.0]), ad.tensor(3.0)
+    for a, b in ((x, scalar), (scalar, x)):
         with pytest.raises(DimensionError, match="differ"):
             op(a, b)
     assert op(ad.tensor(2.0), ad.tensor(3.0)).shape == ()
@@ -386,6 +386,23 @@ def test_backward_rmse_degenerate_is_zero_subgradient():
         out = ad.rmse(x, ad.tensor([1.0, 2.0, 3.0]))
     backward(tape, out)
     assert np.array_equal(x.grad, np.zeros(3))
+
+
+def test_rmse_rejects_mismatched_shapes():
+    # (3,) and (3, 1) would broadcast to (3, 3)
+    with pytest.raises(DimensionError, match="rmse: shapes"):
+        ad.rmse(ad.tensor(np.ones(3)), ad.tensor(np.ones((3, 1))))
+
+
+def test_rmse_rejects_empty_operands():
+    with pytest.raises(ContractError, match="rmse: empty operands"):
+        ad.rmse(ad.tensor(np.ones((0, 2))), ad.tensor(np.ones((0, 2))))
+
+
+def test_rmse_gradient_with_respect_to_truth():
+    pred = ad.tensor(np.random.default_rng(0).normal(size=(4, 4)))
+    truth = ad.parameter(np.random.default_rng(1).normal(size=(4, 4)))
+    assert finite_diff_check(lambda x: ad.rmse(pred, x), truth) < 1e-6
 
 
 def test_backward_requires_scalar_root():
@@ -864,26 +881,6 @@ def test_attention_gradient_through_one_shared_operand():
     assert finite_diff_check(loss, ad.parameter(x0), eps=1e-6) < 1e-6
 
 
-def softmax_attention(q, k, v, n_heads, rate=0.0, rng=None):
-    """Plain-numpy reference of ad.attention: per head, softmax(Q_i K_i^T /
-    sqrt(d_head)) shifted by each row's exact max, times V_i, with the
-    reference keep masks (gradcheck.attention_keep_masks) when ``rng`` is
-    given. Returns the output and every head's P_i."""
-    d_head = q.shape[-1] // n_heads
-    out, maps = np.empty(q.shape), []
-    keeps = None if rng is None else attention_keep_masks(rng, n_heads, *q.shape[:2], k.shape[1], rate)
-    for i, lo in enumerate(range(0, q.shape[-1], d_head)):
-        cols = slice(lo, lo + d_head)
-        s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(d_head)
-        p = np.exp(s - s.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
-        maps.append(p)
-        if keeps is not None:
-            p = p * keeps[i] / (1.0 - rate)
-        out[..., cols] = p @ v[..., cols]
-    return out, maps
-
-
 def _assert_matches_softmax_reference(ops, n_heads, rate):
     """ad.attention and its trace maps equal the reference to 1e-12,
     relative to the largest value the output can reach."""
@@ -1029,21 +1026,31 @@ def test_attention_rejects_rate_outside_unit_interval(op, rate):
 
 
 def _executor_calls(monkeypatch, cpus):
-    """Report ``cpus`` usable CPUs to attention and record the worker count
-    of each executor it opens; returns the list that grows by one per
-    pooled call."""
+    """Report ``cpus`` usable CPUs to attention and record how many workers
+    each of its forward and backward calls submits to helper threads;
+    returns the list, which grows by one per call (0 when the calling
+    thread runs every head)."""
     calls = []
-    executor = concurrent.futures.ThreadPoolExecutor
+
+    class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.call = len(calls)
+            calls.append(0)
+
+        def submit(self, *args, **kwargs):
+            calls[self.call] += 1
+            return super().submit(*args, **kwargs)
+
     monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda workers, **kwargs: calls.append(workers) or executor(workers, **kwargs))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
     return calls
 
 
 def _pool_sized_operands(B, fallback, seed=0, n_heads=4, d_head=4):
     """Operands for n_heads heads of width d_head with at least
-    ``_BLOCK_ELEMS`` scores per head, so they run pooled when two CPUs are
-    usable. With ``fallback``, head 0 alone has keys whose columns
+    ``_BLOCK_ELEMS`` scores per head, so they run on helper threads when two
+    CPUs are usable. With ``fallback``, head 0 alone has keys whose columns
     alternate +-20 and a query row 0 near 20 (see _loose_bound_operands):
     its bound exceeds that row's max by far more than 600, so head 0 alone
     takes the exact-max rerun and does twice the work of the others."""
@@ -1059,21 +1066,22 @@ def _pool_sized_operands(B, fallback, seed=0, n_heads=4, d_head=4):
 
 
 def _pooled_and_serial(monkeypatch, ops, rate, n_heads=4, pooled_cpus=2):
-    """Output, gradients and trace maps of one taped call pooled on
-    ``pooled_cpus`` CPUs and of one run serially, and the worker counts of
-    the executors each opened."""
+    """Output, gradients and trace maps of one taped call on ``pooled_cpus``
+    CPUs and of one on a single CPU, each with the workers its forward and
+    backward submitted to helper threads and the threads it started."""
     g = np.random.default_rng(1).normal(size=ops["q"].shape)
     runs = []
     for cpus in (pooled_cpus, 1):
         with monkeypatch.context() as m:
             calls = _executor_calls(m, cpus)
+            started = _threads_started(m)
             q, k, v = (ad.parameter(ops[name]) for name in "qkv")
             trace, tape = [], Tape()
             with record(tape):
                 out = ad.attention(q, k, v, n_heads, rate, np.random.default_rng(3), trace)
             out.grad = g
             tape.nodes[-1]()
-            runs.append(((out.values, q.grad, k.grad, v.grad, *trace), calls))
+            runs.append(((out.values, q.grad, k.grad, v.grad, *trace), calls, started))
     return runs
 
 
@@ -1082,8 +1090,11 @@ def _pooled_and_serial(monkeypatch, ops, rate, n_heads=4, pooled_cpus=2):
 @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
 def test_attention_pooled_heads_match_serial_bit_for_bit(rate, B, fallback, monkeypatch):
     ops = _pool_sized_operands(B, fallback)
-    (pooled, pool_calls), (serial, serial_calls) = _pooled_and_serial(monkeypatch, ops, rate)
-    assert pool_calls == [2, 2] and serial_calls == []  # forward and backward
+    # forward and backward: one helper thread each on two CPUs, none on one
+    (pooled, pool_calls, pool_threads), (serial, serial_calls, serial_threads) = _pooled_and_serial(
+        monkeypatch, ops, rate)
+    assert pool_calls == [1, 1] and serial_calls == [0, 0]
+    assert len(pool_threads) == 2 and serial_threads == []
     assert len(pooled) == len(serial) == 4 + 4
     for want, got in zip(serial, pooled, strict=True):
         assert np.array_equal(want, got)
@@ -1091,9 +1102,9 @@ def test_attention_pooled_heads_match_serial_bit_for_bit(rate, B, fallback, monk
 
 class _LastFirstPool:
     """Executor double that runs nothing until a result is asked for, or its
-    ``with`` block ends, and then runs every waiting task in this thread,
-    last submitted first: heads finish in reverse order and start only
-    after every head is submitted."""
+    ``with`` block ends, and then runs every waiting task in the asking
+    thread, last submitted first: the helper workers start only after the
+    calling thread has run worker 0, and finish in reverse order."""
 
     def __init__(self):
         self.waiting = []
@@ -1131,12 +1142,13 @@ class _LastFirstFuture(Future):
 @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
 def test_attention_heads_finishing_out_of_order_change_nothing(rate, monkeypatch):
     # each head draws its keep mask from its own seed, and trace maps are
-    # kept in head order, whatever order the heads run and finish in
+    # kept in head order, whatever order the heads run and finish in: here
+    # four workers of one head each run heads 0, 3, 2 and 1 in that order
     ops = _pool_sized_operands(1, fallback=False)
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
     serial = _attention_grads(ops, np.ones(ops["q"].shape), trace := [], rate)
     pool = _LastFirstPool()
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda workers, **kwargs: pool)
     reordered = _attention_grads(ops, np.ones(ops["q"].shape), reordered_trace := [], rate)
     for want, got in zip((*serial, *trace), (*reordered, *reordered_trace), strict=True):
@@ -1144,26 +1156,27 @@ def test_attention_heads_finishing_out_of_order_change_nothing(rate, monkeypatch
 
 
 def test_attention_pool_with_more_threads_than_cpus_matches_serial(monkeypatch):
-    # eight heads on executors of eight threads, switching every microsecond
+    # eight heads on the calling thread and seven helper threads, switching every microsecond
     ops = _pool_sized_operands(1, fallback=True, n_heads=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        (pooled, pool_calls), (serial, _) = _pooled_and_serial(monkeypatch, ops, 0.4, n_heads=8, pooled_cpus=8)
+        (pooled, pool_calls, _), (serial, *_) = _pooled_and_serial(monkeypatch, ops, 0.4, n_heads=8, pooled_cpus=8)
     finally:
         sys.setswitchinterval(interval)
-    assert pool_calls == [8, 8]  # forward and backward
+    assert pool_calls == [7, 7]  # forward and backward
     for want, got in zip(serial, pooled, strict=True):
         assert np.array_equal(want, got)
 
 
 def test_attention_pooled_heads_in_small_row_blocks_match_serial(monkeypatch):
-    # three workers split four heads unevenly (worker 0 runs heads 0 and 3),
-    # each head in four row blocks, with head 0 rerun at its exact max
+    # three workers split four heads unevenly (worker 0, the calling thread,
+    # runs heads 0 and 3), each head in four row blocks, with head 0 rerun at
+    # its exact max
     ops = _pool_sized_operands(1, fallback=True)
     small_row_blocks(monkeypatch, 100, 1, ops["k"].shape[1])
-    (pooled, pool_calls), (serial, _) = _pooled_and_serial(monkeypatch, ops, 0.4, pooled_cpus=3)
-    assert pool_calls == [3, 3]  # forward and backward
+    (pooled, pool_calls, _), (serial, *_) = _pooled_and_serial(monkeypatch, ops, 0.4, pooled_cpus=3)
+    assert pool_calls == [2, 2]  # forward and backward
     for want, got in zip(serial, pooled, strict=True):
         assert np.array_equal(want, got)
 
@@ -1172,11 +1185,11 @@ def test_attention_pooled_heads_in_small_row_blocks_match_serial(monkeypatch):
 @pytest.mark.parametrize("t_k", [3, 5], ids=["self", "cross"])
 def test_attention_row_block_tests_run_pooled(rows, t_k, monkeypatch):
     # small_row_blocks shrinks the block below a head's scores, so the
-    # row-block gradient tests above run their heads on the pool
+    # row-block gradient tests above run head 1 on a helper thread
     small_row_blocks(monkeypatch, rows, 2, t_k)
     calls = _executor_calls(monkeypatch, 2)
     _attention_fd_error("q", t_k, 0.4)
-    assert calls
+    assert calls and all(n == 1 for n in calls)
 
 
 def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch):
@@ -1185,7 +1198,7 @@ def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch)
     ops = _pool_sized_operands(1, fallback=False)
     calls = _executor_calls(monkeypatch, 2)
     want = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 4).values
-    assert calls
+    assert calls == [1]
     with warnings.catch_warnings():
         # Python 3.12+ warns on every fork of a process with threads, and
         # pytest's faulthandler_timeout runs a watchdog thread
@@ -1220,18 +1233,22 @@ class _DrawFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("stage", ["forward", "backward", "third_draw_raises"])
+@pytest.mark.parametrize("stage", ["forward", "backward", "third_draw_raises", "caller_draw_raises"])
 def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
-    # a pooled call's threads live for that call alone: none is alive once
-    # its forward or backward returns, or once the third keep-mask draw,
-    # made on a head thread, raises and the error reaches the caller
+    # on two CPUs, each forward or backward starts one helper thread, and
+    # none is alive once it returns, or once a keep-mask draw raises and the
+    # error reaches the caller: the third draw made on the helper thread
+    # (head 3's first row block), or the calling thread's first, made while
+    # the helper still runs
     ops = _pool_sized_operands(1, fallback=False)
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-    if stage == "third_draw_raises":
+    caller, on_caller = threading.current_thread(), stage == "caller_draw_raises"
+    if stage.endswith("_raises"):
         draws, raised_on, keep_mask = itertools.count(), [], ad._keep_mask
+        fail_at = 0 if on_caller else 2
 
         def failing_keep_mask(*args):
-            if next(draws) == 2:
+            if (threading.current_thread() is caller) == on_caller and next(draws) == fail_at:
                 raised_on.append(threading.current_thread())
                 raise _DrawFailed
             return keep_mask(*args)
@@ -1256,8 +1273,9 @@ def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
     else:
         with pytest.raises(_DrawFailed):
             forward()
-        assert len(raised_on) == 1 and raised_on[0] in started
-    assert started and not any(t.is_alive() for t in started)
+        assert len(raised_on) == 1
+        assert (raised_on[0] is caller) if on_caller else (raised_on[0] in started)
+    assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
 
 
@@ -1290,7 +1308,7 @@ def test_backward_matches_a_replay_of_a_copy_of_the_nodes(cpus, monkeypatch):
 
     want = grads(replay)
     got = grads(backward)
-    assert len(calls) == (4 if cpus == 2 else 0)  # forward and backward, per run
+    assert calls == [1 if cpus == 2 else 0] * 4  # forward and backward, per run
     for w, g in zip(want, got, strict=True):
         assert np.array_equal(w, g)
 

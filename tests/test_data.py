@@ -330,6 +330,19 @@ class TestReadPath:
 
 
 class TestAlign:
+    def test_auxiliary_of_another_length_rejected(self):
+        with pytest.raises(d.DataError, match="auxiliary length 3 != target length 4"):
+            d.AlignedSeries(T0, STEP, np.zeros(4), [np.zeros(3)], ["t", "r"])
+
+    @pytest.mark.parametrize("names", [["t"], ["t", "r", "s"]], ids=["too_few", "too_many"])
+    def test_names_that_do_not_cover_every_series_rejected(self, names):
+        with pytest.raises(d.DataError, match="names must cover"):
+            d.AlignedSeries(T0, STEP, np.zeros(4), [np.ones(4)], names)
+
+    def test_no_series_rejected(self):
+        with pytest.raises(d.AlignmentError, match="no series to align"):
+            d.align([])
+
     def test_already_aligned_unchanged(self):
         a = grid_series("t", T0, [1, 2, 3, 4])
         b = grid_series("r", T0, [5, 6, 7, 8])
@@ -594,6 +607,13 @@ def test_filter_by_months():
 
 
 class TestTransform:
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_transform_count_other_than_series_count_rejected(self, count):
+        series = d.gen_synthetic(0, 100)
+        tr = d.Transform.fit(series.target)
+        with pytest.raises(d.DataError, match=f"need 2 transforms, got {count}"):
+            d.transform_series(series, [tr] * count)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=10)
     def test_log1p_round_trip(self, seed):
@@ -676,6 +696,10 @@ class TestStats:
 
 
 class TestSynthetic:
+    def test_no_auxiliary_rejected(self):
+        with pytest.raises(d.DataError, match="at least one auxiliary"):
+            d.gen_synthetic(0, 100, m=1)
+
     def test_no_events_flat(self):
         s = d.gen_synthetic(0, 20_000, peak_rate=0.0)
         assert abs(d.compute_stats(s.target).skewness) < 0.1

@@ -19,7 +19,7 @@ from peakcast import autodiff as ad
 from peakcast import model
 from peakcast.model import CheckpointError, PfConfig
 
-from gradcheck import attention_keep_masks, finite_diff_check
+from gradcheck import finite_diff_check, softmax_attention
 
 
 def toy_cfg(mode="efe_aee", **kw):
@@ -45,26 +45,13 @@ def loss_of(params, cfg, batch, rng=None, training=False):
 
 
 def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, rng=None):
-    """Textbook per-head attention in numpy; head i owns column block i of wq/wk/wv.
-    With ``rng``, each head's weights go through inverted dropout with the
-    reference keep masks (gradcheck.attention_keep_masks)."""
-    d = q_in.shape[-1]
-    d_head = d // n_heads
-    heads = []
-    keeps = None if rng is None else attention_keep_masks(rng, n_heads, *q_in.shape[:2], kv_in.shape[1], rate)
-    for i in range(n_heads):
-        cols = slice(i * d_head, (i + 1) * d_head)
-        q = q_in @ params[f"{prefix}.wq"].values[:, cols]
-        k = kv_in @ params[f"{prefix}.wk"].values[:, cols]
-        v = kv_in @ params[f"{prefix}.wv"].values[:, cols]
-        scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(d_head)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
-        trace.append(probs)
-        if keeps is not None:
-            probs = probs * (keeps[i] / (1.0 - rate))
-        heads.append(probs @ v)
-    return np.concatenate(heads, axis=-1) @ params[f"{prefix}.wo"].values + params[f"{prefix}.bo"].values
+    """Textbook attention in numpy: q, k and v projected by wq, wk and wv,
+    the per-head softmax of gradcheck.softmax_attention, with its reference
+    keep masks when ``rng`` is given, and the output projection."""
+    q, k, v = (x @ params[f"{prefix}.{w}"].values for x, w in ((q_in, "wq"), (kv_in, "wk"), (kv_in, "wv")))
+    heads, maps = softmax_attention(q, k, v, n_heads, rate, rng)
+    trace.extend(maps)
+    return heads @ params[f"{prefix}.wo"].values + params[f"{prefix}.bo"].values
 
 
 class TestAttention:
@@ -149,6 +136,15 @@ class TestConfig:
     def test_wrong_type_rejected(self, name, value):
         with pytest.raises(TypeError, match=f"PfConfig.{name} must be"):
             PfConfig(**{name: value})
+
+    def test_width_not_divisible_by_head_count_rejected(self):
+        with pytest.raises(ValueError, match="d_model 6 not divisible by n_heads 4"):
+            PfConfig(d_model=6, n_heads=4)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, math.nan])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"dropout_rate must be in \[0, 1\)"):
+            PfConfig(dropout_rate=rate)
 
     def test_int_stored_as_float(self):
         cfg = PfConfig(dropout_rate=0)
@@ -478,6 +474,24 @@ class TestCheckpoint:
         got = model.forward(windows, ts, loaded, loaded_cfg)
         assert np.array_equal(got[0].values, want[0].values)
         assert np.array_equal(got[1].values, want[1].values)
+
+    def test_interrupted_save_keeps_the_old_file(self, saved, monkeypatch):
+        path, cfg, params = saved
+        before = path.read_bytes()
+
+        def half_dump(doc, fh):
+            text = json.dumps(doc)
+            fh.write(text[:len(text) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(model.json, "dump", half_dump)
+        changed = {name: ad.parameter(p.values + 1.0) for name, p in params.items()}
+        with pytest.raises(KeyboardInterrupt):
+            model.save_checkpoint(path, cfg, changed)
+        assert path.read_bytes() == before
+        assert list(path.parent.iterdir()) == [path]
+        _, loaded = model.load_checkpoint(path)
+        assert all(np.array_equal(loaded[name].values, p.values) for name, p in params.items())
 
     def test_file_is_independent_of_hash_seed(self, saved, tmp_path):
         path, cfg, _ = saved

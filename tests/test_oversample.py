@@ -142,6 +142,10 @@ class TestFitGmm:
         assert abs(means[0]) < 0.2 and abs(means[1] - 10.0) < 0.2
         assert np.all(np.diff(g.ll_history) >= -1e-10)
 
+    def test_fewer_values_than_components_rejected(self):
+        with pytest.raises(ov.GmmFitError, match="need at least 3 values, got 2"):
+            ov.fit_gmm(np.array([1.0, 2.0]), 3)
+
     def test_more_components_than_distinct_values(self):
         with pytest.raises(ov.GmmFitError):
             ov.fit_gmm(np.array([1.0, 1.0, 2.0, 2.0]), 3)
@@ -309,6 +313,14 @@ class TestMarkImportant:
 
 
 class TestExpandPeaks:
+    def test_step_below_one_rejected(self):
+        with pytest.raises(ov.PolicyError, match="s_step must be >= 1"):
+            ov.expand_peaks(np.array([500]), s_step=0, nu=8, series_len=1000, t=100, h=10)
+
+    def test_scope_below_step_rejected(self):
+        with pytest.raises(ov.PolicyError, match=r"nu \(1\) must be >= s_step \(2\)"):
+            ov.expand_peaks(np.array([500]), s_step=2, nu=1, series_len=1000, t=100, h=10)
+
     def test_ross_setting_eight_issue_points(self):
         t, h, L = 100, 10, 1000
         origins = ov.expand_peaks(np.array([500]), s_step=1, nu=8, series_len=L, t=t, h=h)
@@ -413,6 +425,15 @@ class TestCapOversample:
             ov.OversamplePolicy(os_pct=0.0)
         with pytest.raises(ov.PolicyError):
             ov.cap_kept_count(10, 10, 101.0)
+        with pytest.raises(ov.PolicyError, match="s_step must be >= 1"):
+            ov.OversamplePolicy(s_step=0)
+        with pytest.raises(ov.PolicyError, match="n_components must be >= 1"):
+            ov.OversamplePolicy(n_components=0)
+
+    @pytest.mark.parametrize("os_pct", [100, 100.0])
+    def test_full_cap_keeps_every_extra(self, os_pct):
+        # the rational solve would divide by 100 - os_pct = 0
+        assert ov.cap_kept_count(5, 7, os_pct) == 7
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_eta_rejected(self, eta):
