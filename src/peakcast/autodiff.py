@@ -31,15 +31,13 @@ outputs: the hidden sequence and the last step's hidden and cell states.
 
 :func:`attention` runs its heads, forward and backward, on W workers,
 W = min(n_heads, usable CPUs) when a head has at least ``_BLOCK_ELEMS``
-scores and W = 1 otherwise. The calling thread is worker 0; the other
-W - 1 run on threads that live for one call, so W = 1 starts no thread.
-Any W gives the same results bit for bit: each head draws its dropout
-masks from a seed of its own, which the calling thread draws for every
-head up front, so a seed gives the same run on any CPU count; pin a
-process to one CPU to run every head in the calling thread. Every thread
-is joined before the call returns or raises. The threads assume a
-single-threaded BLAS (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``); a BLAS
-that threads each product too competes with them for the CPUs.
+scores and W = 1 otherwise: the calling thread and W - 1 threads that
+live for one call and are joined before it returns or raises. Any W
+gives the same results bit for bit: each head draws its dropout masks
+from a seed of its own, which the calling thread draws for every head up
+front. The threads assume a single-threaded BLAS (for OpenBLAS,
+``OPENBLAS_NUM_THREADS=1``); a BLAS that threads each product too
+competes with them for the CPUs.
 
 Ops take Tensor operands only: wrap a constant array with :func:`tensor`.
 Shapes follow numpy row-major conventions. Elementwise ops take equal
@@ -54,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -403,27 +402,31 @@ def _run_heads(head: Callable[[object, int], None], n_calls: int, buffers: list)
     W = len(buffers).
 
     Worker 0 runs in this thread, and workers 1 to W - 1 on as many threads,
-    which this call starts and joins before it returns or raises; one buffer
-    starts no thread. The caller allocates ``buffers``: memory a worker
-    thread allocates stays in that thread's malloc arena once freed.
+    which this call starts and joins before it returns or raises the first
+    error any worker met; one buffer starts no thread. The caller allocates
+    ``buffers``: memory a worker thread allocates stays in that thread's
+    malloc arena once freed.
     """
-    workers = len(buffers)
+    workers, errors, started = len(buffers), [], []
 
     def run(w: int) -> None:
-        for i in range(w, n_calls, workers):
-            head(buffers[w], i)
+        try:
+            for i in range(w, n_calls, workers):
+                head(buffers[w], i)
+        except BaseException as exc:
+            errors.append(exc)
 
-    # imported here: concurrent.futures imports logging, ~0.75 MB that a
-    # process that runs no attention need not load; tests swap the executor
-    # class by patching concurrent.futures, which this reads
-    from concurrent.futures import ThreadPoolExecutor
-
-    # the executor starts its threads on submit, so one worker starts none
-    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="attention-head") as pool:
-        helpers = [pool.submit(run, w) for w in range(1, workers)]
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,), name=f"attention-head-{w}")
+            thread.start()
+            started.append(thread)
         run(0)
-        for future in helpers:
-            future.result()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _score_bounds(qs: np.ndarray, k: np.ndarray, n_heads: int) -> np.ndarray:
@@ -511,18 +514,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     usable CPUs) when a head has at least ``_BLOCK_ELEMS`` scores (B t_q
     t_k) and W = 1 otherwise, worker w taking heads w, w + W, ...
     (:func:`_run_heads`), in forward and in backward. The calling thread is
-    worker 0, and workers 1 to W - 1 run on threads that live for one call,
-    so smaller calls, and calls with one head, start no thread; to run a
-    process's heads in its calling thread alone, pin it to one CPU. On any
+    worker 0, and workers 1 to W - 1 run on threads that this call starts
+    and joins before it returns or raises, so W = 1 starts no thread; pin a
+    process to one CPU to run its heads in the calling thread alone. On any
     W, results are the same bit for bit: each head's arithmetic and draws
     do not depend on the thread that runs it, and heads write disjoint
     column blocks of the output, ``stats`` and the gradients, and disjoint
     heads of ``keeps``. Each worker reuses one set of the block buffers that
-    the calling thread allocates (three in backward). Every thread is joined
-    before the forward or the backward returns or raises, so none outlives
-    the call. The threads rely on numpy releasing the GIL in its products,
-    exp and elementwise loops, and assume a single-threaded BLAS: a BLAS that
-    threads each product as well contends with them for the same CPUs.
+    the calling thread allocates (three in backward). The threads rely on
+    numpy releasing the GIL in its products, exp and elementwise loops.
     """
     if q.values.ndim != 3 or k.values.ndim != 3 or v.shape != k.shape or q.shape[::2] != k.shape[::2]:  # (B, d)
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} are not (B, t_q, d), (B, t_k, d) x 2")

@@ -367,8 +367,9 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
     A parameter of the config missing from ``params``, one its config does
     not name or shape, or one with a NaN or infinite value raises
     CheckpointError naming it, and no file is written. A synced temporary
-    file beside ``path`` is renamed over it, so a failed or interrupted save
-    leaves the previous file whole."""
+    file beside ``path`` (beside its target if it is a symlink) takes the
+    old file's permission bits and is renamed over it, so a failed or
+    interrupted save leaves the previous file whole. The owner is not kept."""
     _check_params(cfg, {name: p.values for name, p in params.items()})
     config = cfg.to_dict()
     data = {name: base64.b64encode(np.ascontiguousarray(params[name].values, dtype="<f8").tobytes()).decode()
@@ -380,17 +381,19 @@ def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
         "params": data,
         "checksum": hashlib.sha256(json.dumps([config, data], sort_keys=True).encode()).hexdigest(),
     }
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
-    fh = open(tmp, "x")
-    try:
-        with fh:
+    path = os.path.realpath(path)  # replace a symlink's target, not the link
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    with open(tmp, "x") as fh:
+        try:
+            if os.path.exists(path):
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
             json.dump(doc, fh)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import inspect
 import itertools
 import math
@@ -9,7 +8,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -753,12 +751,12 @@ def test_attention_gradient_in_row_blocks(operand, t_k, rate, rows, monkeypatch)
     assert _attention_fd_error(operand, t_k, rate) < 1e-6
 
 
-def _attention_grads(ops, g, trace=None, rate=0.4):
+def _attention_grads(ops, g, trace=None, rate=0.4, n_heads=2):
     """Output and q, k, v gradients of one taped attention call with cotangent g."""
     q, k, v = (ad.parameter(ops[name]) for name in "qkv")
     tape = Tape()
     with record(tape):
-        out = ad.attention(q, k, v, 2, rate, np.random.default_rng(3), trace)
+        out = ad.attention(q, k, v, n_heads, rate, np.random.default_rng(3), trace)
     out.grad = g
     tape.nodes[-1]()
     return out.values, q.grad, k.grad, v.grad
@@ -1025,25 +1023,22 @@ def test_attention_rejects_rate_outside_unit_interval(op, rate):
             _identity_ffn(np.ones((2, 3)), rate, np.random.default_rng(0))
 
 
-def _executor_calls(monkeypatch, cpus):
-    """Report ``cpus`` usable CPUs to attention and record how many workers
-    each of its forward and backward calls submits to helper threads;
-    returns the list, which grows by one per call (0 when the calling
-    thread runs every head)."""
-    calls = []
+def _helper_threads(monkeypatch, cpus):
+    """Report ``cpus`` usable CPUs to attention and record how many helper
+    threads each of its forward and backward calls starts; returns the
+    list, which grows by one per call (0 when the calling thread runs every
+    head)."""
+    calls, started, run_heads = [], _threads_started(monkeypatch), ad._run_heads
 
-    class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.call = len(calls)
-            calls.append(0)
-
-        def submit(self, *args, **kwargs):
-            calls[self.call] += 1
-            return super().submit(*args, **kwargs)
+    def counting_run_heads(*args):
+        before = len(started)
+        try:
+            run_heads(*args)
+        finally:
+            calls.append(len(started) - before)
 
     monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(ad, "_run_heads", counting_run_heads)
     return calls
 
 
@@ -1067,13 +1062,13 @@ def _pool_sized_operands(B, fallback, seed=0, n_heads=4, d_head=4):
 
 def _pooled_and_serial(monkeypatch, ops, rate, n_heads=4, pooled_cpus=2):
     """Output, gradients and trace maps of one taped call on ``pooled_cpus``
-    CPUs and of one on a single CPU, each with the workers its forward and
-    backward submitted to helper threads and the threads it started."""
+    CPUs and of one on a single CPU, each with the helper threads its
+    forward and backward started, per call and as a list."""
     g = np.random.default_rng(1).normal(size=ops["q"].shape)
     runs = []
     for cpus in (pooled_cpus, 1):
         with monkeypatch.context() as m:
-            calls = _executor_calls(m, cpus)
+            calls = _helper_threads(m, cpus)
             started = _threads_started(m)
             q, k, v = (ad.parameter(ops[name]) for name in "qkv")
             trace, tape = [], Tape()
@@ -1100,43 +1095,24 @@ def test_attention_pooled_heads_match_serial_bit_for_bit(rate, B, fallback, monk
         assert np.array_equal(want, got)
 
 
-class _LastFirstPool:
-    """Executor double that runs nothing until a result is asked for, or its
-    ``with`` block ends, and then runs every waiting task in the asking
-    thread, last submitted first: the helper workers start only after the
-    calling thread has run worker 0, and finish in reverse order."""
+class _LastFirstThread:
+    """Thread double that runs nothing when started: the first ``join``
+    runs every waiting target in the joining thread, last started first.
+    So the helper workers run only after the calling thread has run worker
+    0, and finish in reverse order."""
 
-    def __init__(self):
-        self.waiting = []
+    waiting = []
 
-    def __enter__(self):
-        return self
+    def __init__(self, target, args=(), **kwargs):
+        self.target, self.args = target, args
 
-    def __exit__(self, *exc):
-        self.run_all()
+    def start(self):
+        self.waiting.append(self)
 
-    def submit(self, fn, *args):
-        future = _LastFirstFuture(self)
-        self.waiting.append((future, fn, args))
-        return future
-
-    def run_all(self):
+    def join(self):
         while self.waiting:
-            future, fn, args = self.waiting.pop()
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-
-
-class _LastFirstFuture(Future):
-    def __init__(self, pool):
-        super().__init__()
-        self.pool = pool
-
-    def result(self, timeout=None):
-        self.pool.run_all()
-        return super().result(timeout)
+            thread = self.waiting.pop()
+            thread.target(*thread.args)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
@@ -1146,11 +1122,15 @@ def test_attention_heads_finishing_out_of_order_change_nothing(rate, monkeypatch
     # four workers of one head each run heads 0, 3, 2 and 1 in that order
     ops = _pool_sized_operands(1, fallback=False)
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
-    serial = _attention_grads(ops, np.ones(ops["q"].shape), trace := [], rate)
-    pool = _LastFirstPool()
+    serial = _attention_grads(ops, np.ones(ops["q"].shape), trace := [], rate, n_heads=4)
+    order, run_heads = [], ad._run_heads
+    monkeypatch.setattr(ad, "_run_heads", lambda head, n, buffers: run_heads(
+        lambda buf, i: order.append(i) or head(buf, i), n, buffers))
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda workers, **kwargs: pool)
-    reordered = _attention_grads(ops, np.ones(ops["q"].shape), reordered_trace := [], rate)
+    monkeypatch.setattr(_LastFirstThread, "waiting", [])
+    monkeypatch.setattr(threading, "Thread", _LastFirstThread)
+    reordered = _attention_grads(ops, np.ones(ops["q"].shape), reordered_trace := [], rate, n_heads=4)
+    assert order == [0, 3, 2, 1] * 2  # forward and backward
     for want, got in zip((*serial, *trace), (*reordered, *reordered_trace), strict=True):
         assert np.array_equal(want, got)
 
@@ -1187,7 +1167,7 @@ def test_attention_row_block_tests_run_pooled(rows, t_k, monkeypatch):
     # small_row_blocks shrinks the block below a head's scores, so the
     # row-block gradient tests above run head 1 on a helper thread
     small_row_blocks(monkeypatch, rows, 2, t_k)
-    calls = _executor_calls(monkeypatch, 2)
+    calls = _helper_threads(monkeypatch, 2)
     _attention_fd_error("q", t_k, 0.4)
     assert calls and all(n == 1 for n in calls)
 
@@ -1196,7 +1176,7 @@ def test_attention_pool_works_in_a_child_forked_after_a_pooled_call(monkeypatch)
     # a child forked after a pooled call must run pooled calls of its own
     # and get the parent's bits, without waiting on any thread of the parent
     ops = _pool_sized_operands(1, fallback=False)
-    calls = _executor_calls(monkeypatch, 2)
+    calls = _helper_threads(monkeypatch, 2)
     want = ad.attention(*(ad.tensor(ops[n]) for n in "qkv"), 4).values
     assert calls == [1]
     with warnings.catch_warnings():
@@ -1283,7 +1263,7 @@ def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
 def test_backward_matches_a_replay_of_a_copy_of_the_nodes(cpus, monkeypatch):
     # backward drops each node once it has run; the gradients must equal a
     # replay that keeps every node alive, with dropout on in attention and ffn
-    calls = _executor_calls(monkeypatch, cpus)
+    calls = _helper_threads(monkeypatch, cpus)
     ops = _pool_sized_operands(1, fallback=False)
     d = ops["q"].shape[-1]
     init = np.random.default_rng(4).normal(size=(6, d, d)) / math.sqrt(d)

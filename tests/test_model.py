@@ -493,6 +493,23 @@ class TestCheckpoint:
         _, loaded = model.load_checkpoint(path)
         assert all(np.array_equal(loaded[name].values, p.values) for name, p in params.items())
 
+    def test_save_keeps_the_old_files_permission_bits(self, saved):
+        path, cfg, params = saved
+        path.chmod(0o600)
+        model.save_checkpoint(path, cfg, params)
+        assert path.stat().st_mode & 0o7777 == 0o600
+
+    def test_save_through_a_symlink_replaces_its_target(self, saved):
+        path, cfg, params = saved
+        link = path.parent / "link.json"
+        link.symlink_to(path.name)
+        changed = {name: ad.parameter(p.values + 1.0) for name, p in params.items()}
+        model.save_checkpoint(link, cfg, changed)
+        assert link.is_symlink() and os.readlink(link) == path.name
+        _, loaded = model.load_checkpoint(path)
+        assert all(np.array_equal(loaded[name].values, p.values) for name, p in changed.items())
+        assert sorted(path.parent.iterdir()) == sorted([path, link])
+
     def test_file_is_independent_of_hash_seed(self, saved, tmp_path):
         path, cfg, _ = saved
         src = str(Path(model.__file__).parents[1])
