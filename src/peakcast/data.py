@@ -253,14 +253,14 @@ def _read_rows(path, ts_col: int, value_col: int) -> tuple[np.ndarray, np.ndarra
 def load_csv(path, name: str | None = None) -> RawSeries:
     """Read a UTF-8 CSV into a time-sorted RawSeries.
 
-    The header must name a ``timestamp`` and a ``value`` column, in any
-    order and among any others, as :func:`write_csv` writes it. A leading
-    byte-order mark is dropped, whatever the locale. Each stamp is an ISO
-    8601 date and time that ``datetime.fromisoformat`` reads once trailing
-    NULs are dropped; a stamp without an offset is UTC. Each value is
-    finite, in numpy's float syntax (``float()``'s without digit separators
-    such as ``1_0``). Blank lines are skipped. A bad row raises ParseError
-    with its line, and a repeated instant raises DataError.
+    The header must name a ``timestamp`` and a ``value`` column once each,
+    in any order and among any others, as :func:`write_csv` writes it. A
+    leading byte-order mark is dropped, whatever the locale. Each stamp is
+    an ISO 8601 date and time that ``datetime.fromisoformat`` reads once
+    trailing NULs are dropped; a stamp without an offset is UTC. Each value
+    is finite, in numpy's float syntax (``float()``'s without digit
+    separators such as ``1_0``). Blank lines are skipped. A bad row raises
+    ParseError with its line, and a repeated instant raises DataError.
 
     The rows are read in one ``np.loadtxt`` pass, and stamps in
     :func:`write_csv`'s ``YYYY-MM-DDTHH:MM:SS+HH:MM`` layout are decoded as
@@ -269,10 +269,10 @@ def load_csv(path, name: str | None = None) -> RawSeries:
     a bad row's line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        columns = {col: i for i, col in enumerate(next(csv.reader(fh), []))}
-        if not {"timestamp", "value"} <= columns.keys():
-            raise ParseError("header must include 'timestamp' and 'value'", 1)
-        cols = columns["timestamp"], columns["value"]
+        header = next(csv.reader(fh), [])
+        if header.count("timestamp") != 1 or header.count("value") != 1:
+            raise ParseError("header must include 'timestamp' and 'value' once each", 1)
+        cols = header.index("timestamp"), header.index("value")
         read = _read_one_pass(fh, *cols)
     times_us, values = read if read is not None else _read_rows(path, *cols)
     order = np.argsort(times_us, kind="stable")

@@ -19,24 +19,22 @@ are shared.
 Parameter layout: every attention block ``{prefix}`` holds ``.wq``,
 ``.wk``, ``.wv`` and ``.wo``, each (d_model, d_model), and ``.bo``. Head
 i owns column block [i * d_head, (i + 1) * d_head) of ``wq``, ``wk`` and
-``wv``, and the same row block of ``wo``. Checkpoints are format version 4:
-one JSON object of the format name and version, ``config``
-(``PfConfig.to_dict()``, one flat dict of scalars), ``params`` (each name
-mapped to the base64 of its little-endian float64 values, shaped by the
-config) and ``checksum``, the sha256 of
-``json.dumps([config, params], sort_keys=True)``. Files of versions 1 to 3
-are rejected.
+``wv``, and the same row block of ``wo``. Checkpoints are format version 5,
+a numpy ``.npz`` archive: member ``header`` holds a JSON object of the
+format name and version and ``config`` (``PfConfig.to_dict()``, one flat
+dict of scalars), and each parameter is a float64 member of its own name,
+shaped by the config. zip's CRC-32 on each member detects a corrupted
+file. Files of versions 1 to 4, which were JSON, are rejected.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
-import hashlib
 import json
 import math
 import os
 import secrets
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -49,7 +47,7 @@ from .autodiff import Tensor
 EMBEDDING_MODES = ("efe_aee", "position_token", "token_only")
 
 CHECKPOINT_FORMAT = "peakcast-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(ValueError):
@@ -349,7 +347,8 @@ def forward(
 def _check_params(cfg: PfConfig, arrays: dict[str, np.ndarray]) -> None:
     """Raise CheckpointError naming the first parameter, in name order, that
     ``cfg`` gives and ``arrays`` lacks or the reverse, whose shape is not the
-    one ``cfg`` gives, or that holds a NaN or infinite value."""
+    one ``cfg`` gives, that is not float64, or that holds a NaN or infinite
+    value."""
     shapes = _param_shapes(cfg)
     stray = sorted(arrays.keys() ^ shapes.keys())
     if stray:
@@ -358,73 +357,68 @@ def _check_params(cfg: PfConfig, arrays: dict[str, np.ndarray]) -> None:
     for name in sorted(arrays):
         if arrays[name].shape != shapes[name]:
             raise CheckpointError(f"parameter {name} has shape {arrays[name].shape}, its config gives {shapes[name]}")
+        if arrays[name].dtype != np.float64:
+            raise CheckpointError(f"parameter {name} has dtype {arrays[name].dtype}, not float64")
         if not np.isfinite(arrays[name]).all():
             raise CheckpointError(f"parameter {name} has non-finite values")
 
 
 def save_checkpoint(path, cfg: PfConfig, params: dict[str, Tensor]) -> None:
-    """Self-describing JSON container: config, named float64 tensors, checksum.
-    A parameter of the config missing from ``params``, one its config does
-    not name or shape, or one with a NaN or infinite value raises
-    CheckpointError naming it, and no file is written. A synced temporary
-    file beside ``path`` (beside its target if it is a symlink) takes the
-    old file's permission bits and is renamed over it, so a failed or
+    """Write a format-5 archive whose bytes depend only on ``cfg`` and the
+    values. A parameter that ``_check_params`` rejects raises CheckpointError
+    naming it, and no file is written. A synced temporary file beside ``path``
+    (beside its target if it is a symlink) takes the old file's permission
+    bits and is renamed over it, and the directory is synced, so a failed or
     interrupted save leaves the previous file whole. The owner is not kept."""
-    _check_params(cfg, {name: p.values for name, p in params.items()})
-    config = cfg.to_dict()
-    data = {name: base64.b64encode(np.ascontiguousarray(params[name].values, dtype="<f8").tobytes()).decode()
-            for name in sorted(params)}
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "format_version": CHECKPOINT_VERSION,
-        "config": config,
-        "params": data,
-        "checksum": hashlib.sha256(json.dumps([config, data], sort_keys=True).encode()).hexdigest(),
-    }
+    arrays = {name: params[name].values for name in sorted(params)}
+    _check_params(cfg, arrays)
+    header = json.dumps({"format": CHECKPOINT_FORMAT, "format_version": CHECKPOINT_VERSION, "config": cfg.to_dict()})
     path = os.path.realpath(path)  # replace a symlink's target, not the link
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    with open(tmp, "x") as fh:
+    with open(tmp, "xb") as fh:
         try:
             if os.path.exists(path):
                 os.chmod(tmp, os.stat(path).st_mode & 0o7777)
-            json.dump(doc, fh)
+            np.savez(fh, header=np.array(header), **arrays)  # a file object: savez adds .npz to a path
             fh.flush()
             os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             os.remove(tmp)
             raise
+    fd = os.open(os.path.dirname(path), os.O_RDONLY)
+    try:
+        os.fsync(fd)  # the rename survives a power loss
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path) -> tuple[PfConfig, dict[str, Tensor]]:
-    """Load and verify a checkpoint; a corrupted, malformed or mismatched
-    file, or one with a NaN or infinite parameter value, raises
-    CheckpointError."""
+    """Load and verify a checkpoint. A file that is not a format-5 archive,
+    is truncated or corrupted, or has a bad config or a parameter that
+    ``_check_params`` rejects raises CheckpointError."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
+        with open(path, "rb") as fh:
+            # np.load returns a .npy file's array, and calls any other file a pickle
+            if fh.read(4) != b"PK\x03\x04":
+                raise zipfile.BadZipFile("not a zip archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                members = {name: np.asarray(archive[name]) for name in archive.files}  # bytes for a non-.npy member
+    # BadZipFile: also a CRC-32 mismatch; MemoryError: a member's header claims more values than memory holds
+    except (OSError, ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a checkpoint file")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
     try:
-        cfg = PfConfig.from_dict(doc.get("config"))
+        header = json.loads(members.pop("header").item())
+    except (KeyError, TypeError, ValueError):
+        header = None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a checkpoint file")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('format_version')}")
+    try:
+        cfg = PfConfig.from_dict(header.get("config"))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed config in {path}: {exc}") from None
-    data = doc.get("params")
-    if not isinstance(data, dict) or not all(isinstance(text, str) for text in data.values()):
-        raise CheckpointError(f"malformed parameter list in {path}")
-    if hashlib.sha256(json.dumps([doc["config"], data], sort_keys=True).encode()).hexdigest() != doc.get("checksum"):
-        raise CheckpointError(f"checksum mismatch in {path}: file is corrupted")
-    shapes = _param_shapes(cfg)
-    arrays = {}
-    for name, text in data.items():
-        shape = shapes.get(name, -1)  # a name the config lacks stays flat, for _check_params to name
-        try:
-            arrays[name] = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").reshape(shape)
-        except ValueError as exc:
-            raise CheckpointError(f"parameter {name} data does not decode to shape {shape}: {exc}") from None
-    _check_params(cfg, arrays)
-    return cfg, {name: ad.parameter(values.copy()) for name, values in arrays.items()}
+    _check_params(cfg, members)
+    return cfg, {name: ad.parameter(values) for name, values in members.items()}

@@ -192,8 +192,9 @@ def expand_peaks(
 
     Per peak p the issue points are p - nu/2, p - nu/2 + s, ... for
     floor(nu / s_step) samples; origins falling outside [0, L - t - h] are
-    dropped and duplicates across peaks are merged. An s_step, nu,
-    series_len, t or h that is not an integer raises PolicyError.
+    dropped and duplicates across peaks are merged. Peak indices of a
+    non-integer dtype, or an s_step, nu, series_len, t or h that is not an
+    integer, raise PolicyError.
     """
     if not (_is_int(s_step) and _is_int(nu)):
         raise PolicyError(f"s_step and nu must be integers, got {s_step!r} and {nu!r}")
@@ -203,7 +204,10 @@ def expand_peaks(
         raise PolicyError(f"s_step must be >= 1, got {s_step}")
     if nu < s_step:
         raise PolicyError(f"nu ({nu}) must be >= s_step ({s_step})")
-    issues = np.asarray(peaks, dtype=np.intp)[:, None] - nu // 2 + s_step * np.arange(nu // s_step)
+    peaks = np.asarray(peaks)
+    if peaks.size and peaks.dtype.kind not in "iu":
+        raise PolicyError(f"peak indices must be integers, got dtype {peaks.dtype}")
+    issues = peaks.astype(np.intp, copy=False)[:, None] - nu // 2 + s_step * np.arange(nu // s_step)
     origins = issues.ravel() - (t - 1)
     return np.unique(origins[(origins >= 0) & (origins <= series_len - t - h)])
 

@@ -1,7 +1,8 @@
 """Test helpers for gradient checks: a summing op, the smooth tanh and
 sigmoid ops that build unfused oracles and finite-difference losses, the
-finite-difference oracle that every autodiff op is checked against, and
-the reference keep masks and plain-numpy oracle of attention."""
+finite-difference oracle that every autodiff op is checked against, the
+reference keep masks and plain-numpy oracle of attention, and the
+plain-numpy oracle of the LSTM recurrence."""
 
 from __future__ import annotations
 
@@ -23,10 +24,14 @@ def tanh(x: Tensor) -> Tensor:
     return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * (1.0 - y * y)))
 
 
+def _exp_sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|v|)."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function without overflow: 1/(1+e) or e/(1+e), e = exp(-|x|)."""
-    e = np.exp(-np.abs(x.values))
-    y = np.where(x.values >= 0, 1.0, e) / (1.0 + e)
+    y = _exp_sigmoid(x.values)
     return ad._emit(Tensor(y), (x,), lambda g: ad._accum(x, g * y * (1.0 - y)))
 
 
@@ -65,6 +70,43 @@ def softmax_attention(q, k, v, n_heads, rate=0.0, rng=None):
             p = p * keeps[i] / (1.0 - rate)
         out[..., cols] = p @ v[..., cols]
     return out, maps
+
+
+def lstm_reference(x_seq, h0, c0, w, u, b, gh, gh_T, gc):
+    """A plain-numpy LSTM step loop, gates i, f, g, o in stored order with the
+    exp-form sigmoid, and its backprop through time by hand. Returns
+    (h_seq, h_T, c_T), the gradients of sum(h_seq gh) + sum(h_T gh_T) +
+    sum(c_T gc) with respect to each operand, and the largest sum of the
+    absolute terms of a pre-activation."""
+    T, H = x_seq.shape[1], h0.shape[1]
+    h, c = h0, c0
+    hs, steps, z_terms = [], [], 0.0
+    for s in range(T):
+        z = x_seq[:, s] @ w + b + h @ u
+        z_terms = max(z_terms, (np.abs(x_seq[:, s]) @ np.abs(w) + np.abs(b) + np.abs(h) @ np.abs(u)).max())
+        i, f, o = (_exp_sigmoid(z[:, k * H:(k + 1) * H]) for k in (0, 1, 3))
+        g = np.tanh(z[:, 2 * H:3 * H])
+        h_prev, c_prev = h, c
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs.append(h)
+        steps.append((h_prev, c_prev, i, f, g, o, c))
+    grads = {name: np.zeros_like(v) for name, v in (("x_seq", x_seq), ("w", w), ("u", u), ("b", b))}
+    dh, dc = gh_T.copy(), gc.copy()
+    for s in range(T - 1, -1, -1):
+        h_prev, c_prev, i, f, g, o, c_s = steps[s]
+        dh = dh + gh[:, s]
+        tc = np.tanh(c_s)
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        grads["x_seq"][:, s] = dz @ w.T
+        grads["w"] += x_seq[:, s].T @ dz
+        grads["u"] += h_prev.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dh, dc = dz @ u.T, dc * f
+    grads["h0"], grads["c0"] = dh, dc
+    return (np.stack(hs, axis=1), h, c), grads, z_terms
 
 
 def _grad_of(f: Callable[[Tensor], Tensor], x: Tensor) -> np.ndarray:

@@ -10,7 +10,7 @@ from peakcast import aee
 from peakcast import autodiff as ad
 from peakcast.data import DEFAULT_SYNTH_START, AlignmentError, WindowError
 
-from gradcheck import finite_diff_check, sigmoid, sum_all, tanh
+from gradcheck import finite_diff_check, lstm_reference, sum_all
 
 STEP = timedelta(minutes=15)
 START = DEFAULT_SYNTH_START
@@ -28,38 +28,6 @@ def timestamp_features_loop(issue_index, horizon, step, start):
                   math.sin(2 * math.pi * tod), math.cos(2 * math.pi * tod),
                   math.sin(2 * math.pi * doy), math.cos(2 * math.pi * doy))
     return out
-
-
-def columns(x, lo, hi):
-    """x[..., lo:hi] as a product with a 0/1 selection matrix, so the
-    gradient flows back through ``ad.linear``."""
-    return ad.linear(x, ad.tensor(np.eye(x.shape[-1])[:, lo:hi]))
-
-
-def lstm_cell(x, h, c, w, u, b):
-    """One recurrence step on a (B, input) slice; returns (h', c'). The
-    composed-op oracle for ``ad.lstm_sequence``."""
-    hidden = h.shape[-1]
-    gates = ad.add(ad.linear(x, w, b), ad.linear(h, u))
-    i = sigmoid(columns(gates, 0, hidden))
-    f = sigmoid(columns(gates, hidden, 2 * hidden))
-    g = tanh(columns(gates, 2 * hidden, 3 * hidden))
-    o = sigmoid(columns(gates, 3 * hidden, 4 * hidden))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, tanh(c_new))
-    return h_new, c_new
-
-
-def unrolled(x_seq, cell, state):
-    """Run ``lstm_cell`` step by step over (B, T, n) values from the initial
-    (h, c) ``state``; ``cell`` holds (w, u, b). Returns the per-step hidden
-    states and the final (h, c).
-    """
-    hs = []
-    for k in range(x_seq.shape[1]):
-        state = lstm_cell(ad.tensor(x_seq[:, k, :]), *state, *cell)
-        hs.append(state[0])
-    return hs, state
 
 
 def zero_params(hidden, m):
@@ -272,10 +240,6 @@ class TestDecode:
         assert np.array_equal(a, b)
 
 
-def _cell(params, branch):
-    return tuple(params[f"aee.{branch}.{k}"] for k in ("w", "u", "b"))
-
-
 def test_fused_recurrence_matches_unrolled_cells():
     # B=3, t=7 encoder steps, h=4 decoder steps; the loss reads the decoder
     # output and both encoder latents, so h_seq and c_T both carry gradient
@@ -286,40 +250,31 @@ def test_fused_recurrence_matches_unrolled_cells():
     ts = np.stack([aee.timestamp_features(40 + 9 * i, 4, STEP, START) for i in range(3)])
     w_out = rng.normal(size=(3, 4, hidden))
     w_lat = rng.normal(size=(2, 3, hidden))
+    tape = ad.Tape()
+    with ad.record(tape):
+        latents = aee.encode(win, params)
+        out = aee.decode(latents, ts, params)
+        terms = [ad.mul(out, ad.tensor(w_out))] + [ad.mul(t, ad.tensor(w_lat[j])) for j, t in enumerate(latents)]
+        loss = sum_all(terms[0])
+        for t in terms[1:]:
+            loss = ad.add(loss, sum_all(t))
+    ad.backward(tape, loss)
 
-    def run(fused):
-        for p in params.values():
-            p.grad = None
-        tape = ad.Tape()
-        with ad.record(tape):
-            if fused:
-                latents = aee.encode(win, params)
-                out = aee.decode(latents, ts, params)
-                terms = [ad.mul(out, ad.tensor(w_out))]
-                out_values = out.values
-            else:
-                zeros = ad.tensor(np.zeros((3, hidden)))
-                _, latents = unrolled(np.swapaxes(win, 1, 2), _cell(params, "enc"), (zeros, zeros))
-                hs, _ = unrolled(ts, _cell(params, "dec"), latents)
-                terms = [ad.mul(h, ad.tensor(w_out[:, k])) for k, h in enumerate(hs)]
-                out_values = np.stack([h.values for h in hs], axis=1)
-            terms += [ad.mul(t, ad.tensor(w_lat[j])) for j, t in enumerate(latents)]
-            loss = sum_all(terms[0])
-            for t in terms[1:]:
-                loss = ad.add(loss, sum_all(t))
-        ad.backward(tape, loss)
-        lat_values = [t.values for t in latents]
-        return loss.item(), out_values, lat_values, {k: p.grad.copy() for k, p in params.items()}
-
-    loss_f, out_f, lat_f, grads_f = run(True)
-    loss_u, out_u, lat_u, grads_u = run(False)
-    assert abs(loss_f - loss_u) <= 1e-10
-    assert np.abs(out_f - out_u).max() <= 1e-10
-    for a, b in zip(lat_f, lat_u):
-        assert np.abs(a - b).max() <= 1e-10
-    assert grads_f.keys() == grads_u.keys()
-    for key in grads_f:
-        assert np.abs(grads_f[key] - grads_u[key]).max() <= 1e-10, key
+    # the reference encoder runs twice: forward for the decoder's initial
+    # state, then backward from the latents' weights plus the decoder's
+    # gradients with respect to that state
+    x_enc, zeros = np.swapaxes(win, 1, 2), np.zeros((3, hidden))
+    enc, dec = ([params[f"aee.{branch}.{k}"].values for k in ("w", "u", "b")] for branch in ("enc", "dec"))
+    (_, h_T, c_T), _, _ = lstm_reference(x_enc, zeros, zeros, *enc, np.zeros((3, 7, hidden)), zeros, zeros)
+    (h_seq, _, _), dec_grads, _ = lstm_reference(ts, h_T, c_T, *dec, w_out, zeros, zeros)
+    _, enc_grads, _ = lstm_reference(x_enc, zeros, zeros, *enc, np.zeros((3, 7, hidden)),
+                                     w_lat[0] + dec_grads["h0"], w_lat[1] + dec_grads["c0"])
+    assert np.abs(out.values - h_seq).max() <= 1e-10
+    assert np.abs(latents[0].values - h_T).max() <= 1e-10
+    assert np.abs(latents[1].values - c_T).max() <= 1e-10
+    for branch, grads in (("enc", enc_grads), ("dec", dec_grads)):
+        for k in ("w", "u", "b"):
+            assert np.abs(params[f"aee.{branch}.{k}"].grad - grads[k]).max() <= 1e-10, (branch, k)
 
 
 def test_encode_and_decode_record_one_node_each():

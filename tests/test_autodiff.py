@@ -25,7 +25,8 @@ from peakcast.autodiff import (
     record,
 )
 
-from gradcheck import attention_keep_masks, finite_diff_check, sigmoid, softmax_attention, sum_all, tanh
+from gradcheck import (attention_keep_masks, finite_diff_check, lstm_reference, sigmoid, softmax_attention, sum_all,
+                       tanh)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -631,48 +632,6 @@ def test_lstm_sequence_rejects_bad_shapes(operand, shape):
     ops[operand] = np.zeros(shape)
     with pytest.raises(DimensionError, match="lstm_sequence"):
         ad.lstm_sequence(*(ad.tensor(v) for v in ops.values()))
-
-
-def _exp_sigmoid(v):
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-
-def lstm_reference(x_seq, h0, c0, w, u, b, gh, gh_T, gc):
-    """A plain-numpy LSTM step loop, gates i, f, g, o in stored order with the
-    exp-form sigmoid, and its backprop through time by hand. Returns
-    (h_seq, h_T, c_T), the gradients of sum(h_seq gh) + sum(h_T gh_T) +
-    sum(c_T gc) with respect to each operand, and the largest sum of the
-    absolute terms of a pre-activation."""
-    T, H = x_seq.shape[1], h0.shape[1]
-    h, c = h0, c0
-    hs, steps, z_terms = [], [], 0.0
-    for s in range(T):
-        z = x_seq[:, s] @ w + b + h @ u
-        z_terms = max(z_terms, (np.abs(x_seq[:, s]) @ np.abs(w) + np.abs(b) + np.abs(h) @ np.abs(u)).max())
-        i, f, o = (_exp_sigmoid(z[:, k * H:(k + 1) * H]) for k in (0, 1, 3))
-        g = np.tanh(z[:, 2 * H:3 * H])
-        h_prev, c_prev = h, c
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        hs.append(h)
-        steps.append((h_prev, c_prev, i, f, g, o, c))
-    grads = {name: np.zeros_like(v) for name, v in (("x_seq", x_seq), ("w", w), ("u", u), ("b", b))}
-    dh, dc = gh_T.copy(), gc.copy()
-    for s in range(T - 1, -1, -1):
-        h_prev, c_prev, i, f, g, o, c_s = steps[s]
-        dh = dh + gh[:, s]
-        tc = np.tanh(c_s)
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-        grads["x_seq"][:, s] = dz @ w.T
-        grads["w"] += x_seq[:, s].T @ dz
-        grads["u"] += h_prev.T @ dz
-        grads["b"] += dz.sum(axis=0)
-        dh, dc = dz @ u.T, dc * f
-    grads["h0"], grads["c0"] = dh, dc
-    return (np.stack(hs, axis=1), h, c), grads, z_terms
 
 
 # pre-activation scales from 1e-3 to 50: from near-linear gates to gates

@@ -26,7 +26,7 @@ def us(*stamps):
 
 def write(tmp_path, name, rows):
     p = tmp_path / name
-    p.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
+    p.write_text("timestamp,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
     return p
 
 
@@ -97,7 +97,7 @@ class TestLoadCsv:
 
     def test_missing_timestamp_field_reports_line(self, tmp_path):
         p = tmp_path / "short.csv"
-        p.write_text("value,timestamp\n1.0,2021-09-01T00:00\n2.0\n")
+        p.write_text("value,timestamp\n1.0,2021-09-01T00:00\n2.0\n", encoding="utf-8")
         with pytest.raises(d.ParseError, match="'timestamp'") as exc:
             d.load_csv(p)
         assert exc.value.line == 3
@@ -105,8 +105,18 @@ class TestLoadCsv:
     @pytest.mark.parametrize("header", ["time,value", "timestamp,flow", ""], ids=["time", "flow", "empty"])
     def test_header_without_timestamp_and_value_rejected(self, tmp_path, header):
         p = tmp_path / "odd.csv"
-        p.write_text(f"{header}\n2021-09-01T00:00,1.0\n")
+        p.write_text(f"{header}\n2021-09-01T00:00,1.0\n", encoding="utf-8")
         with pytest.raises(d.ParseError, match="header must include 'timestamp' and 'value'") as exc:
+            d.load_csv(p)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("header", ["timestamp,value,value", "timestamp,value,timestamp"],
+                             ids=["value", "timestamp"])
+    def test_header_naming_a_column_twice_rejected(self, tmp_path, header):
+        # the last such column once won without a word
+        p = tmp_path / "twice.csv"
+        p.write_text(f"{header}\n2021-09-01T00:00,1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(d.ParseError, match="once each") as exc:
             d.load_csv(p)
         assert exc.value.line == 1
 
@@ -122,7 +132,8 @@ class TestLoadCsv:
 
     def test_reordered_header_and_extra_columns(self, tmp_path):
         p = tmp_path / "c.csv"
-        p.write_text("value,station,timestamp,note\n2.5,n1,2021-09-01T00:15,late\n1.5,n1,2021-09-01T00:00,\n")
+        p.write_text("value,station,timestamp,note\n2.5,n1,2021-09-01T00:15,late\n1.5,n1,2021-09-01T00:00,\n",
+                     encoding="utf-8")
         s = d.load_csv(p)
         assert list(s.values) == [1.5, 2.5]
         assert np.array_equal(s.times_us, us(T0, T0 + STEP))

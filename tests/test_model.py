@@ -1,13 +1,15 @@
-import base64
 import gc
 import hashlib
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
 import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +414,12 @@ class TestPositions:
         assert yhat.shape == (2, cfg.h) and np.isfinite(yhat.values).all()
 
 
+def npy_bytes(values):
+    buf = io.BytesIO()
+    np.save(buf, values)
+    return buf.getvalue()
+
+
 SAVE_SCRIPT = """
 import json, sys
 from peakcast import model
@@ -452,18 +460,22 @@ class TestCheckpoint:
     def saved(self, tmp_path):
         cfg = toy_cfg()
         params = model.init_params(cfg, 7)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save_checkpoint(path, cfg, params)
         return path, cfg, params
 
     @staticmethod
-    def rewrite(path, edit, rechecksum=False):
-        doc = json.loads(path.read_text())
+    def rewrite(path, edit):
+        """Rewrite the archive at ``path`` after ``edit`` on its JSON header,
+        with the parameter members under "params"; the new archive's CRC-32s
+        match its members."""
+        with np.load(path) as archive:
+            doc = json.loads(archive["header"].item()) | {"params": {n: archive[n] for n in archive.files}}
+        doc["params"].pop("header")
         edit(doc)
-        if rechecksum:  # the format's checksum: sha256 of config and parameters as sorted-key JSON
-            blob = json.dumps([doc["config"], doc["params"]], sort_keys=True)
-            doc["checksum"] = hashlib.sha256(blob.encode()).hexdigest()
-        path.write_text(json.dumps(doc))
+        params = doc.pop("params")
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(doc)), **params)
 
     def test_round_trip_reproduces_forecasts(self, saved):
         path, cfg, params = saved
@@ -475,16 +487,26 @@ class TestCheckpoint:
         assert np.array_equal(got[0].values, want[0].values)
         assert np.array_equal(got[1].values, want[1].values)
 
+    def test_file_is_a_numpy_archive(self, saved):
+        path, cfg, params = saved
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == ["header", *sorted(params)]
+            assert json.loads(archive["header"].item()) == {
+                "format": "peakcast-checkpoint", "format_version": 5, "config": cfg.to_dict()}
+            assert all(np.array_equal(archive[name], p.values) for name, p in params.items())
+
     def test_interrupted_save_keeps_the_old_file(self, saved, monkeypatch):
         path, cfg, params = saved
         before = path.read_bytes()
+        savez = np.savez
 
-        def half_dump(doc, fh):
-            text = json.dumps(doc)
-            fh.write(text[:len(text) // 2])
+        def half_savez(fh, **members):
+            buf = io.BytesIO()
+            savez(buf, **members)
+            fh.write(buf.getvalue()[:len(buf.getvalue()) // 2])
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(model.json, "dump", half_dump)
+        monkeypatch.setattr(model.np, "savez", half_savez)
         changed = {name: ad.parameter(p.values + 1.0) for name, p in params.items()}
         with pytest.raises(KeyboardInterrupt):
             model.save_checkpoint(path, cfg, changed)
@@ -492,6 +514,24 @@ class TestCheckpoint:
         assert list(path.parent.iterdir()) == [path]
         _, loaded = model.load_checkpoint(path)
         assert all(np.array_equal(loaded[name].values, p.values) for name, p in params.items())
+
+    def test_save_syncs_the_directory_after_the_rename(self, saved, monkeypatch):
+        path, cfg, params = saved
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        model.save_checkpoint(path, cfg, params)
+        assert events == ["fsync file", "replace", "fsync dir"]
 
     def test_save_keeps_the_old_files_permission_bits(self, saved):
         path, cfg, params = saved
@@ -501,7 +541,7 @@ class TestCheckpoint:
 
     def test_save_through_a_symlink_replaces_its_target(self, saved):
         path, cfg, params = saved
-        link = path.parent / "link.json"
+        link = path.parent / "link.npz"
         link.symlink_to(path.name)
         changed = {name: ad.parameter(p.values + 1.0) for name, p in params.items()}
         model.save_checkpoint(link, cfg, changed)
@@ -515,12 +555,12 @@ class TestCheckpoint:
         src = str(Path(model.__file__).parents[1])
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            out = tmp_path / f"seed{seed}.json"
+            out = tmp_path / f"seed{seed}.npz"
             subprocess.run([sys.executable, "-c", SAVE_SCRIPT, str(out), json.dumps(cfg.to_dict())],
                            env=env, check=True, timeout=60)
             assert out.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_rejected(self, saved, version):
         path = saved[0]
         self.rewrite(path, lambda doc: doc.update(format_version=version))
@@ -528,14 +568,11 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
     def test_corrupted_data_rejected(self, saved):
-        path = saved[0]
-
-        def flip(doc):
-            data = doc["params"]["head.b"]
-            doc["params"]["head.b"] = ("A" if data[0] != "A" else "B") + data[1:]
-
-        self.rewrite(path, flip)
-        with pytest.raises(CheckpointError, match="checksum"):
+        path, _, params = saved
+        data = bytearray(path.read_bytes())
+        data[data.index(params["head.w"].values.tobytes()) + 3] ^= 0x10
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="Bad CRC-32"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
@@ -565,32 +602,50 @@ class TestCheckpoint:
 
     def test_malformed_param_entry_rejected(self, saved):
         path = saved[0]
-        self.rewrite(path, lambda doc: doc["params"].update({"head.b": 3}))
-        with pytest.raises(CheckpointError, match="malformed parameter list"):
+        self.rewrite(path, lambda doc: doc["params"].update({"head.b": doc["params"]["head.b"].astype(np.float32)}))
+        with pytest.raises(CheckpointError, match="head.b has dtype float32, not float64"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda doc: doc["params"].update({"aee.dec.u": doc["params"]["aee.dec.u"][:-12]}),
-         "aee.dec.u data does not decode"),
+        (lambda doc: doc["params"].update({"aee.dec.u": doc["params"]["aee.dec.u"].ravel()[:-12]}),
+         r"aee.dec.u has shape \(52,\), its config gives \(4, 16\)"),
         (lambda doc: doc["params"].pop("aee.dec.u"), "aee.dec.u of its config is missing"),
         (lambda doc: doc["params"].update(extra=doc["params"]["head.b"]), "extra is not in its config"),
     ], ids=["truncated", "missing", "extra"])
     def test_bad_tensor_rejected_despite_valid_checksum(self, saved, edit, match):
         path = saved[0]
-        self.rewrite(path, edit, rechecksum=True)
+        self.rewrite(path, edit)
         with pytest.raises(CheckpointError, match=match):
+            model.load_checkpoint(path)
+
+    def test_member_that_is_not_an_array_rejected(self, saved):
+        path = saved[0]
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("notes.txt", b"hello")
+        with pytest.raises(CheckpointError, match="notes.txt is not in its config"):
+            model.load_checkpoint(path)
+
+    def test_member_claiming_more_values_than_memory_rejected(self, saved):
+        path = saved[0]
+        member = io.BytesIO()
+        np.lib.format.write_array_header_1_0(member, {"descr": "<f8", "fortran_order": False, "shape": (10 ** 13,)})
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("huge.npy", member.getvalue() + bytes(8))
+        with pytest.raises(CheckpointError, match="unreadable checkpoint"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, name", [
         (lambda params: params.update(extra=ad.parameter(np.zeros(3))), "extra"),
         (lambda params: params.pop("aee.dec.u"), "aee.dec.u"),
         (lambda params: params.update({"head.w": ad.parameter(np.zeros((1, 4)))}), "head.w"),
-    ], ids=["extra", "missing", "transposed"])
+        (lambda params: setattr(params["head.w"], "values", params["head.w"].values.astype(np.float32)),
+         "head.w has dtype float32"),
+    ], ids=["extra", "missing", "transposed", "float32"])
     def test_params_not_matching_config_rejected_on_save(self, tmp_path, edit, name):
         cfg = toy_cfg()
         params = model.init_params(cfg, 7)
         edit(params)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         with pytest.raises(CheckpointError, match=name):
             model.save_checkpoint(path, cfg, params)
         assert not path.exists()
@@ -600,7 +655,7 @@ class TestCheckpoint:
         cfg = toy_cfg()
         params = model.init_params(cfg, 7)
         params["head.w"].values[1, 0] = value
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         with pytest.raises(CheckpointError, match="head.w"):
             model.save_checkpoint(path, cfg, params)
         assert not path.exists()
@@ -608,29 +663,45 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
     def test_non_finite_parameter_rejected_on_load(self, saved, value):
         path = saved[0]
-
-        def poison(doc):
-            values = np.frombuffer(base64.b64decode(doc["params"]["head.w"]), dtype="<f8").copy()
-            values[1] = value
-            doc["params"]["head.w"] = base64.b64encode(values.tobytes()).decode()
-
-        self.rewrite(path, poison, rechecksum=True)
-        with pytest.raises(CheckpointError, match="head.w"):
+        self.rewrite(path, lambda doc: doc["params"]["head.w"].__setitem__((1, 0), value))
+        with pytest.raises(CheckpointError, match="head.w has non-finite values"):
             model.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(CheckpointError):
+        path = tmp_path / "other.npz"
+        np.savez(path, x=np.zeros(3))
+        with pytest.raises(CheckpointError, match="is not a checkpoint file"):
             model.load_checkpoint(path)
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"{"], ids=["not_utf8", "truncated_json"])
-    def test_unreadable_file_rejected(self, tmp_path, content):
-        path = tmp_path / "bad.json"
-        path.write_bytes(content)
+    @pytest.mark.parametrize("header", [
+        np.array("{"), np.array("[1, 2]"), np.array(json.dumps({"format": "other", "format_version": 5})),
+        np.zeros(2), np.array(1.5),
+    ], ids=["not_json", "json_list", "other_format", "two_floats", "float"])
+    def test_bad_header_rejected(self, saved, header):
+        path, _, params = saved
+        with open(path, "wb") as fh:
+            np.savez(fh, header=header, **{name: p.values for name, p in params.items()})
+        with pytest.raises(CheckpointError, match="is not a checkpoint file"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [
+        lambda data: b"\xff\xfe{",
+        lambda data: b"{",
+        lambda data: b"",
+        lambda data: b"PK\x03\x04",
+        lambda data: json.dumps({"format": "peakcast-checkpoint", "format_version": 4}).encode(),
+        lambda data: npy_bytes(np.zeros(3)),
+        lambda data: data[:10],
+        lambda data: data[:len(data) // 2],
+        lambda data: data[:-1],
+    ], ids=["not_utf8", "truncated_json", "empty", "zip_magic_only", "version_4_json", "npy",
+            "cut_in_first_header", "cut_in_half", "cut_last_byte"])
+    def test_unreadable_file_rejected(self, saved, content):
+        path = saved[0]
+        path.write_bytes(content(path.read_bytes()))
         with pytest.raises(CheckpointError, match="unreadable checkpoint"):
             model.load_checkpoint(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="unreadable checkpoint"):
-            model.load_checkpoint(tmp_path / "absent.json")
+            model.load_checkpoint(tmp_path / "absent.npz")

@@ -368,6 +368,17 @@ class TestExpandPeaks:
         with pytest.raises(ov.PolicyError, match="must be integers"):
             ov.expand_peaks(np.array([500]), **{"s_step": 1, "nu": 8, "series_len": 1000, "t": 100, "h": 10, **kw})
 
+    @pytest.mark.parametrize("peaks", [np.array([300.7]), np.array([500.0]), np.array([True])],
+                             ids=["fraction", "whole_float", "bool"])
+    def test_peaks_that_are_not_integers_rejected(self, peaks):
+        # a cast to intp once read 300.7 as 300 and True as 1
+        with pytest.raises(ov.PolicyError, match="peak indices must be integers"):
+            ov.expand_peaks(peaks, s_step=1, nu=8, series_len=1000, t=100, h=10)
+
+    def test_no_peaks_give_no_origins(self):
+        got = ov.expand_peaks([], s_step=1, nu=8, series_len=1000, t=100, h=10)
+        assert got.dtype == np.intp and got.size == 0
+
     def test_numpy_integer_geometry_gives_integer_origins(self):
         got = ov.expand_peaks(np.array([500]), 1, 8, np.int64(1000), np.int64(100), np.int32(10))
         assert got.dtype == np.intp

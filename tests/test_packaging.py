@@ -6,7 +6,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_console_scripts_resolve():
-    scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), f"{name} -> {target}"
