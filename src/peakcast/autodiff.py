@@ -18,16 +18,20 @@ consumers, so those gradients are final when the node runs. ``vjp`` adds
 into each input with :func:`_accum`, which keeps a first gradient without
 a copy: every op hands over arrays it allocated for that input alone,
 except :func:`add` and :func:`reshape`, which copy the output gradient
-they pass on, and :func:`add_layer_norm`, which hands its residual a
-copy of the gradient it hands x.
+they pass on.
 
 A fused op records one node for a whole computation, with a hand-written
 backward: :func:`linear` runs a dense layer (product and bias),
-:func:`add_layer_norm` a residual sum and the layer norm after it,
-:func:`ffn` a position-wise feed-forward layer (product, ReLU, dropout,
-product), :func:`attention` every head of a multi-head attention block,
-and :func:`lstm_sequence` a whole LSTM layer, whose node serves its three
+:func:`attention` every head of a multi-head attention block, and
+:func:`lstm_sequence` a whole LSTM layer, whose node serves its three
 outputs: the hidden sequence and the last step's hidden and cell states.
+Two ops run the post-norm tail LayerNorm(x + Sublayer(x)) of a
+transformer sublayer: :func:`project_add_norm` an attention sublayer's
+(output projection, residual add, layer norm) and :func:`ffn_add_norm` a
+whole feed-forward sublayer (product, ReLU, dropout, product, residual
+add, layer norm). They share one layer-norm forward and backward, and
+normalise the sum in place in the buffer of their last product, so the
+tape keeps no copy of the sublayer's output.
 
 :func:`attention` runs its heads, forward and backward, on W workers,
 W = min(n_heads, usable CPUs) when a head has at least ``_BLOCK_ELEMS``
@@ -41,8 +45,9 @@ competes with them for the CPUs.
 
 Ops take Tensor operands only: wrap a constant array with :func:`tensor`.
 Shapes follow numpy row-major conventions. Elementwise ops take equal
-shapes only; the one broadcast is the (k,) bias inside :func:`linear`, so
-no silent broadcasting ever happens. The one unfused nonlinearity is
+shapes only; the one broadcast is a (k,) vector along the last axis
+inside a fused op (a bias, or a layer norm's gain), so no silent
+broadcasting ever happens. The one unfused nonlinearity is
 :func:`relu`, which the lag-feature embedding applies; the tests build
 their smooth oracles from ``tanh`` and ``sigmoid`` in ``tests/gradcheck.py``.
 """
@@ -273,89 +278,136 @@ def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) ->
 LAYER_NORM_EPS = 1e-5  # added to each row's variance before the square root
 
 
-def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """xh * gain + bias, where xh = (z - mean(z)) / sqrt(var(z) + LAYER_NORM_EPS)
-    over the last axis of z = x + residual: x and residual are (..., d), gain
-    and bias (d,). One node keeps xh and the row scales; backward builds
-    dz = (gy - mean(gy) - xh * mean(gy * xh)) / s in place in
-    gy = grad * gain, and hands x dz and the residual a copy."""
-    _same_shape(x, residual, "add_layer_norm")
-    d = x.shape[-1] if x.values.ndim else 0
+def _check_norm(name: str, d: int, gain: Tensor, bias: Tensor) -> None:
     if not d or gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(f"add_layer_norm: gain {gain.shape} and bias {bias.shape} do not fit x {x.shape}")
-    xh = x.values + residual.values
-    xh -= xh.mean(axis=-1, keepdims=True)
-    s = np.sqrt(np.square(xh).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-    xh /= s
-    y = xh * gain.values
+        raise DimensionError(f"{name}: gain {gain.shape} and bias {bias.shape} do not fit a sublayer of width {d}")
+
+
+def _norm_in_place(z: np.ndarray, gain: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm over the last axis of z, which becomes xh = (z - mean(z)) /
+    s in place, s = sqrt(var(z) + LAYER_NORM_EPS); returns the output xh *
+    gain + bias and the row scales s."""
+    z -= z.mean(axis=-1, keepdims=True)
+    s = np.sqrt(np.square(z).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    z /= s
+    y = z * gain.values
     y += bias.values
+    return y, s
+
+
+def _norm_backward(g: np.ndarray, xh: np.ndarray, s: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """The gradient dz = (gy - mean(gy) - xh * mean(gy * xh)) / s of the
+    normalised sum z, built in place in gy = g * gain from the output's
+    gradient g; adds into the gradients of gain and bias."""
+    d = xh.shape[-1]
+    if gain.requires_grad:
+        _accum(gain, (g * xh).reshape(-1, d).sum(axis=0))
+    if bias.requires_grad:
+        _accum(bias, g.reshape(-1, d).sum(axis=0))
+    gy = g * gain.values
+    m2 = (gy * xh).mean(axis=-1, keepdims=True)
+    gy -= gy.mean(axis=-1, keepdims=True)
+    gy -= xh * m2
+    gy /= s
+    return gy
+
+
+def project_add_norm(h: Tensor, w: Tensor, b: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Post-norm tail of an attention sublayer, LayerNorm(h w + b + residual):
+    h (..., n), w (n, k), b (k,), residual (..., k), gain and bias (k,).
+
+    The projection is one (rows, n) @ (n, k) product with the bias added in
+    place, and z = (h w + b) + residual is normalised in the product's
+    buffer, so no (..., k) array is kept but xh. One node keeps xh and the
+    row scales; from the norm's dz it computes dh = dz w^T, dw = h^T dz and
+    db, then hands the residual dz itself and adds dh, dw and db."""
+    hv, wv = h.values, w.values
+    k = wv.shape[1] if wv.ndim == 2 else 0
+    if (hv.ndim < 1 or wv.ndim != 2 or hv.shape[-1] != wv.shape[0] or b.shape != (k,)
+            or residual.shape != (*hv.shape[:-1], k)):
+        raise DimensionError(f"project_add_norm: h {hv.shape}, w {wv.shape}, b {b.shape}, residual {residual.shape} "
+                             f"do not fit (..., n) @ (n, k) + (k,) + (..., k)")
+    _check_norm("project_add_norm", k, gain, bias)
+    h2d = hv.reshape(-1, wv.shape[0])
+    xh = h2d @ wv
+    xh += b.values
+    xh = xh.reshape(residual.shape)
+    xh += residual.values
+    y, s = _norm_in_place(xh, gain, bias)
 
     def vjp(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            _accum(gain, (g * xh).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        gy = g * gain.values
-        m2 = (gy * xh).mean(axis=-1, keepdims=True)
-        gy -= gy.mean(axis=-1, keepdims=True)
-        gy -= xh * m2
-        gy /= s
-        if x.requires_grad:
-            _accum(x, gy)
-        if residual.requires_grad:
-            _accum(residual, gy.copy())
+        dz = _norm_backward(g, xh, s, gain, bias)
+        dz2d = dz.reshape(-1, k)
+        dh = (dz2d @ wv.T).reshape(hv.shape) if h.requires_grad else None
+        dw = h2d.T @ dz2d if w.requires_grad else None
+        db = dz2d.sum(axis=0) if b.requires_grad else None
+        if residual.requires_grad:  # dz goes in before dh, so a tensor that is h and residual gets dz + dh
+            _accum(residual, dz)
+        for t, grad in ((h, dh), (w, dw), (b, db)):
+            if grad is not None:
+                _accum(t, grad)
 
-    return _emit(Tensor(y), (x, residual, gain, bias), vjp)
+    return _emit(Tensor(y), (h, w, b, residual, gain, bias), vjp)
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, rate: float = 0.0,
-        rng: np.random.Generator | None = None) -> Tensor:
-    """Feed-forward layer dropout(relu(x w1 + b1)) w2 + b2 on the last axis:
-    x (..., n), w1 (n, f), b1 (f,), w2 (f, k) and b2 (k,) give (..., k).
+def ffn_add_norm(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor, bias: Tensor,
+                 rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """Post-norm feed-forward sublayer, LayerNorm(x + FFN(x)), where FFN(x) =
+    dropout(relu(x w1 + b1)) w2 + b2 on the last axis: x (..., n), w1 (n, f),
+    b1 (f,), w2 (f, n), b2, gain and bias (n,).
+
     Inverted dropout runs when rate > 0 and then needs ``rng``: one
     :func:`_keep_mask` draw after the first product; rate 0 draws nothing.
-    One node keeps the hidden activations h, after ReLU and dropout, and no
-    mask: backward rebuilds ReLU's and dropout's masks, joined, as h > 0
-    (the gradient at exactly 0 is 0)."""
+    The sum z = FFN(x) + x is normalised in the second product's buffer.
+    One node keeps the hidden activations, after ReLU and dropout, xh and
+    the row scales, and no mask: backward rebuilds ReLU's and dropout's
+    masks, joined, as hidden > 0 (the gradient at exactly 0 is 0). It
+    hands x dz itself and then adds the FFN's dx."""
     xv, w1v, w2v = x.values, w1.values, w2.values
-    if (xv.ndim < 1 or w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1] != w1v.shape[0]
-            or w2v.shape[0] != w1v.shape[1] or b1.shape != (w1v.shape[1],) or b2.shape != (w2v.shape[1],)):
-        raise DimensionError(f"ffn: x {xv.shape}, w1 {w1v.shape}, b1 {b1.shape}, w2 {w2v.shape}, b2 {b2.shape} "
-                             f"do not fit (..., n), (n, f), (f,), (f, k), (k,)")
+    n = xv.shape[-1] if xv.ndim else 0
+    if (xv.ndim < 1 or w1v.ndim != 2 or w2v.ndim != 2 or w1v.shape[0] != n or w2v.shape[0] != w1v.shape[1]
+            or w2v.shape[1] != n or b1.shape != (w1v.shape[1],) or b2.shape != (n,)):
+        raise DimensionError(f"ffn_add_norm: x {xv.shape}, w1 {w1v.shape}, b1 {b1.shape}, w2 {w2v.shape}, "
+                             f"b2 {b2.shape} do not fit (..., n), (n, f), (f,), (f, n), (n,)")
+    _check_norm("ffn_add_norm", n, gain, bias)
     if not 0.0 <= rate < 1.0:
-        raise ContractError(f"ffn: dropout rate must be in [0, 1), got {rate}")
+        raise ContractError(f"ffn_add_norm: dropout rate must be in [0, 1), got {rate}")
     drop = rate > 0.0
     if drop and rng is None:
-        raise ContractError("ffn: rng must be a numpy Generator when rate > 0, got None")
+        raise ContractError("ffn_add_norm: rng must be a numpy Generator when rate > 0, got None")
     keep_scale = 1.0 / (1.0 - rate)
-    x2d = xv.reshape(-1, w1v.shape[0])
-    h = x2d @ w1v
-    h += b1.values
-    np.fmax(h, 0.0, out=h)  # ReLU; a NaN pre-activation gives 0
+    x2d = xv.reshape(-1, n)
+    hidden = x2d @ w1v
+    hidden += b1.values
+    np.fmax(hidden, 0.0, out=hidden)  # ReLU; a NaN pre-activation gives 0
     if drop:
-        h *= _keep_mask(rng, h.shape, rate)
-        h *= keep_scale
-    y = h @ w2v
-    y += b2.values
+        hidden *= _keep_mask(rng, hidden.shape, rate)
+        hidden *= keep_scale
+    xh = hidden @ w2v
+    xh += b2.values
+    xh = xh.reshape(xv.shape)
+    xh += xv
+    y, s = _norm_in_place(xh, gain, bias)
 
     def vjp(g: np.ndarray) -> None:
-        g2d = g.reshape(y.shape)
-        if w2.requires_grad:
-            _accum(w2, h.T @ g2d)
-        if b2.requires_grad:
-            _accum(b2, g2d.sum(axis=0))
-        gh = g2d @ w2v.T
-        gh *= h > 0  # ReLU's mask and dropout's keep mask joined
+        dz = _norm_backward(g, xh, s, gain, bias)
+        dz2d = dz.reshape(-1, n)
+        dw2 = hidden.T @ dz2d if w2.requires_grad else None
+        db2 = dz2d.sum(axis=0) if b2.requires_grad else None
+        gh = dz2d @ w2v.T
+        gh *= hidden > 0  # ReLU's mask and dropout's keep mask joined
         if drop:
             gh *= keep_scale
-        if x.requires_grad:
-            _accum(x, (gh @ w1v.T).reshape(xv.shape))
-        if w1.requires_grad:
-            _accum(w1, x2d.T @ gh)
-        if b1.requires_grad:
-            _accum(b1, gh.sum(axis=0))
+        dx = (gh @ w1v.T).reshape(xv.shape) if x.requires_grad else None
+        dw1 = x2d.T @ gh if w1.requires_grad else None
+        db1 = gh.sum(axis=0) if b1.requires_grad else None
+        if x.requires_grad:  # dz goes in before dx: x.grad gets dz + dx
+            _accum(x, dz)
+        for t, grad in ((x, dx), (w2, dw2), (b2, db2), (w1, dw1), (b1, db1)):
+            if grad is not None:
+                _accum(t, grad)
 
-    return _emit(Tensor(y.reshape(*xv.shape[:-1], y.shape[1])), (x, w1, b1, w2, b2), vjp)
+    return _emit(Tensor(y), (x, w1, b1, w2, b2, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +554,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
     the scores' gradient is dS_i = E_i * (g'_i V_i^T [* M_i] - rowdot'_i)
     without forming P_i. It writes dq block by block and sums dk and dv over
     the blocks in reused (B, t_k, d_head) buffers, each block's product made
-    with ``out=`` in a third one.
+    with ``out=`` in a third one; an operand that needs no gradient gets no
+    array and no product.
     This is the row-block recompute of FlashAttention (Dao et al.,
     arXiv:2205.14135) without the online softmax.
 
@@ -643,12 +696,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, rate: float = 0.0,
                     ds *= keep
                 ds -= row_dot[:, r]
                 ds *= e
-                if drop:
-                    e *= keep
-                dv_i += np.matmul(np.swapaxes(e, -1, -2), gi[:, r], out=prod)
+                if dv is not None:
+                    if drop:
+                        e *= keep
+                    dv_i += np.matmul(np.swapaxes(e, -1, -2), gi[:, r], out=prod)
                 if dq is not None:
                     dq[:, r, cols] = np.matmul(ds, ki)
-                dk_i += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r, cols], out=prod)
+                if dk is not None:
+                    dk_i += np.matmul(np.swapaxes(ds, -1, -2), qs[:, r, cols], out=prod)
             if dk is not None:
                 dk[..., cols] = dk_i
             if dv is not None:

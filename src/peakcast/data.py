@@ -19,6 +19,7 @@ scaled by one fitted :class:`Transform`, log1p then standardize.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -283,13 +284,48 @@ def load_csv(path, name: str | None = None) -> RawSeries:
     return RawSeries(name=name if name is not None else str(path), times_us=times_us, values=values)
 
 
+# rows write_csv formats at a time: every temporary stays under glibc's
+# default 128 KiB mmap threshold, since freeing a larger mmapped block raises
+# the threshold and changes how the process allocates afterwards
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, start: datetime, step: timedelta, values: np.ndarray) -> None:
-    """Write one series in the canonical ``timestamp,value`` format."""
+    """Write one series in the canonical ``timestamp,value`` format: row i
+    holds ``(start + i * step).isoformat()`` and ``repr(float(values[i]))``,
+    and every line ends in ``\\r\\n``, the bytes ``csv.writer`` writes.
+
+    Rows are formatted a block at a time: numpy formats the block's
+    wall-clock times at once, and the offset is ``start``'s own when its
+    ``tzinfo`` is None or a fixed ``timezone``, else each row's from
+    ``isoformat``. A last stamp outside ``datetime``'s range raises
+    OverflowError before the file is opened."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    if n:
+        start + (n - 1) * step  # raises OverflowError past datetime's range, as that row's stamp would
+    first, step_us = np.datetime64(start.replace(tzinfo=None), "us"), np.timedelta64(step // _US, "us")
+    fixed = start.tzinfo is None or isinstance(start.tzinfo, timezone)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([(start + i * step).isoformat(), repr(float(v))])
+        fh.write("timestamp,value\r\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            rows = range(lo, min(lo + _CSV_BLOCK_ROWS, n))
+            wall = first + np.arange(rows.start, rows.stop) * step_us
+            stamps = np.datetime_as_string(wall, unit="s")
+            fraction = wall.view(np.int64) % 1_000_000 != 0  # isoformat writes the microseconds unless they are 0
+            if fraction.any():
+                stamps = np.where(fraction, np.datetime_as_string(wall, unit="us"), stamps)
+            if fixed:
+                offsets = itertools.repeat(_offset_suffix(start))
+            else:  # an offset that may change along the series, such as a zoneinfo zone's
+                offsets = (_offset_suffix(start + i * step) for i in rows)
+            fh.write("".join(f"{stamp}{offset},{value!r}\r\n" for stamp, offset, value in
+                             zip(stamps.tolist(), offsets, values[rows.start:rows.stop].tolist())))
+
+
+def _offset_suffix(ts: datetime) -> str:
+    """The part of ``ts.isoformat()`` after its wall-clock time."""
+    return ts.isoformat()[len(ts.replace(tzinfo=None).isoformat()):]
 
 
 def _check_series(series: RawSeries) -> None:

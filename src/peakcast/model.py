@@ -6,10 +6,12 @@ ties the two together. No attention mask exists anywhere; the decoder
 emits all h steps in one pass and its per-step linear head is fused with
 the autoencoder's short-term head by element-wise addition.
 
-Encoder and decoder layers are post-norm: one fused op,
-:func:`autodiff.add_layer_norm`, adds each sublayer's output to its input
-and normalises the sum, and the feed-forward sublayer is one fused op,
-:func:`autodiff.ffn`. Training drops out attention weights and FFN units.
+Encoder and decoder layers are post-norm, LayerNorm(x + Sublayer(x)), and
+each sublayer's tail is one fused op: :func:`autodiff.project_add_norm`
+projects the attention heads with ``wo`` and ``bo``, adds the sublayer's
+input and normalises the sum, and :func:`autodiff.ffn_add_norm` does the
+same for the whole feed-forward sublayer. Neither keeps the sublayer's
+output on the tape. Training drops out attention weights and FFN units.
 
 Two ablation embedding modes replace the learned embeddings with a plain
 token embedding, optionally plus the classic sinusoidal positional term.
@@ -210,31 +212,37 @@ def multi_head_attention(
     rng: np.random.Generator | None = None,
     trace: list | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention of ``x`` over all rows of ``source``.
+    """Scaled dot-product attention of ``x`` over all rows of ``source``: the
+    heads' outputs, (..., t_x, d_model), before the output projection.
 
     Self-attention passes the same tensor twice. Q = x wq, K = source wk and
-    V = source wv are projected with one :func:`ad.linear` each;
+    V = source wv are projected with one :func:`ad.linear` each, and
     :func:`ad.attention` runs every head (head i on column block i, scaled
-    by 1/sqrt(d_head)), and the heads' outputs are output-projected with
-    ``wo`` and ``bo``. No mask. Attention weights are dropped out when
-    ``rng`` is given. When ``trace`` is given, every head's attention matrix
-    (numpy) is appended to it.
+    by 1/sqrt(d_head)). The caller projects the result with ``wo`` and
+    ``bo`` inside its post-norm tail, :func:`ad.project_add_norm`. No mask.
+    Attention weights are dropped out when ``rng`` is given. When ``trace``
+    is given, every head's attention matrix (numpy) is appended to it.
     """
     q = ad.linear(x, params[f"{prefix}.wq"])
     k = ad.linear(source, params[f"{prefix}.wk"])
     v = ad.linear(source, params[f"{prefix}.wv"])
-    heads = ad.attention(q, k, v, cfg.n_heads, 0.0 if rng is None else cfg.dropout_rate, rng, trace)
-    return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return ad.attention(q, k, v, cfg.n_heads, 0.0 if rng is None else cfg.dropout_rate, rng, trace)
 
 
-def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: PfConfig,
-         rng: np.random.Generator | None) -> Tensor:
+def _attention_add_norm(x: Tensor, source: Tensor, params: dict[str, Tensor], prefix: str, norm: str,
+                        cfg: PfConfig, rng: np.random.Generator | None, trace: list | None) -> Tensor:
+    """LayerNorm(x + attention of x over source, projected by wo and bo)."""
+    heads = multi_head_attention(x, source, params, prefix, cfg, rng, trace)
+    return ad.project_add_norm(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"], x, params[f"{norm}.g"],
+                               params[f"{norm}.b"])
+
+
+def _ffn_add_norm(x: Tensor, params: dict[str, Tensor], prefix: str, norm: str, cfg: PfConfig,
+                  rng: np.random.Generator | None) -> Tensor:
+    """LayerNorm(x + FFN(x))."""
     weights = (params[f"{prefix}.{key}"] for key in ("w1", "b1", "w2", "b2"))
-    return ad.ffn(x, *weights, 0.0 if rng is None else cfg.dropout_rate, rng)
-
-
-def _add_norm(x: Tensor, residual: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return ad.add_layer_norm(x, residual, params[f"{prefix}.g"], params[f"{prefix}.b"])
+    return ad.ffn_add_norm(x, *weights, params[f"{norm}.g"], params[f"{norm}.b"],
+                           0.0 if rng is None else cfg.dropout_rate, rng)
 
 
 def encoder_forward(
@@ -247,9 +255,8 @@ def encoder_forward(
     """Standard post-norm encoder stack; shape-preserving (..., t, d_model).
     Dropout runs when ``rng`` is given."""
     for i in range(cfg.n_enc_layers):
-        attn = multi_head_attention(x, x, params, f"enc.{i}.attn", cfg, rng, trace)
-        x = _add_norm(x, attn, params, f"enc.{i}.ln1")
-        x = _add_norm(x, _ffn(x, params, f"enc.{i}.ffn", cfg, rng), params, f"enc.{i}.ln2")
+        x = _attention_add_norm(x, x, params, f"enc.{i}.attn", f"enc.{i}.ln1", cfg, rng, trace)
+        x = _ffn_add_norm(x, params, f"enc.{i}.ffn", f"enc.{i}.ln2", cfg, rng)
     return x
 
 
@@ -264,11 +271,9 @@ def decoder_forward(
     """Unmasked self-attention, cross-attention to memory, then FFN.
     Dropout runs when ``rng`` is given."""
     for i in range(cfg.n_dec_layers):
-        sa = multi_head_attention(y, y, params, f"dec.{i}.self", cfg, rng, trace)
-        y = _add_norm(y, sa, params, f"dec.{i}.ln1")
-        ca = multi_head_attention(y, memory, params, f"dec.{i}.cross", cfg, rng, trace)
-        y = _add_norm(y, ca, params, f"dec.{i}.ln2")
-        y = _add_norm(y, _ffn(y, params, f"dec.{i}.ffn", cfg, rng), params, f"dec.{i}.ln3")
+        y = _attention_add_norm(y, y, params, f"dec.{i}.self", f"dec.{i}.ln1", cfg, rng, trace)
+        y = _attention_add_norm(y, memory, params, f"dec.{i}.cross", f"dec.{i}.ln2", cfg, rng, trace)
+        y = _ffn_add_norm(y, params, f"dec.{i}.ffn", f"dec.{i}.ln3", cfg, rng)
     return y
 
 

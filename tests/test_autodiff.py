@@ -171,39 +171,53 @@ def test_softmax_rows_sum_to_one(x):
     assert np.all(out >= 0)
 
 
-def _zero_residual_norm(x, gain, bias):
-    """add_layer_norm of x plus a zero residual: the layer norm of x alone."""
-    x = ad.tensor(x)
-    return ad.add_layer_norm(x, ad.tensor(np.zeros(x.shape)), ad.tensor(gain), ad.tensor(bias))
+def _layer_norms(x, gain, bias):
+    """The layer norm of x alone, from each fused op: project_add_norm of x
+    through an identity projection onto a zero residual, and ffn_add_norm of
+    x through an FFN of zero weights. Both sublayers add exactly 0."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    zero, gain, bias = ad.tensor(np.zeros(n)), ad.tensor(gain), ad.tensor(bias)
+    projected = ad.project_add_norm(ad.tensor(x), ad.tensor(np.eye(n)), zero, ad.tensor(np.zeros(x.shape)), gain, bias)
+    fed = ad.ffn_add_norm(ad.tensor(x), ad.tensor(np.zeros((n, 3))), ad.tensor(np.zeros(3)), ad.tensor(np.zeros((3, n))),
+                          zero, gain, bias)
+    return [projected.values, fed.values]
 
 
 def test_layer_norm_constant_row_zeroed():
-    out = _zero_residual_norm([[5.0, 5.0, 5.0]], np.ones(3), np.zeros(3))
-    assert np.allclose(out.values, 0.0)
+    for out in _layer_norms([[5.0, 5.0, 5.0]], np.ones(3), np.zeros(3)):
+        assert np.allclose(out, 0.0)
 
 
 def test_layer_norm_two_point_row():
-    out = _zero_residual_norm([[1.0, 3.0]], np.ones(2), np.zeros(2))
-    # variance 1: the rows scale by 1 / sqrt(1 + LAYER_NORM_EPS)
-    assert np.array_equal(out.values, [[-1.0, 1.0]] / np.sqrt(1.0 + ad.LAYER_NORM_EPS))
+    for out in _layer_norms([[1.0, 3.0]], np.ones(2), np.zeros(2)):
+        # variance 1: the rows scale by 1 / sqrt(1 + LAYER_NORM_EPS)
+        assert np.array_equal(out, [[-1.0, 1.0]] / np.sqrt(1.0 + ad.LAYER_NORM_EPS))
 
 
 def test_layer_norm_zero_gain_gives_bias():
     rng = np.random.default_rng(2)
     bias = np.array([1.0, -2.0, 0.5])
-    out = _zero_residual_norm(rng.normal(size=(4, 3)), np.zeros(3), bias)
-    assert np.allclose(out.values, np.broadcast_to(bias, (4, 3)))
+    for out in _layer_norms(rng.normal(size=(4, 3)), np.zeros(3), bias):
+        assert np.allclose(out, np.broadcast_to(bias, (4, 3)))
 
 
 @pytest.mark.parametrize("x, residual, gain, bias", [
-    ((2, 3), (3, 2), (3,), (3,)),  # residual differs from x
+    ((2, 3), (3, 2), (3,), (3,)),  # residual (for ffn_add_norm, the FFN's output) differs from x
     ((2, 3), (2, 3), (2,), (3,)),
     ((2, 3), (2, 3), (3,), (1, 3)),
     ((), (), (1,), (1,)),  # x has no feature axis
 ], ids=["residual", "gain", "bias", "scalar"])
 def test_add_layer_norm_rejects_bad_shapes(x, residual, gain, bias):
-    with pytest.raises(DimensionError, match="add_layer_norm"):
-        ad.add_layer_norm(*(ad.tensor(np.ones(shape)) for shape in (x, residual, gain, bias)))
+    # the sublayer's own operands fit x; only the add and the norm do not
+    def ones(*shape):
+        return ad.tensor(np.ones(shape))
+
+    n, k = (x or (1,))[-1], (residual or (1,))[-1]
+    with pytest.raises(DimensionError, match="project_add_norm"):
+        ad.project_add_norm(ones(*x), ones(n, k), ones(k), ones(*residual), ones(*gain), ones(*bias))
+    with pytest.raises(DimensionError, match="ffn_add_norm"):
+        ad.ffn_add_norm(ones(*x), ones(n, 5), ones(5), ones(5, k), ones(k), ones(*gain), ones(*bias))
 
 
 def _grads_through(op, inputs: dict, g: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -220,7 +234,7 @@ def _grads_through(op, inputs: dict, g: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def reference_add_layer_norm(x, residual, gain, bias, g, eps=1e-5):
-    """The composition that add_layer_norm replaces, ``add`` then
+    """A residual add and the layer norm after it, ``add`` then
     ``layer_norm``, with both backward passes, in plain numpy."""
     z = x + residual
     d = z.shape[-1]
@@ -236,45 +250,93 @@ def reference_add_layer_norm(x, residual, gain, bias, g, eps=1e-5):
     return xh * gain + bias, grads
 
 
+def _norm_operands(rng, d: int) -> dict:
+    return {"gain": rng.uniform(0.5, 1.5, size=d), "bias": rng.normal(size=d)}
+
+
 @pytest.mark.parametrize("B", [1, 3])
 def test_add_layer_norm_matches_add_then_layer_norm_bit_for_bit(B):
+    # the tail alone: an identity projection, or an FFN of zero weights,
+    # adds exactly 0, so both ops must give the reference's bits
     rng = np.random.default_rng(10 + B)
-    inputs = {"x": rng.normal(size=(B, 5, 8)), "residual": rng.normal(size=(B, 5, 8)),
-              "gain": rng.uniform(0.5, 1.5, size=8), "bias": rng.normal(size=8)}
+    x, residual, g = (rng.normal(size=(B, 5, 8)) for _ in range(3))
+    norm = _norm_operands(rng, 8)
+    want, want_grads = reference_add_layer_norm(x, residual, **norm, g=g)
+    out, grads = _grads_through(ad.project_add_norm, {"h": x, "w": np.eye(8), "b": np.zeros(8),
+                                                      "residual": residual, **norm}, g)
+    assert np.array_equal(out, want)
+    for name, want_name in (("h", "x"), ("residual", "residual"), ("gain", "gain"), ("bias", "bias")):
+        assert np.array_equal(grads[name], want_grads[want_name]), name
+    assert not np.shares_memory(grads["h"], grads["residual"])
+    want, want_grads = reference_add_layer_norm(x, np.zeros(x.shape), **norm, g=g)
+    zeros = {"w1": np.zeros((8, 3)), "b1": np.zeros(3), "w2": np.zeros((3, 8)), "b2": np.zeros(8)}
+    out, grads = _grads_through(ad.ffn_add_norm, {"x": x, **zeros, **norm}, g)
+    assert np.array_equal(out, want)
+    for name in ("x", "gain", "bias"):
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_project_add_norm_matches_linear_then_add_layer_norm_bit_for_bit(B):
+    rng = np.random.default_rng(30 + B)
+    inputs = {"h": rng.normal(size=(B, 5, 6)), "w": rng.normal(size=(6, 8)), "b": rng.normal(size=8),
+              "residual": rng.normal(size=(B, 5, 8)), **_norm_operands(rng, 8)}
     g = rng.normal(size=(B, 5, 8))
-    out, grads = _grads_through(ad.add_layer_norm, inputs, g)
-    want, want_grads = reference_add_layer_norm(**inputs, g=g)
+    out, grads = _grads_through(ad.project_add_norm, inputs, g)
+    projected = ad.linear(*(ad.tensor(inputs[k]) for k in "hwb")).values
+    want, tail = reference_add_layer_norm(projected, inputs["residual"], inputs["gain"], inputs["bias"], g)
+    _, linear_grads = _grads_through(ad.linear, {"x": inputs["h"], "w": inputs["w"], "b": inputs["b"]}, tail["x"])
+    want_grads = {"h": linear_grads["x"], "w": linear_grads["w"], "b": linear_grads["b"],
+                  "residual": tail["residual"], "gain": tail["gain"], "bias": tail["bias"]}
     assert np.array_equal(out, want)
     for name, grad in want_grads.items():
         assert np.array_equal(grads[name], grad), name
-    assert not np.shares_memory(grads["x"], grads["residual"])
 
 
-@pytest.mark.parametrize("operand", ["x", "residual", "gain", "bias"])
-def test_add_layer_norm_gradient_vs_finite_difference(operand):
+def test_project_add_norm_adds_dz_before_dh_into_one_tensor():
+    # h and residual one tensor, which a later op also reads: its gradient
+    # is (that op's + dz) + dh, and dw is read from dz before dh adds into it
+    rng = np.random.default_rng(5)
+    x, w, b, g = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=(2, 3, 4))
+    norm = _norm_operands(rng, 4)
+    later = rng.normal(size=x.shape)
+
+    def op(x, w, b, gain, bias):
+        return ad.add(ad.project_add_norm(x, w, b, x, gain, bias), ad.mul(x, ad.tensor(later)))
+
+    _, grads = _grads_through(op, {"x": x, "w": w, "b": b, **norm}, g)
+    _, apart = _grads_through(ad.project_add_norm, {"h": x, "w": w, "b": b, "residual": x, **norm}, g)
+    assert np.array_equal(grads["x"], (g * later + apart["residual"]) + apart["h"])
+    assert np.array_equal(grads["w"], apart["w"])
+
+
+@pytest.mark.parametrize("operand", ["h", "w", "b", "residual", "gain", "bias"])
+def test_project_add_norm_gradient_vs_finite_difference(operand):
     rng = np.random.default_rng(3)
-    ops = {"x": rng.normal(size=(2, 3, 4)), "residual": rng.normal(size=(2, 3, 4)),
-           "gain": rng.uniform(0.5, 1.5, size=4), "bias": rng.normal(size=4)}
+    ops = {"h": rng.normal(size=(2, 3, 5)), "w": rng.normal(size=(5, 4)), "b": rng.normal(size=4),
+           "residual": rng.normal(size=(2, 3, 4)), **_norm_operands(rng, 4)}
     wy = ad.tensor(rng.normal(size=(2, 3, 4)))
 
     def loss(t: Tensor) -> Tensor:
         args = {k: ad.tensor(v) for k, v in ops.items()}
         args[operand] = t
-        return sum_all(ad.mul(tanh(ad.add_layer_norm(**args)), wy))
+        return sum_all(ad.mul(tanh(ad.project_add_norm(**args)), wy))
 
     assert finite_diff_check(loss, ad.parameter(ops[operand].copy()), eps=1e-6) < 1e-7
 
 
-def _ffn_weights(seed: int, n: int = 4, f: int = 6, k: int = 4) -> dict:
+def _ffn_weights(seed: int, n: int = 4, f: int = 6) -> dict:
+    """Weights of an FFN sublayer of width n with f hidden units, and its norm's gain and bias."""
     rng = np.random.default_rng(seed)
     return {"w1": rng.normal(size=(n, f)), "b1": rng.normal(scale=0.1, size=f),
-            "w2": rng.normal(size=(f, k)), "b2": rng.normal(scale=0.1, size=k)}
+            "w2": rng.normal(size=(f, n)), "b2": rng.normal(scale=0.1, size=n), **_norm_operands(rng, n)}
 
 
-def reference_ffn(x, w1, b1, w2, b2, g, rate, rng):
-    """The composition that ffn replaces, ``linear``, ``relu``, ``dropout``
-    (when ``rng`` is given and rate > 0) and ``linear``, with every backward
-    pass, in plain numpy."""
+def reference_ffn(x, w1, b1, w2, b2, rate, rng):
+    """A feed-forward layer as ``linear``, ``relu``, ``dropout`` (when
+    ``rng`` is given and rate > 0) and ``linear``, in plain numpy. Returns
+    the output and its backward pass, which maps the output's gradient to
+    each operand's."""
     n, f, k = w1.shape[0], w1.shape[1], w2.shape[1]
     x2d = x.reshape(-1, n)
     pre = (x2d @ w1 + b1).reshape(*x.shape[:-1], f)
@@ -287,46 +349,71 @@ def reference_ffn(x, w1, b1, w2, b2, g, rate, rng):
         hidden *= 1.0 / (1.0 - rate)
     h2d = hidden.reshape(-1, f)
     out = (h2d @ w2 + b2).reshape(*x.shape[:-1], k)
-    g2d = g.reshape(-1, k)
-    gh = (g2d @ w2.T).reshape(hidden.shape)
-    if drop:
-        gh = gh * keep
-        gh *= 1.0 / (1.0 - rate)
-    gpre = (gh * relu).reshape(-1, f)
-    grads = {"x": (gpre @ w1.T).reshape(x.shape), "w1": x2d.T @ gpre, "b1": gpre.sum(axis=0),
-             "w2": h2d.T @ g2d, "b2": g2d.sum(axis=0)}
-    return out, grads
+
+    def backward_pass(g):
+        g2d = g.reshape(-1, k)
+        gh = (g2d @ w2.T).reshape(hidden.shape)
+        if drop:
+            gh = gh * keep
+            gh *= 1.0 / (1.0 - rate)
+        gpre = (gh * relu).reshape(-1, f)
+        return {"x": (gpre @ w1.T).reshape(x.shape), "w1": x2d.T @ gpre, "b1": gpre.sum(axis=0),
+                "w2": h2d.T @ g2d, "b2": g2d.sum(axis=0)}
+
+    return out, backward_pass
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
 @pytest.mark.parametrize("B", [1, 3])
 def test_ffn_matches_linear_relu_dropout_linear_bit_for_bit(B, rate):
+    # ffn_add_norm against reference_ffn, then reference_add_layer_norm of
+    # x and the FFN's output; x's gradient is the norm's dz plus the FFN's dx
     rng = np.random.default_rng(20 + B)
-    inputs = {"x": rng.normal(size=(B, 5, 8)), **_ffn_weights(B, n=8, f=12, k=6)}
-    g = rng.normal(size=(B, 5, 6))
+    inputs = {"x": rng.normal(size=(B, 5, 8)), **_ffn_weights(B, n=8, f=12)}
+    g = rng.normal(size=(B, 5, 8))
     op_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    out, grads = _grads_through(lambda **t: ad.ffn(**t, rate=rate, rng=op_rng), inputs, g)
-    want, want_grads = reference_ffn(**inputs, g=g, rate=rate, rng=ref_rng)
+    out, grads = _grads_through(lambda **t: ad.ffn_add_norm(**t, rate=rate, rng=op_rng), inputs, g)
+    weights = {k: inputs[k] for k in ("w1", "b1", "w2", "b2")}
+    fed, ffn_backward = reference_ffn(inputs["x"], **weights, rate=rate, rng=ref_rng)
+    want, tail = reference_add_layer_norm(inputs["x"], fed, inputs["gain"], inputs["bias"], g)
+    want_grads = {**ffn_backward(tail["residual"]), "gain": tail["gain"], "bias": tail["bias"]}
+    want_grads["x"] = tail["x"] + want_grads["x"]
     assert np.array_equal(out, want)
     for name, grad in want_grads.items():
         assert np.array_equal(grads[name], grad), name
     assert op_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_ffn_add_norm_adds_dz_before_dx():
+    # x also read by a later op: its gradient is (that op's + dz) + dx
+    rng = np.random.default_rng(6)
+    inputs = {"x": rng.normal(size=(2, 3, 4)), **_ffn_weights(6)}
+    g, later = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+
+    def op(x, **rest):
+        return ad.add(ad.ffn_add_norm(x, **rest), ad.mul(x, ad.tensor(later)))
+
+    _, grads = _grads_through(op, inputs, g)
+    weights = {k: inputs[k] for k in ("w1", "b1", "w2", "b2")}
+    fed, ffn_backward = reference_ffn(inputs["x"], **weights, rate=0.0, rng=None)
+    _, tail = reference_add_layer_norm(inputs["x"], fed, inputs["gain"], inputs["bias"], g)
+    assert np.array_equal(grads["x"], (g * later + tail["x"]) + ffn_backward(tail["residual"])["x"])
+
+
 def _ffn_loss(ops: dict, operand: str, rate: float, wy: Tensor):
-    """Probe of one ffn operand; a fresh generator per evaluation, so every
-    evaluation drops the same hidden units."""
+    """Probe of one ffn_add_norm operand; a fresh generator per evaluation,
+    so every evaluation drops the same hidden units."""
 
     def loss(t: Tensor) -> Tensor:
         args = {k: ad.tensor(v) for k, v in ops.items()}
         args[operand] = t
-        return sum_all(ad.mul(ad.ffn(**args, rate=rate, rng=np.random.default_rng(0)), wy))
+        return sum_all(ad.mul(tanh(ad.ffn_add_norm(**args, rate=rate, rng=np.random.default_rng(0))), wy))
 
     return loss
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
-@pytest.mark.parametrize("operand", ["x", "w1", "b1", "w2", "b2"])
+@pytest.mark.parametrize("operand", ["x", "w1", "b1", "w2", "b2", "gain", "bias"])
 def test_ffn_gradient_vs_finite_difference(operand, rate):
     rng = np.random.default_rng(4)
     ops = {"x": rng.normal(size=(2, 3, 4)), **_ffn_weights(4)}
@@ -348,16 +435,63 @@ def test_ffn_gradient_vs_finite_difference(operand, rate):
     ((), (1, 6), (6,), (6, 4), (4,)),  # x has no feature axis
 ], ids=["x_width", "b1_width", "w2_rows", "b2_width", "w1_vector", "w2_stack", "x_scalar"])
 def test_ffn_rejects_bad_shapes(x, w1, b1, w2, b2):
-    with pytest.raises(DimensionError, match="ffn"):
-        ad.ffn(*(ad.tensor(np.ones(shape)) for shape in (x, w1, b1, w2, b2)))
+    norm = (ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)))
+    with pytest.raises(DimensionError, match="ffn_add_norm"):
+        ad.ffn_add_norm(*(ad.tensor(np.ones(shape)) for shape in (x, w1, b1, w2, b2)), *norm)
 
 
 def _identity_ffn(x, rate, rng):
-    """ffn with identity weights and zero biases: on a non-negative x it
-    returns the kept entries of x scaled by 1 / (1 - rate), zeros elsewhere."""
-    n = x.shape[-1]
-    eye, zero = ad.tensor(np.eye(n)), ad.tensor(np.zeros(n))
-    return ad.ffn(ad.tensor(x), eye, zero, eye, zero, rate, rng).values
+    """The FFN of ffn_add_norm with identity weights and zero biases, read
+    back through the norm. On a non-negative (rows, n) x that FFN returns
+    the kept entries of x scaled by 1 / (1 - rate), zeros elsewhere.
+
+    The op's input is [0, x, 0, 1] and its FFN maps the second block onto
+    the first, so the norm's input is [FFN(x), x, 0, 1]. Gain 1 and bias 0
+    leave each row shifted and scaled, and the columns that held 0 and 1
+    undo that. Returns the FFN's output and x, each read back so; equal
+    entries of the norm's input read back as equal bits."""
+    rows, n = x.shape
+    width = 2 * n + 2
+    inputs = np.zeros((rows, width))
+    inputs[:, n:2 * n] = x
+    inputs[:, -1] = 1.0
+    w1, w2 = np.zeros((width, n)), np.zeros((n, width))
+    w1[n:2 * n] = w2[:, :n] = np.eye(n)
+    out = ad.ffn_add_norm(*(ad.tensor(v) for v in (inputs, w1, np.zeros(n), w2, np.zeros(width), np.ones(width),
+                                                   np.zeros(width))), rate, rng).values
+    zero, one = out[:, -2:-1], out[:, -1:]
+    back = (out - zero) / (one - zero)
+    return back[:, :n], back[:, n:2 * n]
+
+
+def test_fused_tails_keep_no_sublayer_output():
+    # what each op leaves alive is its output and what its backward reads:
+    # xh and the row scales, and the FFN's hidden layer; a (B, t, d) copy
+    # of the sublayer's output is more than the slack
+    B, t, d, f = 4, 32, 64, 96
+    rng = np.random.default_rng(0)
+    x, h = (ad.parameter(rng.normal(size=(B, t, d))) for _ in range(2))
+    w, w1, w2 = (ad.parameter(rng.normal(size=shape)) for shape in ((d, d), (d, f), (f, d)))
+    b, b1, b2, gain, bias = (ad.parameter(np.zeros(n)) for n in (d, f, d, d, d))
+    ops = {"project_add_norm": (lambda: ad.project_add_norm(h, w, b, x, gain, bias), 0),
+           "ffn_add_norm": (lambda: ad.ffn_add_norm(x, w1, b1, w2, b2, gain, bias, 0.3, np.random.default_rng(1)),
+                            B * t * f * 8)}
+    slack = 8192  # the tensors and the closure; one (B, t, d) array is 65,536 bytes
+    for name, (op, hidden) in ops.items():
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with record(tape):
+                out = op()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        allowed = 2 * out.values.nbytes + B * t * 8 + hidden  # output, xh, row scales, hidden layer
+        assert allowed <= kept + slack and kept <= allowed + slack, (name, kept, allowed)
+        out.grad = np.ones(out.shape)
+        tape.nodes[-1]()
+        assert all(np.isfinite(p.grad).all() for p in (x, gain, bias))
 
 
 def test_backward_sum_gives_ones():
@@ -496,19 +630,22 @@ def _op_cases():
         "relu": wrap(lambda x: sum_all(ad.relu(x))),
         "tanh": wrap(lambda x: sum_all(tanh(x))),
         "sigmoid": wrap(lambda x: sum_all(sigmoid(x))),
-        "add_layer_norm": wrap(lambda x: sum_all(ad.mul(ad.add_layer_norm(
-            x, tanh(x), ad.tensor(np.linspace(0.5, 1.5, 4)), ad.tensor(np.linspace(-1.0, 1.0, 4))), x))),
-        "ffn": wrap(lambda x: sum_all(ad.mul(ad.ffn(x, *_OP_CASE_FFN), x))),
+        "project_add_norm": wrap(lambda x: sum_all(ad.mul(ad.project_add_norm(
+            tanh(x), ad.tensor(np.linspace(-1.0, 1.0, 16).reshape(4, 4)), ad.tensor(np.linspace(-0.5, 0.5, 4)), x,
+            *_OP_CASE_NORM), x))),
+        "ffn_add_norm": wrap(lambda x: sum_all(ad.mul(ad.ffn_add_norm(x, *_OP_CASE_FFN), x))),
         "reshape": wrap(lambda x: sum_all(tanh(ad.reshape(x, (2, 8))))),
         "tile_leading": wrap(lambda x: sum_all(
             tanh(ad.mul(ad.tile_leading(x, 3), ad.tensor(np.linspace(-2.0, 2.0, 48).reshape(3, 4, 4)))))),
         "rmse": wrap(lambda x: ad.rmse(x, ad.tensor(np.full((4, 4), 0.3)))),
         # a fresh generator per evaluation, so every evaluation drops the same entries
-        "ffn_dropout": wrap(lambda x: sum_all(ad.mul(ad.ffn(x, *_OP_CASE_FFN, 0.4, np.random.default_rng(0)), x))),
+        "ffn_add_norm_dropout": wrap(lambda x: sum_all(ad.mul(
+            ad.ffn_add_norm(x, *_OP_CASE_FFN, 0.4, np.random.default_rng(0)), x))),
     }
 
 
 _OP_CASE_FFN = [ad.tensor(v) for v in _ffn_weights(5).values()]
+_OP_CASE_NORM = [ad.tensor(np.linspace(0.5, 1.5, 4)), ad.tensor(np.linspace(-1.0, 1.0, 4))]
 
 
 def _op_case_inputs() -> list[np.ndarray]:
@@ -710,15 +847,30 @@ def test_attention_gradient_in_row_blocks(operand, t_k, rate, rows, monkeypatch)
     assert _attention_fd_error(operand, t_k, rate) < 1e-6
 
 
-def _attention_grads(ops, g, trace=None, rate=0.4, n_heads=2):
-    """Output and q, k, v gradients of one taped attention call with cotangent g."""
-    q, k, v = (ad.parameter(ops[name]) for name in "qkv")
+def _attention_grads(ops, g, trace=None, rate=0.4, n_heads=2, needs_grad="qkv"):
+    """Output and q, k, v gradients of one taped attention call with
+    cotangent g; only the operands named in ``needs_grad`` are parameters."""
+    q, k, v = (ad.parameter(ops[name]) if name in needs_grad else ad.tensor(ops[name]) for name in "qkv")
     tape = Tape()
     with record(tape):
         out = ad.attention(q, k, v, n_heads, rate, np.random.default_rng(3), trace)
     out.grad = g
     tape.nodes[-1]()
     return out.values, q.grad, k.grad, v.grad
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("needs_grad", ["q", "k", "v", "kv"])
+def test_attention_backward_builds_only_the_gradients_it_needs(needs_grad, rate, monkeypatch):
+    # an operand that needs no gradient gets none, and the others get the
+    # bits they get when all three need one
+    small_row_blocks(monkeypatch, 2, 2, 5)
+    ops = _attention_operands(5, t_q=5)
+    g = np.random.default_rng(2).normal(size=ops["q"].shape)
+    _, *every = _attention_grads(ops, g, rate=rate)
+    _, *some = _attention_grads(ops, g, rate=rate, needs_grad=needs_grad)
+    for name, full, grad in zip("qkv", every, some, strict=True):
+        assert (grad is None) if name not in needs_grad else np.array_equal(grad, full), name
 
 
 # 1-row blocks, and 2-row blocks that leave a 1-row tail of the 5 query rows
@@ -765,12 +917,12 @@ def test_attention_untaped_forward_matches_taped(rate):
 def test_keep_fraction_within_binomial_bound(rate):
     # attention: with q = 0 every weight is 1/t_k, and each head's v is the
     # identity, so column j of head i's output is the keep mask of key j;
-    # ffn: with identity weights, the output is the keep mask of the hidden units
+    # ffn_add_norm: with identity weights, the FFN's output is the keep mask of the hidden units
     B, t, heads = 2, 128, 2
     q = ad.tensor(np.zeros((B, t, heads * t)))
     v = ad.tensor(np.tile(np.eye(t), (B, 1, heads)))
     attended = ad.attention(q, v, v, heads, rate, np.random.default_rng(5)).values
-    dropped = _identity_ffn(np.ones((B * heads * t, t)), rate, np.random.default_rng(6))
+    dropped, _ = _identity_ffn(np.ones((B * heads * t, t)), rate, np.random.default_rng(6))
     for out, kept_value in ((attended, 1.0 / t), (dropped, 1.0)):
         n = out.size
         kept = np.count_nonzero(out)
@@ -1221,7 +1373,7 @@ def test_attention_joins_every_thread_it_starts(stage, monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "serial"])
 def test_backward_matches_a_replay_of_a_copy_of_the_nodes(cpus, monkeypatch):
     # backward drops each node once it has run; the gradients must equal a
-    # replay that keeps every node alive, with dropout on in attention and ffn
+    # replay that keeps every node alive, with dropout on in attention and ffn_add_norm
     calls = _helper_threads(monkeypatch, cpus)
     ops = _pool_sized_operands(1, fallback=False)
     d = ops["q"].shape[-1]
@@ -1229,13 +1381,13 @@ def test_backward_matches_a_replay_of_a_copy_of_the_nodes(cpus, monkeypatch):
 
     def grads(run):
         x, kv, *ws = (ad.parameter(v) for v in (ops["q"], ops["k"], *init))
-        bias = ad.tensor(np.zeros(d))
+        bias, gain = ad.tensor(np.zeros(d)), ad.tensor(np.ones(d))
         rng = np.random.default_rng(5)
         tape = Tape()
         with record(tape):
             q, k, v = (ad.linear(a, w) for a, w in ((x, ws[0]), (kv, ws[1]), (kv, ws[2])))
-            a = ad.linear(ad.attention(q, k, v, 4, 0.3, rng), ws[3])
-            y = ad.ffn(a, ws[4], bias, ws[5], bias, 0.3, rng)
+            a = ad.project_add_norm(ad.attention(q, k, v, 4, 0.3, rng), ws[3], bias, x, gain, bias)
+            y = ad.ffn_add_norm(a, ws[4], bias, ws[5], bias, gain, bias, 0.3, rng)
             out = ad.rmse(y, ad.tensor(ops["v"]))
         run(tape, out)
         return [t.grad for t in (x, kv, *ws)]
@@ -1265,16 +1417,17 @@ def test_ffn_draws_nothing_at_zero_rate_and_scales_expectation():
     x = np.ones((100, 10))
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
-    assert np.array_equal(_identity_ffn(x, 0.0, rng), x)
+    out, same = _identity_ffn(x, 0.0, rng)
+    assert np.array_equal(out, same)
     assert rng.bit_generator.state == state
-    out = _identity_ffn(x, 0.5, rng)
+    out, _ = _identity_ffn(x, 0.5, rng)
     kept = out[out > 0]
     assert np.allclose(kept, 2.0)
     assert abs(out.mean() - 1.0) < 0.1
 
 
 def test_dropout_rejects_missing_generator():
-    with pytest.raises(ContractError, match="ffn: rng"):
+    with pytest.raises(ContractError, match="ffn_add_norm: rng"):
         _identity_ffn(np.ones((2, 3)), 0.1, None)
 
 

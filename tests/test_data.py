@@ -1,9 +1,11 @@
 import calendar
+import csv
 import hashlib
 import math
 import warnings
 from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -245,6 +247,16 @@ def assert_reads_as_oracle(path, lines):
         assert np.array_equal(s.times_us, want[1]) and s.values.tobytes() == want[2].tobytes()
 
 
+def write_csv_row_by_row(path, start, step, values):
+    """Oracle for ``write_csv``: one ``csv.writer`` row per value, its
+    stamp and value formatted by ``isoformat`` and ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "value"])
+        for i, v in enumerate(values):
+            writer.writerow([(start + i * step).isoformat(), repr(float(v))])
+
+
 class TestReadPath:
     """load_csv against a per-row oracle, and the one-pass read's edges."""
 
@@ -332,6 +344,30 @@ class TestReadPath:
         p = write(tmp_path, "a.csv", lines)
         monkeypatch.setattr(d, "_read_rows", None)  # the row-by-row read must not run
         assert_reads_as_oracle(p, lines)
+
+    @pytest.mark.parametrize("start, step, n", [
+        (datetime(2021, 9, 1), STEP, 59),
+        (T0, STEP, 59),
+        (datetime(2021, 9, 1, 23, tzinfo=timezone(timedelta(hours=5, minutes=30))), STEP, 59),
+        (datetime(2021, 9, 1, 0, 0, 59, 999_000, tzinfo=UTC), timedelta(milliseconds=250), 59),
+        (datetime(2021, 3, 28, tzinfo=ZoneInfo("Europe/Berlin")), timedelta(minutes=45), 59),
+        (datetime(1, 1, 1, 0, 0, 30), timedelta(seconds=-15), 3),  # 30 s down to 0 s into year 1
+        (T0, STEP, 0),
+    ], ids=["naive", "utc", "plus_0530", "sub_second", "zone_across_dst", "year_1_backwards", "no_rows"])
+    def test_write_csv_writes_the_row_by_row_bytes(self, tmp_path, start, step, n, monkeypatch):
+        monkeypatch.setattr(d, "_CSV_BLOCK_ROWS", 7)  # 59 rows: eight blocks of 7 and a tail of 3
+        rng = np.random.default_rng(3)
+        values = np.concatenate([[0.0, -0.0, 1.0, -2.5, 1e16, 1e-5, 123456789.123, 2.0 ** -1074, np.pi],
+                                 rng.lognormal(sigma=3.0, size=40), -rng.random(10)])[:n]
+        d.write_csv(tmp_path / "fast.csv", start, step, values)
+        write_csv_row_by_row(tmp_path / "rows.csv", start, step, values)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_write_csv_past_the_last_year_raises_before_writing(self, tmp_path):
+        path = tmp_path / "a.csv"
+        with pytest.raises(OverflowError):
+            d.write_csv(path, datetime(9999, 12, 31, 23, tzinfo=UTC), timedelta(minutes=30), np.zeros(3))
+        assert not path.exists()
 
     @pytest.mark.parametrize("offset", ["+24:00", "-24:00", "+00:60", "+23:59", "-00:00"])
     def test_offset_edges_read_as_fromisoformat(self, tmp_path, offset):

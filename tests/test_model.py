@@ -48,12 +48,13 @@ def loss_of(params, cfg, batch, rng=None, training=False):
 
 def reference_attention(q_in, kv_in, params, prefix, n_heads, trace, rate=0.0, rng=None):
     """Textbook attention in numpy: q, k and v projected by wq, wk and wv,
-    the per-head softmax of gradcheck.softmax_attention, with its reference
-    keep masks when ``rng`` is given, and the output projection."""
+    and the per-head softmax of gradcheck.softmax_attention, with its
+    reference keep masks when ``rng`` is given; returns the heads before
+    the output projection."""
     q, k, v = (x @ params[f"{prefix}.{w}"].values for x, w in ((q_in, "wq"), (kv_in, "wk"), (kv_in, "wv")))
     heads, maps = softmax_attention(q, k, v, n_heads, rate, rng)
     trace.extend(maps)
-    return heads @ params[f"{prefix}.wo"].values + params[f"{prefix}.bo"].values
+    return heads
 
 
 class TestAttention:
@@ -63,7 +64,6 @@ class TestAttention:
         params = model.init_params(cfg, 1)
         prefix = "dec.0.self" if kind == "self" else "dec.0.cross"
         rng = np.random.default_rng(2)
-        params[f"{prefix}.bo"].values[:] = rng.normal(size=8)
         x = rng.normal(size=(3, cfg.h, 8))
         kv = x if kind == "self" else rng.normal(size=(3, cfg.t, 8))
         got_rng, want_rng = (np.random.default_rng(3), np.random.default_rng(3)) if rate > 0 else (None, None)
@@ -213,7 +213,7 @@ class TestForward:
         # EFE and FFN pre-activations of the check above keep more than
         # 10 eps away from 0
         pre = []
-        relu, ffn = ad.relu, ad.ffn
+        relu, ffn_add_norm = ad.relu, ad.ffn_add_norm
 
         def record_relu(x):
             pre.append(x.values)
@@ -221,10 +221,10 @@ class TestForward:
 
         def record_ffn(x, w1, b1, *rest):
             pre.append(x.values @ w1.values + b1.values)
-            return ffn(x, w1, b1, *rest)
+            return ffn_add_norm(x, w1, b1, *rest)
 
         monkeypatch.setattr(ad, "relu", record_relu)
-        monkeypatch.setattr(ad, "ffn", record_ffn)
+        monkeypatch.setattr(ad, "ffn_add_norm", record_ffn)
         cfg = toy_cfg(mode)
         loss_of(model.init_params(cfg, 4), cfg, toy_batch(cfg))
         assert len(pre) == (mode == "efe_aee") + cfg.n_enc_layers + cfg.n_dec_layers
@@ -239,17 +239,20 @@ class TestForward:
         if mode != "efe_aee":
             assert np.array_equal(yaux.values, np.zeros((3, cfg.h)))
 
-    def test_default_training_tape_has_42_nodes(self):
-        # each sublayer's residual add and layer norm is one node, and so is
-        # each feed-forward layer: 8 nodes per encoder layer and 14 per
-        # decoder layer, where linear, relu, dropout, linear, add and
-        # layer_norm nodes would take 13 and 20
+    def test_default_training_tape_has_35_nodes(self):
+        # an attention sublayer records its q, k and v projections and its
+        # heads, and one node for its output projection, residual add and
+        # layer norm; a feed-forward sublayer is one node, layer norm
+        # included: 6 nodes per encoder layer and 11 per decoder layer,
+        # where separate output-projection, add-and-norm and FFN nodes take
+        # 8 and 14, and linear, relu, dropout, linear, add and layer_norm
+        # nodes 13 and 20
         cfg = PfConfig()
         params = model.init_params(cfg, 0)
         tape = ad.Tape()
         with ad.record(tape):
             loss_of(params, cfg, toy_batch(cfg, batch=1), np.random.default_rng(5), training=True)
-        assert len(tape) == 42
+        assert len(tape) == 35
 
     def test_training_forward_is_seeded(self):
         cfg = toy_cfg(dropout_rate=0.3)
