@@ -740,17 +740,11 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     keeps; h goes straight into h_seq through a swapped view. The step's
     only allocation is the product h u.
 
-    Inside the op the gates run in the order o, i, f, g: w, u and b are
-    rolled by H columns once per call, so the sigmoid gates sit in [0, 3H)
-    and the gates that the cell-state gradient scales in [H, 4H). Their
-    sigmoid-gate columns are halved, an exact power-of-two scaling, so one
-    in-place tanh over the whole (B, 4H) pre-activation gives g and
-    tanh(z / 2), and sigmoid(z) = (1 + tanh(z / 2)) / 2 finishes the
-    sigmoid gates with two in-place scalar ops. The identity keeps every
-    gate within an absolute error of about 2^-53 of the exp form
-    1 / (1 + e^-z), but not within a relative one: a nearly closed gate
-    has a relative error of about 2^-53 / sigmoid(z), and one below 2^-54
-    may read 0.
+    The op computes in the stored order: with the sigmoid gates' columns of
+    w, u and b halved once per call, an exact scaling, one in-place tanh of
+    a step's (B, 4H) pre-activation gives g and tanh(z / 2), and a
+    per-column multiply and add give sigmoid(z) = (1 + tanh(z / 2)) / 2,
+    within an absolute error of about 2^-53, so a gate below 2^-54 may read 0.
 
     One tape node serves the three outputs; h_T and c_T are views of the
     last step of h_seq and of the cell states. The node keeps the
@@ -758,11 +752,10 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     h_seq, and rebuilds the time-major input from x_seq when w needs a
     gradient. Its backward runs backprop through time by hand in the same
     layout: the gradient of a step's pre-activations is scaled by the
-    cell-state gradient over [H, 4H) in one broadcast op and by the
-    hidden-state gradient over the o block. Only the gradients of w, u and
-    b are rolled back to the stored order. An output nothing used adds
-    nothing: when h_seq has no consumer, its per-step gradient is never
-    read.
+    cell-state gradient over the i, f and g blocks, [0, 3H), in one
+    broadcast op and by the hidden-state gradient over the o block. An
+    output nothing used adds nothing: when h_seq has no consumer, its
+    per-step gradient is never read.
     """
     xv, uv = x_seq.values, u.values
     if xv.ndim != 3 or xv.shape[1] < 1:
@@ -777,42 +770,43 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
     if h0.shape != (B, hidden) or c0.shape != (B, hidden):
         raise DimensionError(f"lstm_sequence: h0 {h0.shape} and c0 {c0.shape} must be (B, hidden) = {(B, hidden)}")
 
-    H, H3 = hidden, 3 * hidden
-    w_in, u_in, b_in = (np.roll(p.values, H, axis=-1) for p in (w, u, b))  # gate order o, i, f, g
-    for p in (w_in, u_in, b_in):
-        p[..., :H3] *= 0.5
+    H = hidden
+    half = np.full(H4, 0.5)
+    half[2 * H:3 * H] = 1.0  # g is a tanh gate
+    w_in, u_in, b_in = (p.values * half for p in (w, u, b))
+    # one row per batch row: a same-shape in-place op is cheaper than a broadcast one
+    half = np.tile(half, (B, 1))
+    shift = 1.0 - half
     # the input's rows in time-major order: a view at B = 1, else a copy that the node does not keep
     acts = np.matmul(np.swapaxes(xv, 0, 1).reshape(T * B, n_in), w_in).reshape(T, B, H4)
     acts += b_in
+    i, f, g, o = (acts[..., k * H:(k + 1) * H] for k in range(4))
     hs = np.empty((B, T, H))
     hs_t = np.swapaxes(hs, 0, 1)
     cs = np.empty((T, B, H))
     tmp = np.empty((B, H))
     h, c = h0.values, c0.values
-    for z, o, i, f, g, c_s, h_s in zip(acts, acts[..., :H], acts[..., H:2 * H], acts[..., 2 * H:H3],
-                                       acts[..., H3:], cs, hs_t):
+    for z, i_s, f_s, g_s, o_s, c_s, h_s in zip(acts, i, f, g, o, cs, hs_t):
         z += h @ u_in
         np.tanh(z, out=z)
-        sig = z[:, :H3]
-        sig *= 0.5
-        sig += 0.5
-        np.multiply(f, c, out=c_s)
-        np.multiply(i, g, out=tmp)
+        z *= half
+        z += shift
+        np.multiply(f_s, c, out=c_s)
+        np.multiply(i_s, g_s, out=tmp)
         c_s += tmp
         np.tanh(c_s, out=tmp)
-        np.multiply(o, tmp, out=h_s)
+        np.multiply(o_s, tmp, out=h_s)
         h, c = h_s, c_s
 
     def vjp(gh: np.ndarray | None, gh_last: np.ndarray | None, gc: np.ndarray | None) -> None:
-        o, i, f, g = (acts[..., k * H:(k + 1) * H] for k in range(4))
         # dz starts as the local factors of the four gate pre-activations and
         # is scaled in place, step by step, by the cell-state gradient (i, f
         # and g) or the hidden-state gradient (o). Built with ``out=`` so the
         # factors need no temporary beyond dz and tanh(c).
         dz = np.empty_like(acts)
-        do, di, df, dg = (dz[..., k * H:(k + 1) * H] for k in range(4))
-        np.subtract(1.0, acts[..., :H3], out=dz[..., :H3])
-        dz[..., :H3] *= acts[..., :H3]  # s (1 - s) of o, i and f
+        di, df, dg, do = (dz[..., k * H:(k + 1) * H] for k in range(4))
+        np.subtract(1.0, acts, out=dz)
+        dz *= acts  # s (1 - s); g's block is overwritten below
         tc = np.tanh(cs)
         do *= tc
         di *= g
@@ -826,7 +820,7 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
         dz_gates = dz.reshape(T, B, 4, H)
-        ut = np.ascontiguousarray(np.roll(uv, H, axis=1).T)
+        ut = np.ascontiguousarray(uv.T)
         dh = np.zeros((B, H)) if gh_last is None else gh_last.copy()
         dc = np.zeros((B, H)) if gc is None else gc.copy()
         dc_step = np.empty((B, H))
@@ -835,20 +829,20 @@ def lstm_sequence(x_seq: Tensor, h0: Tensor, c0: Tensor, w: Tensor, u: Tensor,
                 dh += gh[:, s]
             np.multiply(dh, dc_dh[s], out=dc_step)
             dc += dc_step
-            dz_gates[s, :, 1:] *= dc[:, None]
-            dz_gates[s, :, 0] *= dh
+            dz_gates[s, :, :3] *= dc[:, None]
+            dz_gates[s, :, 3] *= dh
             np.matmul(dz[s], ut, out=dh)
             dc *= f[s]
         dz2d = dz.reshape(T * B, H4)
         if x_seq.requires_grad:
-            _accum(x_seq, np.matmul(np.swapaxes(dz, 0, 1), np.roll(w.values, H, axis=1).T))
+            _accum(x_seq, np.matmul(np.swapaxes(dz, 0, 1), w.values.T))
         if w.requires_grad:
-            _accum(w, np.roll(np.swapaxes(xv, 0, 1).reshape(T * B, n_in).T @ dz2d, -H, axis=1))
+            _accum(w, np.swapaxes(xv, 0, 1).reshape(T * B, n_in).T @ dz2d)
         if u.requires_grad:
             h_prev = np.concatenate([h0.values[None], hs_t[:-1]]).reshape(T * B, H)
-            _accum(u, np.roll(h_prev.T @ dz2d, -H, axis=1))
+            _accum(u, h_prev.T @ dz2d)
         if b.requires_grad:
-            _accum(b, np.roll(dz2d.sum(axis=0), -H))
+            _accum(b, dz2d.sum(axis=0))
         if h0.requires_grad:
             _accum(h0, dh)
         if c0.requires_grad:

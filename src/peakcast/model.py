@@ -21,7 +21,12 @@ are shared.
 Parameter layout: every attention block ``{prefix}`` holds ``.wq``,
 ``.wk``, ``.wv`` and ``.wo``, each (d_model, d_model), and ``.bo``. Head
 i owns column block [i * d_head, (i + 1) * d_head) of ``wq``, ``wk`` and
-``wv``, and the same row block of ``wo``. Checkpoints are format version 5,
+``wv``, and the same row block of ``wo``. The AEE's two LSTMs, ``aee.enc``
+and ``aee.dec``, each hold ``.w`` (n_in, 4H), ``.u`` (H, 4H) and ``.b``
+(4H,), with H = d_model and n_in = m or the time-stamp feature width;
+gates i, f, g and o are column blocks in that order, the forget gate's
+bias is 1 at init, and :func:`autodiff.lstm_sequence` computes in this
+order, which checkpoints store too. Checkpoints are format version 5,
 a numpy ``.npz`` archive: member ``header`` holds a JSON object of the
 format name and version and ``config`` (``PfConfig.to_dict()``, one flat
 dict of scalars), and each parameter is a float64 member of its own name,
@@ -178,10 +183,6 @@ def init_params(cfg: PfConfig, seed: int) -> dict[str, Tensor]:
             values = rng.uniform(-scale, scale, size=shape)
         params[name] = ad.parameter(values)
     return params
-
-
-def param_count(params: dict[str, Tensor]) -> int:
-    return sum(p.size for p in params.values())
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,8 @@ def mark_important(values: np.ndarray, eta: float, z: float, nu: int = 8) -> np.
     Super-threshold indices inside one extreme event form contiguous runs;
     thinning keeps the index that is the leftmost maximum within its
     nu-wide neighborhood, so each event contributes one peak. A NaN or
-    infinite threshold eta * z, or a nu that is not an integer >= 0,
-    raises PolicyError.
+    infinite value or threshold eta * z, or a nu that is not an integer
+    >= 0, raises PolicyError.
     """
     if not _is_int(nu):
         raise PolicyError(f"nu must be an integer, got {nu!r}")
@@ -172,6 +172,8 @@ def mark_important(values: np.ndarray, eta: float, z: float, nu: int = 8) -> np.
     if not math.isfinite(threshold):
         raise PolicyError(f"threshold eta * z must be finite, got {eta} * {z}")
     x = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise PolicyError("values must be finite")
     candidates = np.flatnonzero(x > threshold)
     if candidates.size == 0:
         return candidates

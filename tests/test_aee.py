@@ -127,7 +127,7 @@ class TestTimestampFeatures:
             lambda us: st.tuples(st.just(timedelta(microseconds=us)), st.integers(-SPAN_US // us, SPAN_US // us))),
         horizon=st.integers(1, 600),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_matches_per_step_loop_property(self, start, step_issue, horizon):
         step, issue_index = step_issue
         got = aee.timestamp_features(issue_index, horizon, step=step, start=start)
@@ -147,7 +147,7 @@ class TestTimestampFeatures:
         issues=st.lists(st.integers(-300_000, 300_000), min_size=1, max_size=5),
         horizon=st.integers(1, 150),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_batch_matches_loop_at_steps_that_do_not_divide_a_day(self, start, step, issues, horizon):
         got = aee.timestamp_features(np.array(issues), horizon, step=step, start=start)
         assert np.array_equal(got, np.stack([timestamp_features_loop(i, horizon, step, start) for i in issues]))

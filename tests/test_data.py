@@ -261,7 +261,7 @@ class TestReadPath:
     """load_csv against a per-row oracle, and the one-pass read's edges."""
 
     @given(st.lists(st.tuples(stamps, values), min_size=1, max_size=25))
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_per_row_oracle(self, tmp_path, rows):
         lines = [f"{stamp},{value}" for stamp, value in rows]
         assert_reads_as_oracle(write(tmp_path, "x.csv", lines), lines)
@@ -454,7 +454,7 @@ class TestAlign:
     @given(st.lists(st.integers(-3_600_000, 20_000_000), min_size=1, max_size=40, unique=True),
            st.integers(0, 25_000_000), st.sampled_from([7_500_000, 60_000_000, 900_000_000]),
            st.integers(1, 300))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_grid_fill_matches_loop(self, offsets_ms, start_ms, step_us, n):
         # off-grid millisecond stamps with random gaps; the grid starts at
         # the first observation or after it, up to past the last

@@ -98,14 +98,14 @@ class TestAttention:
         monkeypatch.setattr(ad, "_BLOCK_ELEMS", rows * 3 * t_k)
         self.compare(2, kind, rate)
 
-    def test_records_at_most_five_tape_nodes(self):
+    def test_records_four_tape_nodes(self):
         cfg = PfConfig(d_model=8, n_heads=4, t=7, h=5, dropout_rate=0.3)
         params = model.init_params(cfg, 1)
         x = ad.tensor(np.random.default_rng(2).normal(size=(2, cfg.h, 8)))
         tape = ad.Tape()
         with ad.record(tape):
             model.multi_head_attention(x, x, params, "dec.0.self", cfg, np.random.default_rng(3))
-        assert len(tape) <= 5
+        assert len(tape) == 4  # the q, k and v projections and the heads
 
     def test_no_generator_means_no_dropout(self):
         # eval forwards pass no rng: attention then runs at rate 0, bit for bit
@@ -158,7 +158,7 @@ class TestParameters:
     def test_default_layout(self):
         params = model.init_params(PfConfig(), 0)
         assert len(params) == 58
-        assert model.param_count(params) == 155_650
+        assert sum(p.size for p in params.values()) == 155_650
         attn = {name.rsplit(".", 1)[1] for name in params if name.startswith("enc.0.attn.")}
         assert attn == {"wq", "wk", "wv", "wo", "bo"}
         assert params["dec.0.cross.wq"].shape == (64, 64)
@@ -443,7 +443,7 @@ def configs():
 
 
 class TestConfigDict:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(configs())
     def test_json_round_trip(self, cfg):
         assert PfConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
